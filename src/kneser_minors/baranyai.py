@@ -19,10 +19,18 @@ where the class arc carries floor/ceil bounds of the class's fractional
 load, the (j, S) arc is capped by the copy count, and the sink arc demands
 exactly the number of completions through S that contain v.  Degrees of
 already-placed labels are untouched by the step, so per-class degree spread
-<= 1 holds at the end.  The flow is solved by a deterministic augmenting-path
-(blocking-flow) routine with lowest-index tie-breaking; together with colex
-ordering of types this makes the whole construction reproducible
-byte-for-byte.
+<= 1 holds at the end.  Each step's flow is solved by Dinic's algorithm
+with a fixed arc order (see ``_max_flow``); together with colex ordering of
+types this makes the whole construction reproducible byte-for-byte.
+
+Between label steps the state is a few flat arrays.  The distinct
+unfinished masks (the *types*) are numbered in mask order; each class is a
+list of (type id, copy count) runs in mask order; copies that reach k
+labels are set aside as finished edges.  After each step the types are
+renumbered as the kept types followed by the grown ones (a type's mask
+plus v), which is mask order without a sort because v's bit is above every
+placed bit.  The flow network is read straight off these arrays, and its
+search is iterative, so a long augmenting path cannot exhaust the stack.
 
 Two wrappers derive covered partitions of the standard anchored families:
 ``partition_A`` (smallest label i fixed) and ``partition_C`` (label n fixed),
@@ -33,6 +41,7 @@ its coverage floor on construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import Params, binomial, enumerate_family, union_mask
@@ -40,8 +49,6 @@ from .errors import ConstructionError, ParameterError, ResourceCapError
 
 DEFAULT_EDGE_CAP = 20000
 ORACLE_EDGE_CAP = 30
-
-_INF = 1 << 60
 
 
 @dataclass(frozen=True)
@@ -113,144 +120,164 @@ def uniform_sizes(total: int, block_size: int) -> tuple[int, ...]:
     return tuple([block_size] * full + ([rest] if rest else []))
 
 
-class _FlowNetwork:
-    """Dinic max flow; arcs are scanned in insertion order, so it is deterministic."""
+def _max_flow(
+    sres: list[int], cstart: list[int], pclass: list[int], ptype: list[int],
+    cnt: list[int], flow: list[int], tpairs: list[list[int]], tres: list[int],
+) -> int:
+    """Dinic on source -> class -> type -> sink; returns the flow it adds.
 
-    __slots__ = ("adj", "to", "cap")
-
-    def __init__(self, nodes: int) -> None:
-        self.adj: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        eid = len(self.to)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.adj[u].append(eid)
-        self.to.append(u)
-        self.cap.append(0)
-        self.adj[v].append(eid + 1)
-        return eid
-
-    def raise_capacity(self, eid: int, extra: int) -> None:
-        self.cap[eid] += extra
-
-    def flow_on(self, eid: int) -> int:
-        return self.cap[eid ^ 1]
-
-    def max_flow(self, source: int, sink: int) -> int:
-        total = 0
-        n = len(self.adj)
-        while True:
-            level = [-1] * n
-            level[source] = 0
-            queue = [source]
-            for u in queue:
-                for eid in self.adj[u]:
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[sink] < 0:
-                return total
-            cursor = [0] * n
+    Residuals live in the caller's arrays: ``sres[j]`` on source -> class j,
+    ``cnt[p] - flow[p]`` on pair p (class ``pclass[p]`` -> type ``ptype[p]``)
+    and ``flow[p]`` on its reverse, ``tres[t]`` on type t -> sink.  The search
+    scans arcs in the order a generic Dinic would see them inserted: classes
+    by index at the source, pairs by type mask at a class, reverse pairs by
+    class index and then the sink arc at a type.  A cursor moves only past an
+    ineligible arc or a dead end, and every augmentation restarts from the
+    source, so the flow found is a fixed function of the network.
+    """
+    n, total = len(sres), 0
+    while any(tres):
+        starts = [j for j in range(n) if sres[j]]
+        if any(tres[ptype[p]] and cnt[p] > flow[p] for j in starts for p in range(cstart[j], cstart[j + 1])):
+            # The sink's level is 3, so every level path is source -> j -> t
+            # -> sink: one greedy sweep finds the cursor search's blocking flow.
+            for j in starts:
+                r = sres[j]
+                for p in range(cstart[j], cstart[j + 1]):
+                    t = ptype[p]
+                    x = min(r, cnt[p] - flow[p], tres[t])
+                    if x > 0:
+                        flow[p] += x
+                        tres[t] -= x
+                        r -= x
+                        if not r:
+                            break
+                total += sres[j] - r
+                sres[j] = r
+            continue
+        # Levels by BFS, stopping at the sink's level: deeper nodes are dead ends.
+        clev, tlev = [1 if r else 0 for r in sres], [0] * len(tres)
+        front, level = starts, 1
+        while front:
+            types = []
+            for j in front:
+                for p in range(cstart[j], cstart[j + 1]):
+                    t = ptype[p]
+                    if not tlev[t] and cnt[p] > flow[p]:
+                        tlev[t] = level + 1
+                        types.append(t)
+            if any(tres[t] for t in types):
+                break
+            front = []
+            for t in types:
+                for q in tpairs[t]:
+                    j = pclass[q]
+                    if not clev[j] and flow[q]:
+                        clev[j] = level + 2
+                        front.append(j)
+            level += 2
+        else:
+            return total
+        sink = level + 2
+        # Iterative DFS from class j; fwd holds pairs used forward (class to
+        # type), rev pairs used backward (type to class), alternately.
+        scur, ccur, tcur = 0, cstart[:-1], [0] * len(tres)
+        while scur < len(starts):
+            j = starts[scur]
+            if not sres[j]:
+                scur += 1
+                continue
+            fwd, rev = [], []
             while True:
-                pushed = self._push(source, sink, _INF, level, cursor)
-                if pushed == 0:
+                if len(fwd) == len(rev):  # at a class
+                    c = pclass[rev[-1]] if rev else j
+                    want, p, end = clev[c] + 1, ccur[c], cstart[c + 1]
+                    while p < end and (cnt[p] == flow[p] or tlev[ptype[p]] != want):
+                        p += 1
+                    ccur[c] = p
+                    if p < end:
+                        fwd.append(p)
+                    elif rev:
+                        rev.pop()
+                        tcur[ptype[fwd[-1]]] += 1
+                    else:
+                        scur += 1
+                        break
+                    continue
+                t = ptype[fwd[-1]]  # at a type
+                want, i, arcs = tlev[t] + 1, tcur[t], tpairs[t]
+                while i < len(arcs) and (not flow[arcs[i]] or clev[pclass[arcs[i]]] != want):
+                    i += 1
+                tcur[t] = i
+                if i < len(arcs):
+                    rev.append(arcs[i])
+                elif tres[t] and want == sink:
+                    x = min([sres[j], tres[t]] + [cnt[p] - flow[p] for p in fwd] + [flow[q] for q in rev])
+                    sres[j] -= x
+                    tres[t] -= x
+                    total += x
+                    for p in fwd:
+                        flow[p] += x
+                    for q in rev:
+                        flow[q] -= x
                     break
-                total += pushed
-
-    def _push(self, u: int, sink: int, limit: int, level: list[int], cursor: list[int]) -> int:
-        if u == sink:
-            return limit
-        edges = self.adj[u]
-        while cursor[u] < len(edges):
-            eid = edges[cursor[u]]
-            v = self.to[eid]
-            if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                pushed = self._push(v, sink, min(limit, self.cap[eid]), level, cursor)
-                if pushed:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
-                    return pushed
-            cursor[u] += 1
-        return 0
+                else:
+                    fwd.pop()
+                    ccur[pclass[rev[-1]] if rev else j] += 1
+    return total
 
 
-def _absorption_step(
-    classes: list[dict[int, int]], slots: list[int], k: int, v: int, unplaced: int
-) -> list[dict[int, int]]:
-    """Decide which partial-edge copies absorb local label v; return new class state."""
+def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplaced: int) -> tuple:
+    """Decide which partial-edge copies absorb local label v; return the next state."""
+    masks, tot, slots, cstart, pclass, ptype, cnt, tpairs = state
     future = unplaced - 1
-    demand_by_size = [
-        binomial(future, k - size - 1) if size < k else 0 for size in range(k + 1)
-    ]
-
-    type_index: dict[int, int] = {}
-    for cls in classes:
-        for mask in cls:
-            if mask.bit_count() < k:
-                type_index.setdefault(mask, 0)
-    types = sorted(type_index)
-    for pos, mask in enumerate(types):
-        type_index[mask] = pos
-
-    n_classes = len(classes)
-    source = 0
-    first_class = 1
-    first_type = 1 + n_classes
-    sink = first_type + len(types)
-    net = _FlowNetwork(sink + 1)
-
-    lower: list[int] = []
-    extra: list[int] = []
-    class_arcs: list[int] = []
-    for j in range(n_classes):
-        base, rest = divmod(slots[j], unplaced)
-        lower.append(base)
-        extra.append(1 if rest else 0)
-        class_arcs.append(net.add_edge(source, first_class + j, base))
-
-    pair_arcs: list[dict[int, int]] = []
-    for j, cls in enumerate(classes):
-        arcs: dict[int, int] = {}
-        for mask in sorted(cls):
-            if mask.bit_count() < k:
-                arcs[mask] = net.add_edge(first_class + j, first_type + type_index[mask], cls[mask])
-        pair_arcs.append(arcs)
-
-    total_demand = 0
-    for mask in types:
-        demand = demand_by_size[mask.bit_count()]
-        total_demand += demand
-        net.add_edge(first_type + type_index[mask], sink, demand)
-
-    floor_total = sum(lower)
-    if net.max_flow(source, sink) != floor_total:
+    by_size = [binomial(future, k - size - 1) for size in range(k)]
+    demand = [by_size[m.bit_count()] for m in masks]
+    sres = [a // unplaced for a in slots]
+    flow, tres = [0] * len(cnt), demand[:]
+    floor_total = sum(sres)
+    if _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != floor_total:
         raise ConstructionError(f"label step {v}: could not meet per-class floor loads")
-    for j in range(n_classes):
-        if extra[j]:
-            net.raise_capacity(class_arcs[j], 1)
-    if floor_total + net.max_flow(source, sink) != total_demand:
+    sres = [r + (a % unplaced > 0) for r, a in zip(sres, slots)]  # now up to ceiling loads
+    if floor_total + _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != sum(demand):
         raise ConstructionError(f"label step {v}: could not meet absorption demands")
 
+    # Types are renumbered as kept ones, then grown ones: both stay in mask
+    # order because v's bit is above every placed bit.  A class's new runs
+    # are its kept parts, then its grown parts, so a stable merge by class
+    # keeps every class in mask order too.
     bit = 1 << (v - 1)
-    new_classes: list[dict[int, int]] = []
-    for j, cls in enumerate(classes):
-        nxt: dict[int, int] = {}
-        absorbed = 0
-        arcs = pair_arcs[j]
-        for mask, count in cls.items():
-            took = net.flow_on(arcs[mask]) if mask in arcs else 0
-            if count - took:
-                nxt[mask] = count - took
-            if took:
-                nxt[mask | bit] = took
-                absorbed += took
-        slots[j] -= absorbed
-        new_classes.append(nxt)
-    return new_classes
+    keep = [t for t in range(len(masks)) if tot[t] > demand[t]]
+    grow = [t for t, m in enumerate(masks) if demand[t] and m.bit_count() + 1 < k]
+    kid, gid = [0] * len(masks), [-1] * len(masks)
+    for i, t in enumerate(keep):
+        kid[t] = i
+    for i, t in enumerate(grow, len(keep)):
+        gid[t] = i
+    kept = [p for p in range(len(cnt)) if cnt[p] > flow[p]]
+    moved = [p for p in range(len(cnt)) if flow[p]]
+    grown = [p for p in moved if gid[ptype[p]] >= 0]
+    for p in moved:
+        if gid[ptype[p]] < 0:  # the copies took their k-th label
+            done[pclass[p]] += [masks[ptype[p]] | bit] * flow[p]
+    cls = [pclass[p] for p in kept] + [pclass[p] for p in grown]
+    ty = [kid[ptype[p]] for p in kept] + [gid[ptype[p]] for p in grown]
+    ct = [cnt[p] - flow[p] for p in kept] + [flow[p] for p in grown]
+    order = sorted(range(len(cls)), key=cls.__getitem__)
+    pclass = [cls[i] for i in order]
+    ptype = [ty[i] for i in order]
+    tpairs = [[] for _ in range(len(keep) + len(grow))]
+    for p, t in enumerate(ptype):
+        tpairs[t].append(p)
+    return (
+        [masks[t] for t in keep] + [masks[t] | bit for t in grow],
+        [tot[t] - demand[t] for t in keep] + [demand[t] for t in grow],
+        # Class j absorbed ceil(slots[j] / unplaced) - sres[j] copies.
+        [a + a // -unplaced + r for a, r in zip(slots, sres)],
+        [bisect_left(pclass, j) for j in range(len(slots) + 1)],
+        pclass, ptype, [ct[i] for i in order],
+        tpairs,
+    )
 
 
 def _self_check(plan: PartitionPlan, classes: tuple[tuple[int, ...], ...]) -> None:
@@ -283,20 +310,22 @@ def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> Alm
         raise ResourceCapError(
             f"plan has {plan.edge_count} hyperedges, above the cap of {limit}"
         )
-    g = plan.ground_size
-    k = plan.k
-    classes = [{0: size} for size in plan.sizes]
-    slots = [k * size for size in plan.sizes]
+    g, k, sizes = plan.ground_size, plan.k, plan.sizes
+    n = len(sizes)
+    # Types are the distinct unfinished masks, tot[t] copies in all.  Pair p
+    # is a run of cnt[p] copies of type ptype[p] in class pclass[p]; class j
+    # has free label slots slots[j] and runs cstart[j]..cstart[j+1]-1, in
+    # mask order.  tpairs[t] lists type t's pairs in class order.
+    state = ([0], [sum(sizes)], [k * a for a in sizes], list(range(n + 1)), list(range(n)), [0] * n, list(sizes), [list(range(n))])
+    done: list[list[int]] = [[] for _ in sizes]
     for v in range(1, g + 1):
-        classes = _absorption_step(classes, slots, k, v, g - v + 1)
+        state = _absorption_step(state, done, k, v, g - v + 1)
 
+    unfinished_types = state[0]
+    if unfinished_types or any(len(set(cls)) != len(cls) for cls in done):
+        raise ConstructionError("a class finished with unfinished or duplicated edges")
     shift = plan.ground[0] - 1
-    finished: list[tuple[int, ...]] = []
-    for cls in classes:
-        if any(count != 1 or mask.bit_count() != k for mask, count in cls.items()):
-            raise ConstructionError("a class finished with unfinished or duplicated edges")
-        finished.append(tuple(sorted(mask << shift for mask in cls)))
-    result = tuple(finished)
+    result = tuple(tuple(sorted(mask << shift for mask in cls)) for cls in done)
     _self_check(plan, result)
     return AlmostRegularPartition(plan=plan, classes=result)
 

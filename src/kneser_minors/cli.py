@@ -2,8 +2,9 @@
 
 Subcommands: chi, minor, verify, table, partition, grid.  Exit codes:
 0 success/pass, 1 verification failure, 2 usage error, 3 out-of-scope
-parameters, 4 resource cap exceeded.  The hyperedge cap defaults to 20000
-and can be overridden with the KMF_CAP environment variable.
+parameters, 4 resource cap exceeded, 5 internal error (a broken engine
+invariant, i.e. a bug).  The hyperedge cap defaults to 20000 and can be
+overridden with the KMF_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_OUT_OF_SCOPE = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 
 def _default_cap() -> int:
@@ -54,8 +56,6 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 def _cmd_minor(args: argparse.Namespace) -> int:
     p = Params(args.n, args.k)
     cap = args.cap if args.cap is not None else _default_cap()
-    if binomial(p.n, p.k) > cap:
-        raise ResourceCapError(f"C({p.n}, {p.k}) = {binomial(p.n, p.k)} exceeds the cap of {cap}")
     cert = build_minor(p, cap=cap)
     report = verify_minor(cert)
     if args.out:
@@ -224,9 +224,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ConstructionError as exc:  # pragma: no cover - indicates a bug
-        print(f"internal construction failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+    except ConstructionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 The CLI maps these onto its exit-code contract: parameter problems exit 2,
 out-of-scope instances exit 3, resource-cap refusals exit 4.  A
 ConstructionError signals a broken internal invariant, i.e. a bug, never bad
-input.
+input; it exits 5 (internal error), so it never reads as a failed
+verification (exit 1).
 """
 
 from __future__ import annotations

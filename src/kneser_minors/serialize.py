@@ -7,6 +7,7 @@ increasing label arrays.
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 from typing import Any
@@ -22,7 +23,11 @@ FORMAT_VERSION = 1
 
 
 def dumps_canonical(document: dict[str, Any]) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    # Streamed: a joined chunk list would hold every chunk and the text at once.
+    out = io.StringIO()
+    out.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(document))
+    out.write("\n")
+    return out.getvalue()
 
 
 def _labels(mask: int) -> list[int]:
@@ -32,12 +37,13 @@ def _labels(mask: int) -> list[int]:
 def _mask_from_labels(raw: Any, where: str) -> int:
     if not isinstance(raw, list) or not raw:
         raise ParameterError(f"{where}: expected a nonempty label array")
-    if raw != sorted(raw):
-        raise ParameterError(f"{where}: labels must be strictly increasing")
     try:
-        return kset_mask(raw)
+        mask = kset_mask(raw)
     except ParameterError as exc:
         raise ParameterError(f"{where}: {exc}") from exc
+    if raw != sorted(raw):
+        raise ParameterError(f"{where}: labels must be strictly increasing")
+    return mask
 
 
 def _block_lists(blocks: Any, where: str) -> tuple[tuple[int, ...], ...]:
@@ -159,7 +165,7 @@ def partition_to_dict(part: AlmostRegularPartition) -> dict[str, Any]:
 def partition_from_dict(document: Any) -> AlmostRegularPartition:
     _check_header(document, "partition")
     ground = _require(document, "ground", list, "partition")
-    if len(ground) != 2 or not all(isinstance(x, int) for x in ground):
+    if len(ground) != 2 or not all(isinstance(x, int) and not isinstance(x, bool) for x in ground):
         raise ParameterError("partition: ground must be [lo, hi]")
     sizes = _require(document, "sizes", list, "partition")
     if not all(isinstance(a, int) and not isinstance(a, bool) for a in sizes):
@@ -185,5 +191,5 @@ def write_document(path: str | Path, document: dict[str, Any]) -> None:
 def read_document(path: str | Path) -> Any:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ParameterError(f"cannot read {path}: {exc}") from exc

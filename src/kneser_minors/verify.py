@@ -45,8 +45,9 @@ def _structure_blocks(
 ) -> CheckResult:
     if not (1 <= k <= n <= MAX_LABELS):
         return CheckResult("structure", False, f"invalid parameters (n, k) = ({n}, {k})")
+    plural = f"{unit}es" if unit.endswith("s") else f"{unit}s"
     if not blocks:
-        return CheckResult("structure", False, f"certificate has no {unit}s")
+        return CheckResult("structure", False, f"certificate has no {plural}")
     universe = (1 << n) - 1
     for bi, block in enumerate(blocks):
         if not block:
@@ -68,7 +69,7 @@ def _structure_blocks(
                     "structure", False, f"{unit} {bi} repeats member {kset_text(mask)}"
                 )
             seen.add(mask)
-    return CheckResult("structure", True, f"{len(blocks)} well-formed {unit}s")
+    return CheckResult("structure", True, f"{len(blocks)} well-formed {plural}")
 
 
 def _skipped(names: list[str], reason: str) -> list[CheckResult]:

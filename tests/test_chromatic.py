@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kneser_minors import (
@@ -9,6 +11,7 @@ from kneser_minors import (
     chi,
     intersects,
     params_grid,
+    serialize,
     verify_coloring,
 )
 
@@ -57,6 +60,19 @@ class TestColoring:
                 for j in range(i + 1, len(cls)):
                     assert not intersects(cls[i], cls[j])
 
+    def test_long_augmenting_paths_20_5(self):
+        # Augmenting paths here reach about 1800 arcs, beyond the default
+        # recursion limit of a recursive search.  The digest is what the
+        # recursive engine builds when given a large enough stack.
+        p = Params(20, 5)
+        cert = build_coloring(p)
+        assert len(cert.classes) == chi(p)
+        assert verify_coloring(cert).passed
+        text = serialize.dumps_canonical(serialize.coloring_to_dict(cert))
+        assert (
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == "e51c0e2398356e9861484b54cf2004ebf2e1e592221d847ccce21899cb1b3943"
+        )
 
 class TestAlphaOracle:
     def test_values(self):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from kneser_minors.cli import main
 
 
@@ -91,6 +93,46 @@ class TestVerifyCommand:
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", "--kind", "minor", "--in", str(tmp_path / "absent.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100000])
+    def test_undecodable_file(self, capsys, tmp_path, raw):
+        target = tmp_path / "cert.json"
+        target.write_bytes(raw)
+        code, out, err = run_cli(capsys, "verify", "--kind", "minor", "--in", str(target))
+        assert (code, out) == (2, "")
+        assert "cannot read" in err
+
+    def test_mixed_type_labels(self, capsys, tmp_path):
+        target = tmp_path / "cert.json"
+        run_cli(capsys, "minor", "--n", "8", "--k", "3", "--out", str(target))
+        doc = json.loads(target.read_text())
+        doc["blocks"][0][0] = ["a", 1, 2]
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--kind", "minor", "--in", str(target))
+        assert (code, out) == (2, "")
+        assert "blocks[0][0]" in err and "not an integer" in err
+
+    def test_boolean_ground_bound(self, capsys, tmp_path):
+        target = tmp_path / "part.json"
+        run_cli(capsys, "partition", "--n", "4", "--k", "2", "--block-size", "2", "--out", str(target))
+        doc = json.loads(target.read_text())
+        doc["ground"] = [True, 4]
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--kind", "partition", "--in", str(target))
+        assert (code, out) == (2, "")
+        assert "ground" in err
+
+    def test_construction_error_is_internal(self, capsys, monkeypatch):
+        import kneser_minors.cli as cli
+        from kneser_minors.errors import ConstructionError
+
+        def broken(p, cap=None):
+            raise ConstructionError("injected")
+
+        monkeypatch.setattr(cli, "build_minor", broken)
+        code, out, err = run_cli(capsys, "minor", "--n", "8", "--k", "3")
+        assert (code, out) == (5, "")
+        assert "internal error: injected" in err
 
 
 class TestPartitionCommand:
