@@ -1,23 +1,19 @@
-"""Chromatic number of the complement graph, with certificate and oracle.
+"""Chromatic number of the complement graph, with its coloring certificate.
 
 chi = ceil(C(n, k) / floor(n / k)) exactly.  The upper bound is witnessed by
 an explicit proper coloring built from the partition engine: a class of size
 at most floor(n / k) with degree spread <= 1 has all degrees in {0, 1}, i.e.
 its members are pairwise disjoint and form an independent set of the
-complement graph.  The lower bound is certified, on small instances, by a
-branch-and-bound oracle for the independence number.
+complement graph.  The lower bound holds because floor(n / k) pairwise
+disjoint k-subsets is the most [n] can hold, so no color class is larger.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .baranyai import PartitionPlan, almost_regular_partition, uniform_sizes
 from .core import Params, binomial
-from .errors import ResourceCapError
-
-ALPHA_ORACLE_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -47,31 +43,3 @@ def build_coloring(p: Params, cap: int | None = None) -> ColoringCertificate:
     plan = PartitionPlan(ground=(1, p.n), k=p.k, sizes=sizes)
     part = almost_regular_partition(plan, cap=cap)
     return ColoringCertificate(n=p.n, k=p.k, classes=part.classes)
-
-
-def alpha_oracle(p: Params, cap: int = ALPHA_ORACLE_CAP) -> int:
-    """Maximum size of a pairwise-disjoint family of k-subsets of [n].
-
-    Exhaustive branch and bound over which labels participate; the packing
-    bound count + floor(free/k) prunes the search.  Must equal floor(n / k).
-    """
-    total = binomial(p.n, p.k)
-    if total > cap:
-        raise ResourceCapError(f"oracle unavailable: C(n, k) = {total} exceeds {cap}")
-    k = p.k
-    best = 0
-
-    def grow(free: tuple[int, ...], count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if count + len(free) // k <= best:
-            return
-        first, rest = free[0], free[1:]
-        for combo in itertools.combinations(rest, k - 1):
-            taken = set(combo)
-            grow(tuple(x for x in rest if x not in taken), count + 1)
-        grow(rest, count)
-
-    grow(tuple(range(1, p.n + 1)), 0)
-    return best

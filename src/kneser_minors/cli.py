@@ -4,7 +4,8 @@ Subcommands: chi, minor, verify, table, partition, grid.  Exit codes:
 0 success/pass, 1 verification failure, 2 usage error, 3 out-of-scope
 parameters, 4 resource cap exceeded, 5 internal error (a broken engine
 invariant, i.e. a bug).  The hyperedge cap defaults to 20000 and can be
-overridden with the KMF_CAP environment variable.
+overridden with the KMF_CAP environment variable or, taking precedence,
+--cap; a cap below 1 from either is a usage error.
 """
 
 from __future__ import annotations
@@ -35,16 +36,19 @@ EXIT_RESOURCE = 4
 EXIT_INTERNAL = 5
 
 
-def _default_cap() -> int:
-    raw = os.environ.get("KMF_CAP")
-    if raw is None:
-        return DEFAULT_EDGE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"KMF_CAP must be an integer, got {raw!r}") from exc
+def _cap(args: argparse.Namespace) -> int:
+    """The hyperedge cap: --cap, else KMF_CAP, else the default."""
+    source, cap = "--cap", args.cap
+    if cap is None:
+        source, raw = "KMF_CAP", os.environ.get("KMF_CAP")
+        if raw is None:
+            return DEFAULT_EDGE_CAP
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise ParameterError(f"KMF_CAP must be an integer, got {raw!r}") from exc
     if cap < 1:
-        raise ParameterError(f"KMF_CAP must be positive, got {cap}")
+        raise ParameterError(f"{source} must be positive, got {cap}")
     return cap
 
 
@@ -55,7 +59,7 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 
 def _cmd_minor(args: argparse.Namespace) -> int:
     p = Params(args.n, args.k)
-    cap = args.cap if args.cap is not None else _default_cap()
+    cap = _cap(args)
     cert = build_minor(p, cap=cap)
     report = verify_minor(cert)
     if args.out:
@@ -111,7 +115,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    cap = args.cap if args.cap is not None else _default_cap()
+    cap = _cap(args)
     total = binomial(args.n, args.k)
     if args.sizes is not None:
         try:
@@ -138,7 +142,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         k_values = [int(x) for x in args.k.split(",")]
     except ValueError as exc:
         raise ParameterError(f"cannot parse k list {args.k!r}") from exc
-    cap = args.cap if args.cap is not None else _default_cap()
+    cap = _cap(args)
     instances = params_grid(k_values, cap)
     failures = 0
     for p in instances:

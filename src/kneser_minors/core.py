@@ -96,6 +96,18 @@ def kset_labels(mask: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
+def label_degrees(block: Iterable[int], n: int) -> list[int]:
+    """Degrees of labels 1..n in the block: entry ``x - 1`` counts the members
+    containing label x.  Every member must lie inside [1, n]."""
+    degrees = [0] * n
+    for mask in block:
+        while mask:
+            low = mask & -mask
+            degrees[low.bit_length() - 1] += 1
+            mask ^= low
+    return degrees
+
+
 def kset_text(mask: int) -> str:
     """Canonical text form, e.g. ``[1,4,7]``."""
     return "[" + ",".join(str(label) for label in kset_labels(mask)) + "]"
@@ -160,18 +172,6 @@ def family_C(p: Params) -> list[int]:
     """k-subsets of [n] containing the label n, in colex order; size C(n-1, k-1)."""
     anchor = 1 << (p.n - 1)
     return [anchor | rest for rest in enumerate_family(1, p.n - 1, p.k - 1)]
-
-
-def hockey_stick(a: int, b: int) -> tuple[int, int]:
-    """Return (sum of C(i, b) for i = 0..a, C(a+1, b+1)).
-
-    The two components are equal; the pair exists purely as a test oracle for
-    the summation identity used in the order accounting.
-    """
-    if not 0 <= b <= a:
-        raise ParameterError(f"hockey_stick needs a >= b >= 0, got ({a}, {b})")
-    total = sum(binomial(i, b) for i in range(a + 1))
-    return total, binomial(a + 1, b + 1)
 
 
 def params_grid(k_values: Iterable[int], cap: int) -> list[Params]:

@@ -30,14 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
 
-from .baranyai import DEFAULT_EDGE_CAP, CoveredPartition, partition_A, partition_C
+from .baranyai import DEFAULT_EDGE_CAP, partition_A, partition_C
 from .core import Params, binomial, family_A
 from .errors import ConstructionError, ParameterError, ResourceCapError
 from .chromatic import chi_of
-
-CoverageObserver = Callable[[CoveredPartition], None]
 
 
 class CaseTag(str, Enum):
@@ -217,11 +214,7 @@ def _assert_anchored(blocks: list[tuple[int, ...]]) -> None:
                 raise ConstructionError(f"block {idx} has no common label")
 
 
-def _execute(
-    entries: tuple[TraceEntry, ...],
-    cap: int | None,
-    observer: CoverageObserver | None,
-) -> MinorCertificate:
+def _execute(entries: tuple[TraceEntry, ...], cap: int | None) -> MinorCertificate:
     if not entries:
         raise ParameterError("empty trace")
     limit = DEFAULT_EDGE_CAP if cap is None else cap
@@ -261,8 +254,6 @@ def _execute(
             assert entry.block_size is not None
             for i in range(first_i, last_i + 1):
                 cov = partition_A(i, p, entry.block_size, cap=cap)
-                if observer is not None:
-                    observer(cov)
                 blocks.extend(cov.blocks[: cov.guaranteed_blocks])
                 added += cov.guaranteed_blocks
         elif entry.case in _EXTEND_TAGS:
@@ -270,8 +261,6 @@ def _execute(
                 raise ConstructionError("extension stage does not follow its base")
             assert entry.block_size is not None
             cov = partition_C(Params(entry.n, entry.k), entry.block_size, cap=cap)
-            if observer is not None:
-                observer(cov)
             blocks.extend(cov.blocks[: cov.guaranteed_blocks])
             added += cov.guaranteed_blocks
         elif entry.case is CaseTag.S4_K3_SHIFT:
@@ -294,63 +283,12 @@ def replay_trace(
     entries: tuple[TraceEntry, ...] | list[TraceEntry], cap: int | None = None
 ) -> MinorCertificate:
     """Re-execute a recorded trace; reproduces the original certificate exactly."""
-    return _execute(tuple(entries), cap, None)
+    return _execute(tuple(entries), cap)
 
 
-def build_minor(
-    p: Params, cap: int | None = None, observer: CoverageObserver | None = None
-) -> MinorCertificate:
+def build_minor(p: Params, cap: int | None = None) -> MinorCertificate:
     """Build a complete-minor certificate for (n, k) via the routed regime."""
-    return _execute(_stage_entries(p), cap, observer)
-
-
-def _build_for_tag(
-    p: Params, expected: CaseTag, cap: int | None, observer: CoverageObserver | None
-) -> MinorCertificate:
-    tag = route_case(p)
-    if tag is not expected:
-        raise ParameterError(f"(n, k) = ({p.n}, {p.k}) routes to {tag.value}, not {expected.value}")
-    return _execute(_stage_entries(p), cap, observer)
-
-
-def build_s2_case1(
-    p: Params, cap: int | None = None, observer: CoverageObserver | None = None
-) -> MinorCertificate:
-    return _build_for_tag(p, CaseTag.S2_CASE1, cap, observer)
-
-
-def build_s2_case2(
-    p: Params, cap: int | None = None, observer: CoverageObserver | None = None
-) -> MinorCertificate:
-    return _build_for_tag(p, CaseTag.S2_CASE2, cap, observer)
-
-
-def build_s3(
-    p: Params, cap: int | None = None, observer: CoverageObserver | None = None
-) -> MinorCertificate:
-    if p.s != 3:
-        raise ParameterError(f"(n, k) = ({p.n}, {p.k}) has s = {p.s}, not 3")
-    return _execute(_stage_entries(p), cap, observer)
-
-
-def build_s4_kge4(
-    p: Params, cap: int | None = None, observer: CoverageObserver | None = None
-) -> MinorCertificate:
-    return _build_for_tag(p, CaseTag.S4_KGE4, cap, observer)
-
-
-def build_s4_k3(
-    p: Params, cap: int | None = None, observer: CoverageObserver | None = None
-) -> MinorCertificate:
-    if not (p.k == 3 and p.s >= 4 and p.n != 14):
-        raise ParameterError(f"(n, k) = ({p.n}, {p.k}) is not an s>=4, k=3, n!=14 instance")
-    return _execute(_stage_entries(p), cap, observer)
-
-
-def build_14_3(
-    cap: int | None = None, observer: CoverageObserver | None = None
-) -> MinorCertificate:
-    return _execute(_stage_entries(Params(14, 3)), cap, observer)
+    return _execute(_stage_entries(p), cap)
 
 
 def closed_form_lower_bound(p: Params) -> Fraction:

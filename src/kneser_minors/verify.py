@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .baranyai import AlmostRegularPartition
 from .chromatic import ColoringCertificate, chi_of
-from .core import MAX_LABELS, enumerate_family, intersects, kset_text, union_mask
+from .core import MAX_LABELS, binomial, intersects, kset_labels, kset_text, label_degrees, union_mask
 from .minors import MinorCertificate
 
 
@@ -76,14 +76,30 @@ def _skipped(names: list[str], reason: str) -> list[CheckResult]:
     return [CheckResult(name, False, f"skipped: {reason}") for name in names]
 
 
+def _partition_detail(classes: Sequence[Sequence[int]], total: int) -> str | None:
+    """Why the classes fail to partition a family of ``total`` k-subsets, or None.
+
+    Callers have passed the structure check, so every member is a k-subset
+    of the family's ground: distinct members numbering ``total`` are exactly
+    the family, and a count mismatch is found without enumerating it.
+    """
+    members = sorted(m for cls in classes for m in cls)
+    dup = next((m for i, m in enumerate(members[1:], 1) if members[i - 1] == m), None)
+    if dup is not None:
+        return f"member {kset_text(dup)} appears twice"
+    if len(members) != total:
+        return f"{len(members)} members, expected {total}"
+    return None
+
+
 def verify_minor(cert: MinorCertificate) -> VerificationReport:
-    """Check disjointness, per-block connectivity, all-pairs cross edges and
-    the claimed order."""
+    """Check disjointness, per-block connectivity, all-pairs cross edges, the
+    claimed order, and that the order reaches chi(n, k)."""
     blocks = cert.blocks
     structure = _structure_blocks(cert.n, cert.k, blocks, "block")
     if not structure.passed:
         return VerificationReport(
-            (structure, *_skipped(["disjoint-blocks", "block-connectivity", "cross-edges", "order-claim"], "structural errors")),
+            (structure, *_skipped(["disjoint-blocks", "block-connectivity", "cross-edges", "order-claim", "witnesses-chi"], "structural errors")),
         )
     checks = [structure]
 
@@ -123,28 +139,19 @@ def verify_minor(cert: MinorCertificate) -> VerificationReport:
     # Blocks are joined by an edge iff their covered-label sets intersect.
     t = len(blocks)
     per_label = [0] * (cert.n + 1)
-    unions = []
-    for bi, block in enumerate(blocks):
-        u = union_mask(block)
-        unions.append(u)
+    covered = [kset_labels(union_mask(block)) for block in blocks]
+    for bi, labels in enumerate(covered):
         bit = 1 << bi
-        rest = u
-        while rest:
-            low = rest & -rest
-            per_label[low.bit_length()] |= bit
-            rest ^= low
+        for label in labels:
+            per_label[label] |= bit
     want = (1 << t) - 1
     cross_detail = None
-    for bi in range(t):
+    for bi, labels in enumerate(covered):
         reach = 0
-        rest = unions[bi]
-        while rest:
-            low = rest & -rest
-            reach |= per_label[low.bit_length()]
-            rest ^= low
+        for label in labels:
+            reach |= per_label[label]
         if reach != want:
-            missing = (~reach & want)
-            other = (missing & -missing).bit_length() - 1
+            other = next(j for j in range(t) if not reach >> j & 1)
             cross_detail = f"blocks {bi} and {other} are joined by no edge"
             break
     checks.append(
@@ -158,6 +165,15 @@ def verify_minor(cert: MinorCertificate) -> VerificationReport:
             order_ok,
             f"{len(blocks)} blocks"
             + ("" if order_ok else f", but certificate claims {cert.claimed_order}"),
+        )
+    )
+
+    chi = chi_of(cert.n, cert.k)
+    checks.append(
+        CheckResult(
+            "witnesses-chi",
+            len(blocks) >= chi,
+            f"order {len(blocks)} {'>=' if len(blocks) >= chi else '<'} chi = {chi}",
         )
     )
     return VerificationReport(tuple(checks))
@@ -174,21 +190,7 @@ def verify_coloring(cert: ColoringCertificate) -> VerificationReport:
         )
     checks = [structure]
 
-    members = sorted(m for cls in classes for m in cls)
-    expected = enumerate_family(1, cert.n, cert.k)
-    part_detail = None
-    if len(members) != len(expected):
-        part_detail = f"{len(members)} members, expected {len(expected)}"
-    else:
-        for got, want in zip(members, expected):
-            if got != want:
-                which = "duplicated" if got in set(expected) else "foreign"
-                part_detail = f"family mismatch near {kset_text(got)} ({which} member)"
-                break
-    if part_detail is None:
-        extras = set(members) - set(expected)
-        if extras:  # pragma: no cover - caught above
-            part_detail = f"foreign member {kset_text(min(extras))}"
+    part_detail = _partition_detail(classes, binomial(cert.n, cert.k))
     checks.append(
         CheckResult("partition", part_detail is None, part_detail or "classes partition the full family")
     )
@@ -257,38 +259,19 @@ def verify_partition(part: AlmostRegularPartition) -> VerificationReport:
         )
     )
 
-    members = sorted(m for cls in classes for m in cls)
-    expected = enumerate_family(lo, hi, plan.k)
-    union_detail = None
-    if members != expected:
-        dup = next((m for i, m in enumerate(members[1:], 1) if members[i - 1] == m), None)
-        if dup is not None:
-            union_detail = f"member {kset_text(dup)} appears twice"
-        else:
-            missing = sorted(set(expected) - set(members))
-            union_detail = (
-                f"member {kset_text(missing[0])} is missing"
-                if missing
-                else "classes do not cover the ground family"
-            )
+    union_detail = _partition_detail(classes, plan.edge_count)
     checks.append(
         CheckResult("disjoint-union", union_detail is None, union_detail or "classes partition the ground family")
     )
 
     spread_detail = None
     for ci, cls in enumerate(classes):
-        degrees = dict.fromkeys(range(lo, hi + 1), 0)
-        for mask in cls:
-            rest = mask
-            while rest:
-                low = rest & -rest
-                degrees[low.bit_length()] += 1
-                rest ^= low
-        hi_deg = max(degrees.values())
-        lo_deg = min(degrees.values())
+        degrees = label_degrees(cls, hi)[lo - 1:]
+        hi_deg = max(degrees)
+        lo_deg = min(degrees)
         if hi_deg - lo_deg > 1:
-            hot = next(x for x, d in degrees.items() if d == hi_deg)
-            cold = next(x for x, d in degrees.items() if d == lo_deg)
+            hot = lo + degrees.index(hi_deg)
+            cold = lo + degrees.index(lo_deg)
             spread_detail = (
                 f"class {ci} has degree spread {hi_deg - lo_deg}: "
                 f"label {hot} has degree {hi_deg}, label {cold} has degree {lo_deg}"

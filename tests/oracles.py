@@ -1,0 +1,185 @@
+"""Reference oracles the tests compare the package against.
+
+Each is independent of the code it checks and only usable on tiny
+instances: a backtracking feasibility search for almost-regular partitions,
+a branch-and-bound independence number, and the hockey-stick identity used
+in the order accounting.
+"""
+
+import itertools
+
+from kneser_minors import (
+    ParameterError,
+    Params,
+    PartitionPlan,
+    ResourceCapError,
+    binomial,
+    enumerate_family,
+    kset_labels,
+)
+
+ORACLE_EDGE_CAP = 30
+ALPHA_ORACLE_CAP = 500
+
+
+def exhaustive_partition_feasible(plan: PartitionPlan) -> bool:
+    """Backtracking oracle: is an almost-regular partition with these sizes feasible?
+
+    Independent of the flow engine; only usable for tiny instances
+    (at most ORACLE_EDGE_CAP hyperedges).  Exists to cross-check the engine:
+    feasibility is guaranteed in theory, so a False here or a disagreement
+    with the engine flags a bug.
+    """
+    total = plan.edge_count
+    if total > ORACLE_EDGE_CAP:
+        raise ResourceCapError(f"oracle limited to {ORACLE_EDGE_CAP} hyperedges, got {total}")
+    g = plan.ground_size
+    k = plan.k
+    if k == g:
+        return plan.sizes == (1,)
+    if 2 * k > g:
+        # Complementing every edge keeps class sizes and flips each degree to
+        # size - degree, so spreads are unchanged; the sparse side prunes better.
+        return exhaustive_partition_feasible(
+            PartitionPlan(ground=plan.ground, k=g - k, sizes=plan.sizes)
+        )
+    edges = enumerate_family(1, g, plan.k)
+    label_sets = [tuple(x - 1 for x in kset_labels(mask)) for mask in edges]
+    sizes = plan.sizes
+    n_classes = len(sizes)
+    # Final degrees in a class of size a are forced into {floor, ceil} of k*a/g.
+    ceilings = [-(-(k * a) // g) for a in sizes]
+    floors = [(k * a) // g for a in sizes]
+    fill = [0] * n_classes
+    degrees = [[0] * g for _ in range(n_classes)]
+    # Per-class degree budgets, maintained incrementally:
+    # deficit[j] = units still needed to lift every vertex to the class floor,
+    # headroom[j] = units the class can still absorb below its ceilings.
+    deficit = [g * f for f in floors]
+    headroom = [g * c for c in ceilings]
+    # supply[x]: unassigned edges containing label x+1;
+    # owed[x]: degree still required to reach every class floor at label x+1.
+    supply = [0] * g
+    for labels in label_sets:
+        for x in labels:
+            supply[x] += 1
+    owed = [sum(floors)] * g
+    unassigned = set(range(total))
+
+    def options(e: int) -> list[int]:
+        labels = label_sets[e]
+        found = []
+        seen_states = set()
+        for j in range(n_classes):
+            if fill[j] == sizes[j]:
+                continue
+            # Classes in identical states are interchangeable: keep the first.
+            state = (sizes[j], fill[j], tuple(degrees[j]))
+            if state in seen_states:
+                continue
+            seen_states.add(state)
+            row = degrees[j]
+            ceil_j = ceilings[j]
+            floor_j = floors[j]
+            if any(row[x] >= ceil_j for x in labels):
+                continue
+            # Remaining edges of the class must still be able to pay the floor
+            # deficit, and the ceilings must leave room for them.
+            budget = k * (sizes[j] - fill[j] - 1)
+            drop = sum(1 for x in labels if row[x] < floor_j)
+            if deficit[j] - drop > budget or headroom[j] - k < budget:
+                continue
+            found.append(j)
+        return found
+
+    def assign(e: int, j: int) -> None:
+        fill[j] += 1
+        unassigned.discard(e)
+        row = degrees[j]
+        headroom[j] -= k
+        for x in label_sets[e]:
+            supply[x] -= 1
+            if row[x] < floors[j]:
+                owed[x] -= 1
+                deficit[j] -= 1
+            row[x] += 1
+
+    def undo(e: int, j: int) -> None:
+        fill[j] -= 1
+        unassigned.add(e)
+        row = degrees[j]
+        headroom[j] += k
+        for x in label_sets[e]:
+            supply[x] += 1
+            row[x] -= 1
+            if row[x] < floors[j]:
+                owed[x] += 1
+                deficit[j] += 1
+
+    def search() -> bool:
+        if not unassigned:
+            return all(
+                all(floors[j] <= d <= ceilings[j] for d in degrees[j])
+                for j in range(n_classes)
+            )
+        if any(owed[x] > supply[x] for x in range(g)):
+            return False
+        # Fail-first: branch on the edge with the fewest feasible classes.
+        pick = -1
+        pick_options: list[int] = []
+        for e in sorted(unassigned):
+            found = options(e)
+            if not found:
+                return False
+            if pick < 0 or len(found) < len(pick_options):
+                pick, pick_options = e, found
+                if len(found) == 1:
+                    break
+        for j in pick_options:
+            assign(pick, j)
+            if search():
+                return True
+            undo(pick, j)
+        return False
+
+    return search()
+
+
+def alpha_oracle(p: Params, cap: int = ALPHA_ORACLE_CAP) -> int:
+    """Maximum size of a pairwise-disjoint family of k-subsets of [n].
+
+    Exhaustive branch and bound over which labels participate; the packing
+    bound count + floor(free/k) prunes the search.  Must equal floor(n / k).
+    """
+    total = binomial(p.n, p.k)
+    if total > cap:
+        raise ResourceCapError(f"oracle unavailable: C(n, k) = {total} exceeds {cap}")
+    k = p.k
+    best = 0
+
+    def grow(free: tuple[int, ...], count: int) -> None:
+        nonlocal best
+        if count > best:
+            best = count
+        if count + len(free) // k <= best:
+            return
+        first, rest = free[0], free[1:]
+        for combo in itertools.combinations(rest, k - 1):
+            taken = set(combo)
+            grow(tuple(x for x in rest if x not in taken), count + 1)
+        grow(rest, count)
+
+    grow(tuple(range(1, p.n + 1)), 0)
+    return best
+
+
+def hockey_stick(a: int, b: int) -> tuple[int, int]:
+    """Return (sum of C(i, b) for i = 0..a, C(a+1, b+1)).
+
+    The two components are equal; the pair exists purely as a test oracle for
+    the summation identity used in the order accounting.
+    """
+    if not 0 <= b <= a:
+        raise ParameterError(f"hockey_stick needs a >= b >= 0, got ({a}, {b})")
+    total = sum(binomial(i, b) for i in range(a + 1))
+    return total, binomial(a + 1, b + 1)

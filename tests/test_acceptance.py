@@ -18,14 +18,12 @@ from kneser_minors import (
     PartitionPlan,
     S4Params,
     almost_regular_partition,
-    alpha_oracle,
     binomial,
     bound_check_s4,
     build_coloring,
     build_minor,
     chi,
     closed_form_lower_bound,
-    exhaustive_partition_feasible,
     params_grid,
     uniform_sizes,
     union_mask,
@@ -33,8 +31,10 @@ from kneser_minors import (
     verify_minor,
     verify_partition,
 )
+from kneser_minors import minors
 from kneser_minors.cli import main as cli_main
 from kneser_minors.minors import K3_TABLE_REFERENCE, k3_table_rows
+from oracles import alpha_oracle, exhaustive_partition_feasible
 
 SWEEP_CAP = 20000
 COLORING_CAP = 5000
@@ -57,12 +57,24 @@ def criterion(num, name):
 
 @pytest.fixture(scope="session")
 def full_sweep():
-    """Criterion 1 workhorse: every certificate plus the coverage observations
-    logged by the partition wrappers while the builders ran."""
+    """Criterion 1 workhorse: every certificate plus the covered partitions
+    that partition_A and partition_C returned to the builders."""
     coverage_log = []
     certificates = {}
-    for p in params_grid(GRID_KS, SWEEP_CAP):
-        certificates[(p.n, p.k)] = build_minor(p, cap=SWEEP_CAP, observer=coverage_log.append)
+
+    def logged(original):
+        def call(*args, **kwargs):
+            cov = original(*args, **kwargs)
+            coverage_log.append(cov)
+            return cov
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minors, "partition_A", logged(minors.partition_A))
+        mp.setattr(minors, "partition_C", logged(minors.partition_C))
+        for p in params_grid(GRID_KS, SWEEP_CAP):
+            certificates[(p.n, p.k)] = build_minor(p, cap=SWEEP_CAP)
     return certificates, coverage_log
 
 

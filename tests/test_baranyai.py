@@ -9,7 +9,6 @@ from kneser_minors import (
     binomial,
     covered_labels,
     enumerate_family,
-    exhaustive_partition_feasible,
     kset_mask,
     partition_A,
     partition_C,
@@ -17,6 +16,7 @@ from kneser_minors import (
     verify_partition,
 )
 from kneser_minors.serialize import dumps_canonical, partition_to_dict
+from oracles import exhaustive_partition_feasible
 
 
 def degree_profile(cls, lo, hi):

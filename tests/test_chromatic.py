@@ -5,7 +5,6 @@ import pytest
 from kneser_minors import (
     Params,
     ResourceCapError,
-    alpha_oracle,
     binomial,
     build_coloring,
     chi,
@@ -14,6 +13,7 @@ from kneser_minors import (
     serialize,
     verify_coloring,
 )
+from oracles import alpha_oracle
 
 
 class TestChi:

@@ -122,6 +122,28 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert "ground" in err
 
+    @pytest.mark.parametrize(
+        "kind,doc",
+        [
+            ("coloring", {"version": 1, "kind": "coloring", "n": 64, "k": 32, "classes": [[list(range(1, 33))]]}),
+            (
+                "partition",
+                {"version": 1, "ground": [1, 64], "k": 32, "sizes": [1832624140942590534],
+                 "classes": [[list(range(1, 33))]]},
+            ),
+        ],
+    )
+    def test_one_member_of_a_huge_family(self, capsys, tmp_path, kind, doc):
+        # C(64, 32) k-subsets: the member count must fail the file before any
+        # attempt to enumerate the family.
+        target = tmp_path / "tiny.json"
+        target.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--kind", kind, "--in", str(target))
+        assert code == 1
+        failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if not c["pass"]}
+        check = "partition" if kind == "coloring" else "disjoint-union"
+        assert failed[check] == "1 members, expected 1832624140942590534"
+
     def test_construction_error_is_internal(self, capsys, monkeypatch):
         import kneser_minors.cli as cli
         from kneser_minors.errors import ConstructionError
@@ -211,3 +233,22 @@ def test_env_cap_override(capsys, monkeypatch):
     assert code == 4
     monkeypatch.setenv("KMF_CAP", "not-a-number")
     assert run_cli(capsys, "minor", "--n", "9", "--k", "3")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minor", "--n", "8", "--k", "3"],
+        ["partition", "--n", "9", "--k", "3", "--block-size", "3"],
+        ["grid", "--k", "3"],
+    ],
+)
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_cap_below_one_is_a_usage_error(capsys, monkeypatch, argv, cap):
+    code, out, err = run_cli(capsys, *argv, "--cap", cap)
+    assert (code, out) == (2, "")
+    assert f"--cap must be positive, got {cap}" in err
+    monkeypatch.setenv("KMF_CAP", cap)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"KMF_CAP must be positive, got {cap}" in err

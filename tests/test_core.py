@@ -13,13 +13,14 @@ from kneser_minors import (
     enumerate_family,
     family_A,
     family_C,
-    hockey_stick,
     intersects,
     kset_labels,
     kset_mask,
     kset_text,
     params_grid,
 )
+from kneser_minors.core import label_degrees
+from oracles import hockey_stick
 
 
 def masks_by_hand(lo, hi, k):
@@ -95,6 +96,15 @@ def test_intersects_symmetric(a_labels, b_labels):
     a, b = kset_mask(a_labels), kset_mask(b_labels)
     assert intersects(a, b) == intersects(b, a)
     assert intersects(a, b) == bool(a_labels & b_labels)
+
+
+@given(st.integers(1, 64).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, 2**n - 1), max_size=12))
+))
+def test_label_degrees_counts_each_label(case):
+    n, block = case
+    naive = [sum(1 for mask in block if mask >> (x - 1) & 1) for x in range(1, n + 1)]
+    assert label_degrees(block, n) == naive
 
 
 class TestEnumerateFamily:

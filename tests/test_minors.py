@@ -11,13 +11,7 @@ from kneser_minors import (
     Params,
     S4Params,
     bound_check_s4,
-    build_14_3,
     build_minor,
-    build_s2_case1,
-    build_s2_case2,
-    build_s3,
-    build_s4_k3,
-    build_s4_kge4,
     chi,
     closed_form_lower_bound,
     covered_labels,
@@ -74,28 +68,32 @@ class TestRouting:
 
 class TestS2Builds:
     def test_7_3(self):
-        cert = build_s2_case1(Params(7, 3))
+        assert route_case(Params(7, 3)) is CaseTag.S2_CASE1
+        cert = build_minor(Params(7, 3))
         # |A_1| + floor(C(5,2)/2) + floor(C(4,2)/2) = 15 + 5 + 3
         assert cert.order == 23
         assert cert.order >= chi(Params(7, 3)) == 18
         assert verify_minor(cert).passed
 
     def test_9_4(self):
-        cert = build_s2_case1(Params(9, 4))
+        assert route_case(Params(9, 4)) is CaseTag.S2_CASE1
+        cert = build_minor(Params(9, 4))
         want = math.comb(8, 3) + math.comb(7, 3) // 2 + math.comb(6, 3) // 2 + math.comb(5, 3) // 2
         assert want == 88
         assert cert.order == want
         assert verify_minor(cert).passed
 
     def test_8_3(self):
-        cert = build_s2_case2(Params(8, 3))
+        assert route_case(Params(8, 3)) is CaseTag.S2_CASE2
+        cert = build_minor(Params(8, 3))
         assert cert.order == 23 + math.comb(7, 2) // 3 == 30
         assert cert.order >= chi(Params(8, 3)) == 28
         assert verify_minor(cert).passed
 
     def test_11_4(self):
         # Case-2 recursion goes through (10, 4), not (9, 4).
-        cert = build_s2_case2(Params(11, 4))
+        assert route_case(Params(11, 4)) is CaseTag.S2_CASE2
+        cert = build_minor(Params(11, 4))
         want = (
             math.comb(9, 3)
             + math.comb(8, 3) // 2
@@ -108,25 +106,26 @@ class TestS2Builds:
         assert verify_minor(cert).passed
 
     def test_wrong_case_rejected(self):
-        with pytest.raises(ParameterError):
-            build_s2_case1(Params(8, 3))
-        with pytest.raises(ParameterError):
-            build_s2_case2(Params(7, 3))
+        assert route_case(Params(8, 3)) is not CaseTag.S2_CASE1
+        assert route_case(Params(7, 3)) is not CaseTag.S2_CASE2
 
 
 class TestS3Builds:
     def test_9_3(self):
-        cert = build_s3(Params(9, 3))
+        assert route_case(Params(9, 3)) is CaseTag.S3_CASE1
+        cert = build_minor(Params(9, 3))
         assert cert.order == math.comb(8, 2) + math.comb(7, 2) // 3 + math.comb(6, 2) // 3 == 40
         assert verify_minor(cert).passed
 
     def test_11_3_exact(self):
-        cert = build_s3(Params(11, 3))
+        assert route_case(Params(11, 3)) is CaseTag.S3_CASE3
+        cert = build_minor(Params(11, 3))
         assert cert.order == 60
         assert verify_minor(cert).passed
 
     def test_15_4_exact(self):
-        cert = build_s3(Params(15, 4))
+        assert route_case(Params(15, 4)) is CaseTag.S3_CASE3
+        cert = build_minor(Params(15, 4))
         assert cert.order == 505
         assert verify_minor(cert).passed
         # stage arithmetic: 343 from the base, then 71 and 91 from extensions
@@ -150,7 +149,8 @@ class TestS4Builds:
 
     def test_20_4(self):
         p = Params(20, 4)
-        cert = build_s4_kge4(p)
+        assert route_case(p) is CaseTag.S4_KGE4
+        cert = build_minor(p)
         assert cert.order >= chi(p) == 969
         assert verify_minor(cert).passed
 
@@ -160,13 +160,15 @@ class TestS4Builds:
         assert K3Params.from_n(13).l == 3
 
     def test_19_3_table_row(self):
-        cert = build_s4_k3(Params(19, 3))
+        assert route_case(Params(19, 3)) is CaseTag.S4_K3
+        cert = build_minor(Params(19, 3))
         assert cert.order == 168
         assert cert.order >= chi(Params(19, 3)) == 162
         assert verify_minor(cert).passed
 
     def test_23_3_table_row(self):
-        cert = build_s4_k3(Params(23, 3))
+        assert route_case(Params(23, 3)) is CaseTag.S4_K3
+        cert = build_minor(Params(23, 3))
         assert cert.order == 255
         assert cert.order >= chi(Params(23, 3)) == 253
         assert verify_minor(cert).passed
@@ -181,21 +183,20 @@ class TestS4Builds:
         assert cert.trace[-1].case is CaseTag.S4_K3_SHIFT
 
     def test_wrong_case_rejected(self):
-        with pytest.raises(ParameterError):
-            build_s4_kge4(Params(12, 4))
-        with pytest.raises(ParameterError):
-            build_s4_k3(Params(14, 3))
+        assert route_case(Params(12, 4)) is not CaseTag.S4_KGE4
+        assert route_case(Params(14, 3)) is not CaseTag.S4_K3
 
 
 class Test14_3:
     def test_exact_order(self):
-        cert = build_14_3()
+        assert route_case(Params(14, 3)) is CaseTag.SPECIAL_14_3
+        cert = build_minor(Params(14, 3))
         assert cert.order == 88 + 19 == 107
         assert cert.order >= chi(Params(14, 3)) == 91
         assert verify_minor(cert).passed
 
     def test_base_is_the_13_block_certificate(self):
-        cert = build_14_3()
+        cert = build_minor(Params(14, 3))
         base = cert.trace[0]
         assert (base.n, base.k, base.block_count) == (13, 3, 88)
         # the 88 base blocks cover at least ceil(13/2) = 7 labels each

@@ -1,9 +1,13 @@
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneser_minors import (
     AlmostRegularPartition,
+    CaseTag,
     ColoringCertificate,
     MinorCertificate,
     ParameterError,
@@ -12,6 +16,7 @@ from kneser_minors import (
     build_coloring,
     build_minor,
     kset_mask,
+    uniform_sizes,
     verify_coloring,
     verify_minor,
     verify_partition,
@@ -69,6 +74,16 @@ class TestVerifyMinor:
         cert = bare_minor(7, 3, ((kset_mask([1, 2, 3]), kset_mask([3, 4, 5])),), order=5)
         checks = check_map(verify_minor(cert))
         assert not checks["order-claim"].passed
+
+    def test_order_below_chi_fails(self):
+        # A well-formed certificate that claims its own order truthfully still
+        # fails when that order is below chi(8, 3) = 28.
+        cert = build_minor(Params(8, 3))
+        cut = dataclasses.replace(cert, blocks=cert.blocks[:5], claimed_order=5)
+        report = verify_minor(cut)
+        assert not report.passed
+        assert [c.name for c in report.checks if not c.passed] == ["witnesses-chi"]
+        assert check_map(report)["witnesses-chi"].detail == "order 5 < chi = 28"
 
     def test_malformed_kset(self):
         cert = bare_minor(7, 3, ((kset_mask([1, 2]),),))
@@ -206,4 +221,87 @@ class TestSerialization:
             "block-connectivity",
             "cross-edges",
             "order-claim",
+            "witnesses-chi",
         }
+
+
+# Any JSON value: what a certificate file can decode to.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+SMALL = st.integers(1, 12)
+LABELS = st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted)
+BLOCKS = st.lists(st.lists(LABELS, min_size=1, max_size=3), max_size=3)
+TRACE = st.lists(
+    st.fixed_dictionaries({
+        "case": st.sampled_from([tag.value for tag in CaseTag]),
+        "params": st.fixed_dictionaries(
+            {"n": SMALL, "k": SMALL, "block_size": st.none() | SMALL, "block_count": SMALL}
+        ),
+    }),
+    max_size=2,
+)
+
+
+@st.composite
+def partition_fields(draw):
+    lo = draw(st.integers(1, 5))
+    hi = draw(st.integers(lo, lo + 5))
+    k = draw(st.integers(1, hi - lo + 1))
+    sizes = uniform_sizes(math.comb(hi - lo + 1, k), draw(st.integers(1, 6)))
+    return {"version": 1, "ground": [lo, hi], "k": k, "sizes": list(sizes), "classes": draw(BLOCKS)}
+
+
+def _nodes(node):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from _nodes(child)
+
+
+@st.composite
+def mutated(draw, valid):
+    """A well-typed document with at most one node, at any depth, replaced by
+    an arbitrary JSON value or (in an object) removed."""
+    doc = draw(valid)
+    spot = draw(st.sampled_from([None, *_nodes(doc)]))
+    if spot is not None:
+        parent, key = spot
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+MINOR_DOCS = JSON_VALUES | mutated(st.fixed_dictionaries({
+    "version": st.just(1), "kind": st.just("minor"), "n": SMALL, "k": SMALL,
+    "blocks": BLOCKS, "trace": TRACE, "claimed_order": SMALL,
+}))
+COLORING_DOCS = JSON_VALUES | mutated(st.fixed_dictionaries({
+    "version": st.just(1), "kind": st.just("coloring"), "n": SMALL, "k": SMALL, "classes": BLOCKS,
+}))
+PARTITION_DOCS = JSON_VALUES | mutated(partition_fields())
+
+
+@pytest.mark.parametrize(
+    "parse,docs,kind",
+    [
+        (minor_from_dict, MINOR_DOCS, MinorCertificate),
+        (coloring_from_dict, COLORING_DOCS, ColoringCertificate),
+        (partition_from_dict, PARTITION_DOCS, AlmostRegularPartition),
+    ],
+)
+def test_any_json_parses_or_is_a_parameter_error(parse, docs, kind):
+    @settings(max_examples=300, deadline=None)
+    @given(docs)
+    def check(document):
+        try:
+            parsed = parse(document)
+        except ParameterError:
+            return
+        assert isinstance(parsed, kind)
+
+    check()
