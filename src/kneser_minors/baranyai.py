@@ -37,17 +37,38 @@ Two wrappers derive covered partitions of the standard anchored families:
 each obtained by partitioning the (k-1)-subsets of the remaining interval
 and re-attaching the anchor.  Every non-remainder block is checked against
 its coverage floor on construction.
+
+The engine's output depends only on ``(g, k, sizes)``: it works on local
+labels 1..g and shifts onto the plan's ground at the end.  The family
+anchored at label i in K(n, k) is the one anchored at i + 1 in K(n + 1, k),
+shifted by one label, so a sweep over n asks for the same local partition
+many times.  The two wrappers therefore take their base partition from a
+plan memo keyed on ``(g, k, sizes)``.  Each entry is one flat ``array('Q')``
+of local masks, class after class (the boundaries are ``sizes``); the memo
+holds at most ``MEMO_EDGE_BOUND`` edges in all and evicts the least
+recently used entry first.  A hit is shifted onto the plan's ground and
+guarded like a fresh run: the cap check comes before the lookup, and
+``_self_check`` and the coverage floors run on the shifted classes.
+``almost_regular_partition`` itself, which ``build_coloring`` and the
+``partition`` command call, never consults the memo.
 """
 
 from __future__ import annotations
 
+import threading
+from array import array
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import Params, binomial, enumerate_family, label_degrees, union_mask
 from .errors import ConstructionError, ParameterError, ResourceCapError
 
 DEFAULT_EDGE_CAP = 20000
+# Most edges the plan memo holds (8 bytes each): enough for every distinct
+# plan of the acceptance sweep at the default cap.
+MEMO_EDGE_BOUND = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -293,16 +314,20 @@ def _self_check(plan: PartitionPlan, classes: tuple[tuple[int, ...], ...]) -> No
             raise ConstructionError(f"class {idx} has degree spread > 1")
 
 
-def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> AlmostRegularPartition:
-    """Partition the k-subsets of the plan's ground into almost-regular classes.
-
-    Deterministic: the same plan always yields the identical partition.
-    """
+def _check_cap(plan: PartitionPlan, cap: int | None) -> None:
     limit = DEFAULT_EDGE_CAP if cap is None else cap
     if plan.edge_count > limit:
         raise ResourceCapError(
             f"plan has {plan.edge_count} hyperedges, above the cap of {limit}"
         )
+
+
+def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> AlmostRegularPartition:
+    """Partition the k-subsets of the plan's ground into almost-regular classes.
+
+    Deterministic: the same plan always yields the identical partition.
+    """
+    _check_cap(plan, cap)
     g, k, sizes = plan.ground_size, plan.k, plan.sizes
     n = len(sizes)
     # Types are the distinct unfinished masks, tot[t] copies in all.  Pair p
@@ -319,6 +344,59 @@ def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> Alm
         raise ConstructionError("a class finished with unfinished or duplicated edges")
     shift = plan.ground[0] - 1
     result = tuple(tuple(sorted(mask << shift for mask in cls)) for cls in done)
+    _self_check(plan, result)
+    return AlmostRegularPartition(plan=plan, classes=result)
+
+
+class _PlanMemo:
+    """Local partitions by ``(g, k, sizes)``, least recently used evicted first.
+
+    ``edges`` counts the masks held and never exceeds ``bound``; an entry
+    larger than the bound is not stored.  The lock makes each lookup and
+    insertion atomic; the engine runs outside it, so two threads may both
+    solve a plan and the second one's store is dropped.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self.entries: OrderedDict[tuple, array] = OrderedDict()
+        self.edges = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> array | None:
+        with self._lock:
+            flat = self.entries.get(key)
+            if flat is not None:
+                self.entries.move_to_end(key)
+            return flat
+
+    def put(self, key: tuple, flat: array) -> None:
+        if len(flat) > self.bound:
+            return
+        with self._lock:
+            if key in self.entries:
+                return
+            self.entries[key] = flat
+            self.edges += len(flat)
+            while self.edges > self.bound:
+                self.edges -= len(self.entries.popitem(last=False)[1])
+
+
+_MEMO = _PlanMemo(MEMO_EDGE_BOUND)
+
+
+def _memo_partition(plan: PartitionPlan, cap: int | None) -> AlmostRegularPartition:
+    """``almost_regular_partition(plan, cap)``, solving each ``(g, k, sizes)`` once."""
+    _check_cap(plan, cap)
+    key = (plan.ground_size, plan.k, plan.sizes)
+    shift = plan.ground[0] - 1
+    flat = _MEMO.get(key)
+    if flat is None:
+        part = almost_regular_partition(plan, cap=cap)
+        _MEMO.put(key, array("Q", [m >> shift for cls in part.classes for m in cls]))
+        return part
+    masks = [m << shift for m in flat]
+    result = tuple(tuple(masks[end - a:end]) for a, end in zip(plan.sizes, accumulate(plan.sizes)))
     _self_check(plan, result)
     return AlmostRegularPartition(plan=plan, classes=result)
 
@@ -356,7 +434,7 @@ def partition_A(i: int, p: Params, l: int, cap: int | None = None) -> CoveredPar
     if not 1 <= l <= family_size:
         raise ParameterError(f"block size l = {l} outside [1, {family_size}]")
     plan = PartitionPlan(ground=(i + 1, n), k=k - 1, sizes=uniform_sizes(family_size, l))
-    base = almost_regular_partition(plan, cap=cap)
+    base = _memo_partition(plan, cap)
     return _attach_anchor(base, i, family_size // l, min(n - i + 1, l * (k - 1) + 1))
 
 
@@ -371,5 +449,5 @@ def partition_C(p: Params, l: int, cap: int | None = None) -> CoveredPartition:
     if not 2 <= l <= family_size:
         raise ParameterError(f"block size l = {l} outside [2, {family_size}]")
     plan = PartitionPlan(ground=(1, n - 1), k=k - 1, sizes=uniform_sizes(family_size, l))
-    base = almost_regular_partition(plan, cap=cap)
+    base = _memo_partition(plan, cap)
     return _attach_anchor(base, n, family_size // l, min(n, l * (k - 1) + 1))

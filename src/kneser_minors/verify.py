@@ -92,6 +92,25 @@ def _partition_detail(classes: Sequence[Sequence[int]], total: int) -> str | Non
     return None
 
 
+def _unreachable_member(block: Sequence[int]) -> int | None:
+    """Index of the first member not connected to ``block[0]``, or None.
+
+    Members are adjacent exactly when they share a label, so the component
+    of ``block[0]`` is the set of members meeting the closure of its labels:
+    a member that meets the reached labels joins and adds its own.  Every
+    sweep but the last adds a label, so there are at most n - k + 2 sweeps
+    and the search is linear in the members, not quadratic.
+    """
+    reach, grew = block[0], True
+    while grew:
+        grew = False
+        for mask in block:
+            if mask & reach and mask & ~reach:
+                reach |= mask
+                grew = True
+    return next((j for j, mask in enumerate(block) if not mask & reach), None)
+
+
 def verify_minor(cert: MinorCertificate) -> VerificationReport:
     """Check disjointness, per-block connectivity, all-pairs cross edges, the
     claimed order, and that the order reaches chi(n, k)."""
@@ -116,22 +135,13 @@ def verify_minor(cert: MinorCertificate) -> VerificationReport:
 
     conn_detail = None
     for bi, block in enumerate(blocks):
-        if len(block) == 1:
-            continue
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            here = frontier.pop()
-            for j in range(len(block)):
-                if j not in reached and intersects(block[here], block[j]):
-                    reached.add(j)
-                    frontier.append(j)
-        if len(reached) != len(block) and conn_detail is None:
-            missing = next(j for j in range(len(block)) if j not in reached)
+        missing = _unreachable_member(block)
+        if missing is not None:
             conn_detail = (
                 f"block {bi} is disconnected: member {kset_text(block[missing])} "
                 f"is unreachable from {kset_text(block[0])}"
             )
+            break
     checks.append(
         CheckResult("block-connectivity", conn_detail is None, conn_detail or "every block induces a connected subgraph")
     )

@@ -1,9 +1,10 @@
 """Reference oracles the tests compare the package against.
 
-Each is independent of the code it checks and only usable on tiny
-instances: a backtracking feasibility search for almost-regular partitions,
-a branch-and-bound independence number, and the hockey-stick identity used
-in the order accounting.
+Each is independent of the code it checks: a backtracking feasibility
+search for almost-regular partitions, a branch-and-bound independence
+number and the hockey-stick identity used in the order accounting, all
+only usable on tiny instances, and the pairwise connectivity search the
+minor verifier used before it searched over labels.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from kneser_minors import (
     ResourceCapError,
     binomial,
     enumerate_family,
+    intersects,
     kset_labels,
 )
 
@@ -183,3 +185,20 @@ def hockey_stick(a: int, b: int) -> tuple[int, int]:
         raise ParameterError(f"hockey_stick needs a >= b >= 0, got ({a}, {b})")
     total = sum(binomial(i, b) for i in range(a + 1))
     return total, binomial(a + 1, b + 1)
+
+
+def unreachable_member_pairwise(block: list[int]) -> int | None:
+    """Index of the first member of ``block`` not connected to ``block[0]``, or None.
+
+    Quadratic search: every member popped scans the whole block for members
+    it intersects.
+    """
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        here = frontier.pop()
+        for j in range(len(block)):
+            if j not in reached and intersects(block[here], block[j]):
+                reached.add(j)
+                frontier.append(j)
+    return next((j for j in range(len(block)) if j not in reached), None)

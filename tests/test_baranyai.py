@@ -1,12 +1,18 @@
+import random
+import sys
+import threading
+
 import pytest
 
 from kneser_minors import (
+    ConstructionError,
     ParameterError,
     Params,
     PartitionPlan,
     ResourceCapError,
     almost_regular_partition,
     binomial,
+    build_coloring,
     covered_labels,
     enumerate_family,
     kset_mask,
@@ -15,6 +21,8 @@ from kneser_minors import (
     uniform_sizes,
     verify_partition,
 )
+from kneser_minors import baranyai
+from kneser_minors.cli import main
 from kneser_minors.serialize import dumps_canonical, partition_to_dict
 from oracles import exhaustive_partition_feasible
 
@@ -195,3 +203,117 @@ class TestPartitionC:
     def test_l_must_be_at_least_two(self):
         with pytest.raises(ParameterError):
             partition_C(Params(9, 3), 1)
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """A fresh plan memo with the module's bound, in place of the shared one."""
+    fresh = baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND)
+    monkeypatch.setattr(baranyai, "_MEMO", fresh)
+    return fresh
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The plans the engine is asked to solve, in order."""
+    plans, engine = [], baranyai.almost_regular_partition
+
+    def counting(plan, cap=None):
+        plans.append(plan)
+        return engine(plan, cap=cap)
+
+    monkeypatch.setattr(baranyai, "almost_regular_partition", counting)
+    return plans
+
+
+def memo_key(cov):
+    plan = cov.base.plan
+    return (plan.ground_size, plan.k, plan.sizes)
+
+
+class TestPlanMemo:
+    def test_hit_equals_a_cold_engine_run(self, memo, solved, monkeypatch):
+        # The family of (13, 3) anchored at 13, the one anchored at 1 and the
+        # one of (14, 3) anchored at 2 share the local plan: the 66 pairs of
+        # 12 labels in blocks of 4, on grounds [1, 12], [2, 13] and [3, 14].
+        first = partition_C(Params(13, 3), 4)
+        hits = [partition_A(1, Params(13, 3), 4), partition_A(2, Params(14, 3), 4)]
+        assert solved == [first.base.plan] and list(memo.entries) == [memo_key(first)]
+        for cov in hits:
+            cold = almost_regular_partition(cov.base.plan)
+            assert cov.base == cold
+            anchor = 1 << (cov.anchor - 1)
+            assert cov.blocks == tuple(tuple(anchor | m for m in cls) for cls in cold.classes)
+        monkeypatch.setattr(baranyai, "_MEMO", baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND))
+        again = partition_A(2, Params(14, 3), 4)
+        assert solved[-1] == again.base.plan and again == hits[-1]
+
+    def test_cap_is_checked_on_a_hit(self, memo, solved):
+        partition_A(1, Params(12, 3), 4)  # 55 pairs, cached under the default cap
+        for i, n in ((1, 12), (2, 13)):
+            with pytest.raises(ResourceCapError):
+                partition_A(i, Params(n, 3), 4, cap=54)
+        assert len(solved) == 1 and partition_A(2, Params(13, 3), 4, cap=55).guaranteed_blocks == 13
+
+    def test_hits_are_self_checked(self, memo):
+        key = memo_key(partition_A(1, Params(12, 3), 4))
+        memo.entries[key][1] = memo.entries[key][0]  # one pair twice, one missing
+        with pytest.raises(ConstructionError, match="do not partition"):
+            partition_A(2, Params(13, 3), 4)
+
+    def test_edges_held_stay_within_the_bound(self, monkeypatch):
+        memo = baranyai._PlanMemo(100)
+        monkeypatch.setattr(baranyai, "_MEMO", memo)
+        for n in range(8, 17):  # C(n - 1, 2) = 21 .. 105 pairs, 525 in all
+            cov = partition_A(1, Params(n, 3), 2)
+            assert memo.edges == sum(len(flat) for flat in memo.entries.values()) <= 100
+            # The newest plan is held unless it alone is above the bound.
+            newest = list(memo.entries)[-1]
+            assert (newest == memo_key(cov)) is (cov.base.plan.edge_count <= 100)
+        assert len(memo.entries) == 1 and memo.edges == 91
+
+    def test_least_recently_used_goes_first(self, monkeypatch):
+        memo = baranyai._PlanMemo(100)
+        monkeypatch.setattr(baranyai, "_MEMO", memo)
+        a, b, c = (memo_key(partition_A(1, Params(n, 3), 2)) for n in (8, 9, 10))  # 21 + 28 + 36
+        partition_A(2, Params(9, 3), 2)  # a hit on a
+        d = memo_key(partition_A(1, Params(11, 3), 2))  # 45 more: b, then c, go
+        assert list(memo.entries) == [a, d] and memo.edges == 66
+
+    def test_colorings_and_the_partition_command_bypass_it(self, memo, capsys):
+        build_coloring(Params(9, 3))
+        assert main(["partition", "--n", "9", "--k", "3", "--block-size", "3"]) == 0
+        assert not memo.entries and memo.edges == 0
+
+    def test_threads_share_it(self, monkeypatch):
+        cases = [(i, n) for n in range(8, 13) for i in (1, 2)]
+        want = {(i, n): partition_A(i, Params(n, 3), 2) for i, n in cases}
+        memo = baranyai._PlanMemo(120)
+        monkeypatch.setattr(baranyai, "_MEMO", memo)
+        errors = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    i, n = rng.choice(cases)
+                    if partition_A(i, Params(n, 3), 2) != want[(i, n)]:
+                        errors.append((i, n))
+                    with memo._lock:
+                        if not memo.edges == sum(len(f) for f in memo.entries.values()) <= memo.bound:
+                            errors.append(memo.edges)
+            except Exception as exc:  # reported below, with the others
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -143,6 +144,34 @@ class TestVerifyCommand:
         failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if not c["pass"]}
         check = "partition" if kind == "coloring" else "disjoint-union"
         assert failed[check] == "1 members, expected 1832624140942590534"
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_one_block_of_4000_members(self, capsys, tmp_path, connected):
+        # Distinct random 8-subsets of [1, 64], or of [1, 56] with the
+        # member [57..64] placed at index 2000, where nothing reaches it.
+        rng = random.Random(4000)
+        top = 64 if connected else 56
+        members = {}
+        while len(members) < (4000 if connected else 3999):
+            members[tuple(sorted(rng.sample(range(1, top + 1), 8)))] = None
+        block = [list(m) for m in members]
+        if not connected:
+            block.insert(2000, list(range(57, 65)))
+        target = tmp_path / "block.json"
+        target.write_text(json.dumps(
+            {"version": 1, "kind": "minor", "n": 64, "k": 8, "blocks": [block], "trace": [], "claimed_order": 1}
+        ))
+        code, out, _ = run_cli(capsys, "verify", "--kind", "minor", "--in", str(target))
+        assert code == 1  # one block is far below chi(64, 8)
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["block-connectivity"]
+        if connected:
+            assert check["pass"] is True
+        else:
+            start = "[" + ",".join(map(str, block[0])) + "]"
+            assert check == {
+                "name": "block-connectivity", "pass": False,
+                "detail": f"block 0 is disconnected: member [57,58,59,60,61,62,63,64] is unreachable from {start}",
+            }
 
     def test_construction_error_is_internal(self, capsys, monkeypatch):
         import kneser_minors.cli as cli

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import json
 import math
 
 import pytest
@@ -13,14 +15,17 @@ from kneser_minors import (
     ParameterError,
     Params,
     PartitionPlan,
+    almost_regular_partition,
     build_coloring,
     build_minor,
     kset_mask,
+    kset_text,
     uniform_sizes,
     verify_coloring,
     verify_minor,
     verify_partition,
 )
+from kneser_minors.cli import main
 from kneser_minors.serialize import (
     coloring_from_dict,
     coloring_to_dict,
@@ -31,6 +36,7 @@ from kneser_minors.serialize import (
     partition_to_dict,
     report_to_dict,
 )
+from oracles import unreachable_member_pairwise
 
 
 def check_map(report):
@@ -62,6 +68,26 @@ class TestVerifyMinor:
         cert = bare_minor(7, 3, ((kset_mask([1, 2, 3]), kset_mask([4, 5, 6])),))
         checks = check_map(verify_minor(cert))
         assert not checks["block-connectivity"].passed
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_connectivity_matches_pairwise_search(self, data):
+        n = data.draw(st.integers(2, 12))
+        k = data.draw(st.integers(1, min(4, n - 1)))
+        member = st.frozensets(st.integers(1, n), min_size=k, max_size=k).map(kset_mask)
+        blocks = data.draw(st.lists(st.lists(member, min_size=1, max_size=12, unique=True), min_size=1, max_size=3))
+        want = next(
+            (
+                f"block {bi} is disconnected: member {kset_text(block[j])} is unreachable from {kset_text(block[0])}"
+                for bi, block in enumerate(blocks)
+                if (j := unreachable_member_pairwise(block)) is not None
+            ),
+            None,
+        )
+        check = check_map(verify_minor(bare_minor(n, k, tuple(map(tuple, blocks)))))["block-connectivity"]
+        assert (check.passed, check.detail) == (
+            want is None, want or "every block induces a connected subgraph"
+        )
 
     def test_shared_vertex_named(self):
         shared = kset_mask([1, 2, 3])
@@ -262,9 +288,9 @@ def _nodes(node):
 
 
 @st.composite
-def mutated(draw, valid):
+def mutated(draw, valid, values=JSON_VALUES):
     """A well-typed document with at most one node, at any depth, replaced by
-    an arbitrary JSON value or (in an object) removed."""
+    one of ``values`` or (in an object) removed."""
     doc = draw(valid)
     spot = draw(st.sampled_from([None, *_nodes(doc)]))
     if spot is not None:
@@ -272,7 +298,7 @@ def mutated(draw, valid):
         if isinstance(parent, dict) and draw(st.booleans()):
             del parent[key]
         else:
-            parent[key] = draw(JSON_VALUES)
+            parent[key] = draw(values)
     return doc
 
 
@@ -303,5 +329,46 @@ def test_any_json_parses_or_is_a_parameter_error(parse, docs, kind):
         except ParameterError:
             return
         assert isinstance(parsed, kind)
+
+    check()
+
+
+# One valid certificate file per kind, for the CLI fuzz below.
+VALID_FILES = {
+    "minor": minor_to_dict(build_minor(Params(7, 3))),
+    "coloring": coloring_to_dict(build_coloring(Params(7, 3))),
+    "partition": partition_to_dict(
+        almost_regular_partition(PartitionPlan((2, 7), 2, uniform_sizes(15, 4)))
+    ),
+}
+PARSERS = {"minor": minor_from_dict, "coloring": coloring_from_dict, "partition": partition_from_dict}
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_verify_command_exit_codes(kind, tmp_path, capsys):
+    """Any JSON value, or any valid file with one node replaced or removed,
+    verified as any kind: exit 2 exactly when the parser rejects it, else 0
+    or 1 agreeing with the report, and never an escaping exception."""
+    target = tmp_path / "cert.json"
+
+    def files(name):
+        # Small integers as well: a label or count in range keeps the file
+        # parseable, so the verifier runs on it and may fail it (exit 1).
+        return mutated(st.just(VALID_FILES[name]).map(copy.deepcopy), JSON_VALUES | st.integers(0, 16))
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES | files(kind) | st.sampled_from(sorted(VALID_FILES)).flatmap(files))
+    def check(document):
+        target.write_text(json.dumps(document))
+        code = main(["verify", "--kind", kind, "--in", str(target)])
+        out, err = capsys.readouterr()
+        try:
+            PARSERS[kind](document)
+        except ParameterError:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
+            return
+        assert code in (0, 1)
+        assert json.loads(out)["pass"] is (code == 0)
 
     check()
