@@ -125,12 +125,6 @@ class CoveredPartition:
     guaranteed_blocks: int
     coverage_floor: int
 
-    @property
-    def remainder_block(self) -> tuple[int, ...] | None:
-        if len(self.blocks) > self.guaranteed_blocks:
-            return self.blocks[self.guaranteed_blocks]
-        return None
-
 
 def uniform_sizes(total: int, block_size: int) -> tuple[int, ...]:
     """Size vector [block_size, ..., block_size, remainder] summing to total."""

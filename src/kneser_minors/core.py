@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import OutOfScopeError, ParameterError
 
@@ -125,13 +125,6 @@ def union_mask(members: Iterable[int]) -> int:
     return mask
 
 
-def covered_labels(block: Sequence[int]) -> frozenset[int]:
-    """Set of labels appearing in at least one member of the block."""
-    if not block:
-        raise ParameterError("covered_labels needs a nonempty block")
-    return frozenset(kset_labels(union_mask(block)))
-
-
 def enumerate_family(lo: int, hi: int, k: int) -> list[int]:
     """All k-subsets of the label interval [lo, hi] in colexicographic order.
 
@@ -166,12 +159,6 @@ def family_A(i: int, p: Params) -> list[int]:
     if p.k == 1:
         return [anchor]
     return [anchor | rest for rest in enumerate_family(i + 1, p.n, p.k - 1)]
-
-
-def family_C(p: Params) -> list[int]:
-    """k-subsets of [n] containing the label n, in colex order; size C(n-1, k-1)."""
-    anchor = 1 << (p.n - 1)
-    return [anchor | rest for rest in enumerate_family(1, p.n - 1, p.k - 1)]
 
 
 def params_grid(k_values: Iterable[int], cap: int) -> list[Params]:

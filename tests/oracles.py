@@ -3,13 +3,19 @@
 Each is independent of the code it checks: a backtracking feasibility
 search for almost-regular partitions, a branch-and-bound independence
 number and the hockey-stick identity used in the order accounting, all
-only usable on tiny instances, and the pairwise connectivity search the
-minor verifier used before it searched over labels.
+only usable on tiny instances, the pairwise connectivity search the
+minor verifier used before it searched over labels, and the stdlib's
+indented encoder that canonical JSON must match byte for byte.  The small
+helpers at the end are used only by tests.
 """
 
+import io
 import itertools
+import json
+from typing import Any, Sequence
 
 from kneser_minors import (
+    CoveredPartition,
     ParameterError,
     Params,
     PartitionPlan,
@@ -18,6 +24,7 @@ from kneser_minors import (
     enumerate_family,
     intersects,
     kset_labels,
+    union_mask,
 )
 
 ORACLE_EDGE_CAP = 30
@@ -202,3 +209,31 @@ def unreachable_member_pairwise(block: list[int]) -> int | None:
                 reached.add(j)
                 frontier.append(j)
     return next((j for j in range(len(block)) if j not in reached), None)
+
+
+def dumps_canonical_reference(document: Any) -> str:
+    """Canonical JSON as the stdlib writes it: two-space indent, sorted keys, final newline."""
+    out = io.StringIO()
+    out.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(document))
+    out.write("\n")
+    return out.getvalue()
+
+
+def covered_labels(block: Sequence[int]) -> frozenset[int]:
+    """Set of labels appearing in at least one member of the block."""
+    if not block:
+        raise ParameterError("covered_labels needs a nonempty block")
+    return frozenset(kset_labels(union_mask(block)))
+
+
+def family_C(p: Params) -> list[int]:
+    """k-subsets of [n] containing the label n, in colex order; size C(n-1, k-1)."""
+    anchor = 1 << (p.n - 1)
+    return [anchor | rest for rest in enumerate_family(1, p.n - 1, p.k - 1)]
+
+
+def remainder_block(cov: CoveredPartition) -> tuple[int, ...] | None:
+    """The trailing block past the guaranteed ones, or None when there is none."""
+    if len(cov.blocks) > cov.guaranteed_blocks:
+        return cov.blocks[cov.guaranteed_blocks]
+    return None

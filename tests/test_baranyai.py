@@ -13,7 +13,6 @@ from kneser_minors import (
     almost_regular_partition,
     binomial,
     build_coloring,
-    covered_labels,
     enumerate_family,
     kset_mask,
     partition_A,
@@ -24,7 +23,7 @@ from kneser_minors import (
 from kneser_minors import baranyai
 from kneser_minors.cli import main
 from kneser_minors.serialize import dumps_canonical, partition_to_dict
-from oracles import exhaustive_partition_feasible
+from oracles import covered_labels, exhaustive_partition_feasible, remainder_block
 
 
 def degree_profile(cls, lo, hi):
@@ -124,7 +123,7 @@ class TestPartitionA:
     def test_seven_triples(self):
         cov = partition_A(2, Params(9, 3), 3)
         assert cov.guaranteed_blocks == 7
-        assert cov.remainder_block is None
+        assert remainder_block(cov) is None
         assert cov.coverage_floor == 7  # min(8, 7)
         for block in cov.blocks:
             assert len(block) == 3
@@ -133,7 +132,7 @@ class TestPartitionA:
     def test_remainder_and_exact_coverage(self):
         cov = partition_A(1, Params(13, 3), 4)
         assert cov.guaranteed_blocks == 16  # floor(66 / 4)
-        assert cov.remainder_block is not None and len(cov.remainder_block) == 2
+        assert remainder_block(cov) is not None and len(remainder_block(cov)) == 2
         assert cov.coverage_floor == 9  # min(13, 9)
         for block in cov.blocks[:16]:
             # n - i > l(k-1), so members minus the anchor are pairwise
@@ -169,7 +168,7 @@ class TestPartitionC:
     def test_14_3(self):
         cov = partition_C(Params(14, 3), 4)
         assert cov.guaranteed_blocks == 19
-        assert cov.remainder_block is not None and len(cov.remainder_block) == 2
+        assert remainder_block(cov) is not None and len(remainder_block(cov)) == 2
         assert cov.coverage_floor == 9  # min(14, 9)
         anchor_bit = 1 << 13
         for block in cov.blocks[:19]:

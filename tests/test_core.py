@@ -9,10 +9,8 @@ from kneser_minors import (
     ParameterError,
     Params,
     binomial,
-    covered_labels,
     enumerate_family,
     family_A,
-    family_C,
     intersects,
     kset_labels,
     kset_mask,
@@ -20,7 +18,7 @@ from kneser_minors import (
     params_grid,
 )
 from kneser_minors.core import label_degrees
-from oracles import hockey_stick
+from oracles import covered_labels, family_C, hockey_stick
 
 
 def masks_by_hand(lo, hi, k):

@@ -14,7 +14,6 @@ from kneser_minors import (
     build_minor,
     chi,
     closed_form_lower_bound,
-    covered_labels,
     intersects,
     k3_table_rows,
     replay_trace,
@@ -24,6 +23,7 @@ from kneser_minors import (
 )
 from kneser_minors.minors import K3_TABLE_REFERENCE
 from kneser_minors.serialize import dumps_canonical, minor_to_dict
+from oracles import covered_labels
 
 
 class TestRouting:

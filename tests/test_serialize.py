@@ -1,0 +1,170 @@
+"""``serialize.dumps_canonical`` against the stdlib's indented encoder.
+
+The writer must give exactly the bytes of ``oracles.dumps_canonical_reference``
+on any value, and raise the same exception type where the stdlib raises.
+"""
+
+import enum
+from collections import OrderedDict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kneser_minors import (
+    MinorCertificate,
+    Params,
+    PartitionPlan,
+    almost_regular_partition,
+    build_coloring,
+    build_minor,
+    params_grid,
+    verify_minor,
+)
+from kneser_minors.minors import CaseTag
+from kneser_minors.serialize import (
+    coloring_to_dict,
+    dumps_canonical,
+    minor_to_dict,
+    partition_to_dict,
+    report_to_dict,
+)
+from oracles import dumps_canonical_reference
+
+
+class Row(list):
+    pass
+
+
+class Backwards(list):
+    def __iter__(self):
+        return reversed(self)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = -7
+
+
+def outcome(write, value):
+    try:
+        return "text", write(value)
+    except (TypeError, ValueError) as exc:
+        return "raises", type(exc)
+
+
+def assert_same(value):
+    assert outcome(dumps_canonical, value) == outcome(dumps_canonical_reference, value)
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/é \U0001f600'))
+    | st.sampled_from(list(Level) + list(CaseTag))
+    | st.sampled_from(["], [", "a, b", "[]", "{}", "x]]"])
+)
+# Label arrays and blocks of them, with bools, empty rows and tuples mixed in
+# now and then, so both the array fast path and its fallbacks run.
+ROWS = st.lists(st.integers(-70, 70) | st.sampled_from([True, False]), max_size=6)
+BLOCKS = st.lists(ROWS | ROWS.map(tuple), max_size=5)
+KEYS = st.integers() | st.floats() | st.booleans() | st.none()
+JSON_VALUES = st.recursive(
+    SCALARS | ROWS | BLOCKS | st.lists(BLOCKS, max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(inner, max_size=4).map(Row)
+        | st.lists(inner, max_size=4).map(Backwards)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4).map(OrderedDict)
+        | st.dictionaries(KEYS, inner, max_size=4)
+        | st.dictionaries(st.text(max_size=2) | KEYS, inner, max_size=3)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_any_value_matches_the_stdlib(value):
+    assert_same(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.lists(st.integers(1, 64), min_size=1, max_size=8), min_size=1, max_size=4), max_size=6))
+def test_uniform_label_nests_match_the_stdlib(blocks):
+    assert_same(blocks)
+    assert_same({"blocks": blocks, "nested": [blocks, [blocks]]})
+
+
+MASK = st.integers(1, 2**64 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(MASK, min_size=1, max_size=3).map(tuple), min_size=1, max_size=8))
+def test_random_n64_minors_match_the_stdlib(blocks):
+    cert = MinorCertificate(n=64, k=3, blocks=tuple(blocks), trace=(), claimed_order=len(blocks))
+    assert_same(minor_to_dict(cert))
+
+
+def test_built_certificates_match_the_stdlib():
+    for p in params_grid((3, 4), 2000):
+        cert = build_minor(p)
+        assert_same(minor_to_dict(cert))
+        assert_same(report_to_dict(verify_minor(cert)))
+    for p in (Params(7, 3), Params(10, 3), Params(11, 4)):
+        assert_same(coloring_to_dict(build_coloring(p)))
+    for plan in (
+        PartitionPlan((1, 9), 3, (10, 20, 30, 24)),
+        PartitionPlan((60, 64), 2, (1,) * 10),
+        PartitionPlan((3, 8), 6, (1,)),
+    ):
+        assert_same(partition_to_dict(almost_regular_partition(plan)))
+
+
+def test_array_edge_cases_match_the_stdlib():
+    for value in (
+        Backwards([1, 2]),
+        [[1, 2], Backwards([3, 4])],
+        [Row([1, 2]), (3, 4)],
+        [[], [1]],
+        [[1], [[2]]],
+        [[1, [2]]],
+        [1, True, None, 2.5, float("nan")],
+        [[{}], [{}]],
+        [["], [", "a, b"]],
+        [-(10**30), 0],
+    ):
+        assert_same(value)
+
+
+def test_deep_nests_match_the_stdlib():
+    # 500 levels fit under the default recursion limit of 1000 only at about
+    # one frame per level, as the stdlib's encoder uses.
+    for leaf in ("x", 1):
+        nest, keyed = leaf, leaf
+        for _ in range(500):
+            nest, keyed = [nest, leaf], {"k": keyed}
+        assert_same(nest)
+        assert_same(keyed)
+
+
+def test_unserializable_and_circular_values_raise_like_the_stdlib():
+    loop = [1]
+    loop.append(loop)
+    alone = []
+    alone.append(alone)
+    pair = [[], []]
+    pair[0].append(pair)
+    keyed = {}
+    keyed[1] = [keyed]
+    named = {}
+    named["self"] = named
+    for value in ({1, 2}, b"12", [[1], {3}], loop, alone, pair, keyed, named, {"a": 1, 2: "b"}):
+        assert_same(value)
+        assert outcome(dumps_canonical, value)[0] == "raises"
