@@ -62,7 +62,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import Params, binomial, enumerate_family, label_degrees, union_mask
+from .core import Params, binomial, family_detail, sizes_detail, spread_detail, union_mask
 from .errors import ConstructionError, ParameterError, ResourceCapError
 
 DEFAULT_EDGE_CAP = 20000
@@ -295,25 +295,22 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
 
 
 def _self_check(plan: PartitionPlan, classes: tuple[tuple[int, ...], ...]) -> None:
-    """Engine-side sanity check; a failure here is a bug, not bad input."""
+    """Engine-side sanity check (a failure is a bug, not bad input): the verifier's
+    checks, the spread last because it indexes degrees by label."""
     lo, hi = plan.ground
-    if tuple(len(c) for c in classes) != plan.sizes:
-        raise ConstructionError("class sizes drifted from the plan")
-    seen = sorted(m for c in classes for m in c)
-    if seen != enumerate_family(lo, hi, plan.k):
-        raise ConstructionError("classes do not partition the full family")
-    for idx, cls in enumerate(classes):
-        degrees = label_degrees(cls, hi)[lo - 1:]
-        if max(degrees) - min(degrees) > 1:
-            raise ConstructionError(f"class {idx} has degree spread > 1")
+    if (detail := sizes_detail(classes, plan.sizes)) is not None:
+        raise ConstructionError(f"class sizes drifted from the plan: {detail}")
+    if (detail := family_detail(classes, lo, hi, plan.k)) is not None:
+        raise ConstructionError(f"classes do not partition the full family: {detail}")
+    if (detail := spread_detail(classes, lo, hi)) is not None:
+        raise ConstructionError(detail)
 
 
-def _check_cap(plan: PartitionPlan, cap: int | None) -> None:
+def _check_cap(edges: int, cap: int | None) -> None:
+    """Refuse work on more than ``cap`` hyperedges (``DEFAULT_EDGE_CAP`` when None)."""
     limit = DEFAULT_EDGE_CAP if cap is None else cap
-    if plan.edge_count > limit:
-        raise ResourceCapError(
-            f"plan has {plan.edge_count} hyperedges, above the cap of {limit}"
-        )
+    if edges > limit:
+        raise ResourceCapError(f"{edges} hyperedges, above the cap of {limit}")
 
 
 def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> AlmostRegularPartition:
@@ -321,7 +318,7 @@ def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> Alm
 
     Deterministic: the same plan always yields the identical partition.
     """
-    _check_cap(plan, cap)
+    _check_cap(plan.edge_count, cap)
     g, k, sizes = plan.ground_size, plan.k, plan.sizes
     n = len(sizes)
     # Types are the distinct unfinished masks, tot[t] copies in all.  Pair p
@@ -381,7 +378,7 @@ _MEMO = _PlanMemo(MEMO_EDGE_BOUND)
 
 def _memo_partition(plan: PartitionPlan, cap: int | None) -> AlmostRegularPartition:
     """``almost_regular_partition(plan, cap)``, solving each ``(g, k, sizes)`` once."""
-    _check_cap(plan, cap)
+    _check_cap(plan.edge_count, cap)
     key = (plan.ground_size, plan.k, plan.sizes)
     shift = plan.ground[0] - 1
     flat = _MEMO.get(key)

@@ -11,13 +11,16 @@ inside square brackets, e.g. ``[1,4,7]``.
 
 A *block* is a tuple of distinct masks sharing one (n, k) context; blocks
 serve both as partition classes and as branch-set candidates.
+
+The facts of an almost-regular partition are checked once, here, for the
+engine's self-check and the verifiers alike (the ``*_detail`` functions).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import OutOfScopeError, ParameterError
 
@@ -36,8 +39,8 @@ def binomial(a: int, b: int) -> int:
         raise ParameterError(f"binomial needs non-negative arguments, got ({a}, {b})")
     if b > a:
         return 0
-    value = math.comb(a, b)
-    if value > _INT64_MAX:
+    # From min(b, a - b) = 34 on, C(a, b) >= C(68, 34) > 2**63 - 1: no need to compute it.
+    if min(b, a - b) >= 34 or (value := math.comb(a, b)) > _INT64_MAX:
         raise OutOfScopeError(f"binomial({a}, {b}) exceeds the 64-bit range")
     return value
 
@@ -123,6 +126,51 @@ def union_mask(members: Iterable[int]) -> int:
     for m in members:
         mask |= m
     return mask
+
+
+def sizes_detail(classes: Sequence[Sequence[int]], sizes: tuple[int, ...]) -> str | None:
+    """Why the class sizes differ from ``sizes``, or None."""
+    got = tuple(map(len, classes))
+    return None if got == sizes else f"class sizes {got} != plan {sizes}"
+
+
+def family_detail(classes: Sequence[Sequence[int]], lo: int, hi: int, k: int) -> str | None:
+    """Why the members of the classes are not exactly the k-subsets of [lo, hi], or None.
+
+    Every member is first tested to be a k-subset of the ground, so distinct
+    members numbering C(hi - lo + 1, k) are the family: it is never enumerated.
+    """
+    members = [m for cls in classes for m in cls]
+    ground = (1 << hi) - (1 << (lo - 1))
+    if set(map(int.bit_count, members)) - {k} or union_mask(members) & ~ground:
+        bad = next(m for m in members if m.bit_count() != k or m & ~ground)
+        return f"member {kset_text(bad)} is not a {k}-subset of [{lo}, {hi}]"
+    if len(set(members)) != len(members):
+        members.sort()
+        dup = next(m for m, after in zip(members, members[1:]) if m == after)
+        return f"member {kset_text(dup)} appears twice"
+    total = binomial(hi - lo + 1, k)
+    if len(members) != total:
+        return f"{len(members)} members, expected {total}"
+    return None
+
+
+def spread_detail(classes: Sequence[Sequence[int]], lo: int, hi: int) -> str | None:
+    """The first class whose degrees on labels lo..hi differ by more than one, or None.
+
+    Every member must lie inside [1, hi], as ``family_detail`` ensures.
+    """
+    for ci, cls in enumerate(classes):
+        degrees = label_degrees(cls, hi)[lo - 1:]
+        hi_deg, lo_deg = max(degrees), min(degrees)
+        if hi_deg - lo_deg > 1:
+            hot = lo + degrees.index(hi_deg)
+            cold = lo + degrees.index(lo_deg)
+            return (
+                f"class {ci} has degree spread {hi_deg - lo_deg}: "
+                f"label {hot} has degree {hi_deg}, label {cold} has degree {lo_deg}"
+            )
+    return None
 
 
 def enumerate_family(lo: int, hi: int, k: int) -> list[int]:

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .baranyai import DEFAULT_EDGE_CAP, partition_A, partition_C
+from .baranyai import _check_cap, partition_A, partition_C
 from .core import Params, binomial, family_A
-from .errors import ConstructionError, ParameterError, ResourceCapError
+from .errors import ConstructionError, ParameterError
 from .chromatic import chi_of
 
 
@@ -217,12 +217,8 @@ def _assert_anchored(blocks: list[tuple[int, ...]]) -> None:
 def _execute(entries: tuple[TraceEntry, ...], cap: int | None) -> MinorCertificate:
     if not entries:
         raise ParameterError("empty trace")
-    limit = DEFAULT_EDGE_CAP if cap is None else cap
     final = entries[-1]
-    if binomial(final.n, final.k) > limit:
-        raise ResourceCapError(
-            f"C({final.n}, {final.k}) = {binomial(final.n, final.k)} exceeds the cap of {limit}"
-        )
+    _check_cap(binomial(final.n, final.k), cap)
     blocks: list[tuple[int, ...]] = []
     cur_n = cur_k = None
     for entry in entries:

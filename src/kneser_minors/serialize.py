@@ -281,7 +281,10 @@ def report_to_dict(report: VerificationReport) -> dict[str, Any]:
 
 
 def write_document(path: str | Path, document: Any) -> None:
-    Path(path).write_text(dumps_canonical(document), encoding="utf-8")
+    try:
+        Path(path).write_text(dumps_canonical(document), encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
 def read_document(path: str | Path) -> Any:

@@ -6,6 +6,9 @@ consulted, and each failed check names the offending block, class, pair or
 vertex.  The all-pairs cross-edge check exploits that two blocks are joined
 by an edge exactly when their covered-label sets meet, which allows one
 bit-vector of block indices per label instead of a quadratic member scan.
+
+Partition facts are checked by ``core``'s functions, which the engine's
+self-check runs too; the structure check of outside input is the verifier's own.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 
 from .baranyai import AlmostRegularPartition
 from .chromatic import ColoringCertificate, chi_of
-from .core import MAX_LABELS, binomial, intersects, kset_labels, kset_text, label_degrees, union_mask
+from .core import MAX_LABELS, family_detail, intersects, kset_labels, kset_text, sizes_detail, spread_detail, union_mask
 from .minors import MinorCertificate
 
 
@@ -41,14 +44,14 @@ class VerificationReport:
 
 
 def _structure_blocks(
-    n: int, k: int, blocks: Sequence[Sequence[int]], unit: str
+    n: int, k: int, blocks: Sequence[Sequence[int]], unit: str, lo: int = 1
 ) -> CheckResult:
-    if not (1 <= k <= n <= MAX_LABELS):
+    if not (1 <= lo and 1 <= k <= n - lo + 1 and n <= MAX_LABELS):
         return CheckResult("structure", False, f"invalid parameters (n, k) = ({n}, {k})")
     plural = f"{unit}es" if unit.endswith("s") else f"{unit}s"
     if not blocks:
         return CheckResult("structure", False, f"certificate has no {plural}")
-    universe = (1 << n) - 1
+    universe = (1 << n) - (1 << (lo - 1))
     for bi, block in enumerate(blocks):
         if not block:
             return CheckResult("structure", False, f"{unit} {bi} is empty")
@@ -56,7 +59,7 @@ def _structure_blocks(
         for mi, mask in enumerate(block):
             if not isinstance(mask, int) or mask <= 0 or mask & ~universe:
                 return CheckResult(
-                    "structure", False, f"{unit} {bi} member {mi} has labels outside [1, {n}]"
+                    "structure", False, f"{unit} {bi} member {mi} has labels outside [{lo}, {n}]"
                 )
             if mask.bit_count() != k:
                 return CheckResult(
@@ -74,22 +77,6 @@ def _structure_blocks(
 
 def _skipped(names: list[str], reason: str) -> list[CheckResult]:
     return [CheckResult(name, False, f"skipped: {reason}") for name in names]
-
-
-def _partition_detail(classes: Sequence[Sequence[int]], total: int) -> str | None:
-    """Why the classes fail to partition a family of ``total`` k-subsets, or None.
-
-    Callers have passed the structure check, so every member is a k-subset
-    of the family's ground: distinct members numbering ``total`` are exactly
-    the family, and a count mismatch is found without enumerating it.
-    """
-    members = sorted(m for cls in classes for m in cls)
-    dup = next((m for i, m in enumerate(members[1:], 1) if members[i - 1] == m), None)
-    if dup is not None:
-        return f"member {kset_text(dup)} appears twice"
-    if len(members) != total:
-        return f"{len(members)} members, expected {total}"
-    return None
 
 
 def _unreachable_member(block: Sequence[int]) -> int | None:
@@ -200,7 +187,7 @@ def verify_coloring(cert: ColoringCertificate) -> VerificationReport:
         )
     checks = [structure]
 
-    part_detail = _partition_detail(classes, binomial(cert.n, cert.k))
+    part_detail = family_detail(classes, 1, cert.n, cert.k)
     checks.append(
         CheckResult("partition", part_detail is None, part_detail or "classes partition the full family")
     )
@@ -238,56 +225,21 @@ def verify_coloring(cert: ColoringCertificate) -> VerificationReport:
 
 
 def verify_partition(part: AlmostRegularPartition) -> VerificationReport:
-    """Check prescribed sizes, disjoint union over the ground family, and
-    per-class degree spread <= 1."""
+    """Check structure, then the engine's own checks: prescribed sizes, disjoint
+    union over the ground family, and per-class degree spread <= 1."""
     plan = part.plan
     lo, hi = plan.ground
     classes = part.classes
-
-    structure = _structure_blocks(hi, plan.k, classes, "class")
-    if structure.passed:
-        for ci, cls in enumerate(classes):
-            low_bits = (1 << (lo - 1)) - 1
-            bad = next((m for m in cls if m & low_bits), None)
-            if bad is not None:
-                structure = CheckResult(
-                    "structure", False, f"class {ci} member {kset_text(bad)} leaves the ground [{lo}, {hi}]"
-                )
-                break
+    structure = _structure_blocks(hi, plan.k, classes, "class", lo)
     if not structure.passed:
         return VerificationReport(
             (structure, *_skipped(["sizes", "disjoint-union", "degree-spread"], "structural errors")),
         )
-    checks = [structure]
-
-    sizes_ok = tuple(len(c) for c in classes) == plan.sizes
-    checks.append(
-        CheckResult(
-            "sizes",
-            sizes_ok,
-            "class sizes match the plan" if sizes_ok else f"class sizes {tuple(len(c) for c in classes)} != plan {plan.sizes}",
-        )
+    verdicts = (
+        ("sizes", sizes_detail(classes, plan.sizes), "class sizes match the plan"),
+        ("disjoint-union", family_detail(classes, lo, hi, plan.k), "classes partition the ground family"),
+        ("degree-spread", spread_detail(classes, lo, hi), "every class has degree spread <= 1"),
     )
-
-    union_detail = _partition_detail(classes, plan.edge_count)
-    checks.append(
-        CheckResult("disjoint-union", union_detail is None, union_detail or "classes partition the ground family")
+    return VerificationReport(
+        (structure, *(CheckResult(name, detail is None, detail or ok) for name, detail, ok in verdicts))
     )
-
-    spread_detail = None
-    for ci, cls in enumerate(classes):
-        degrees = label_degrees(cls, hi)[lo - 1:]
-        hi_deg = max(degrees)
-        lo_deg = min(degrees)
-        if hi_deg - lo_deg > 1:
-            hot = lo + degrees.index(hi_deg)
-            cold = lo + degrees.index(lo_deg)
-            spread_detail = (
-                f"class {ci} has degree spread {hi_deg - lo_deg}: "
-                f"label {hot} has degree {hi_deg}, label {cold} has degree {lo_deg}"
-            )
-            break
-    checks.append(
-        CheckResult("degree-spread", spread_detail is None, spread_detail or "every class has degree spread <= 1")
-    )
-    return VerificationReport(tuple(checks))

@@ -4,8 +4,10 @@ Each is independent of the code it checks: a backtracking feasibility
 search for almost-regular partitions, a branch-and-bound independence
 number and the hockey-stick identity used in the order accounting, all
 only usable on tiny instances, the pairwise connectivity search the
-minor verifier used before it searched over labels, and the stdlib's
-indented encoder that canonical JSON must match byte for byte.  The small
+minor verifier used before it searched over labels, the engine's
+self-check as it was before it shared the verifier's partition checks
+(it compares against the enumerated family), and the stdlib's indented
+encoder that canonical JSON must match byte for byte.  The small
 helpers at the end are used only by tests.
 """
 
@@ -15,6 +17,7 @@ import json
 from typing import Any, Sequence
 
 from kneser_minors import (
+    ConstructionError,
     CoveredPartition,
     ParameterError,
     Params,
@@ -26,6 +29,7 @@ from kneser_minors import (
     kset_labels,
     union_mask,
 )
+from kneser_minors.core import label_degrees
 
 ORACLE_EDGE_CAP = 30
 ALPHA_ORACLE_CAP = 500
@@ -209,6 +213,23 @@ def unreachable_member_pairwise(block: list[int]) -> int | None:
                 reached.add(j)
                 frontier.append(j)
     return next((j for j in range(len(block)) if j not in reached), None)
+
+
+def self_check_reference(plan: PartitionPlan, classes: Sequence[Sequence[int]]) -> None:
+    """Raise ConstructionError unless the classes are an almost-regular partition for the plan.
+
+    Sizes, then a sort of all members against the enumerated family, then
+    each class's degree spread on the ground labels.
+    """
+    lo, hi = plan.ground
+    if tuple(len(c) for c in classes) != plan.sizes:
+        raise ConstructionError("class sizes drifted from the plan")
+    if sorted(m for c in classes for m in c) != enumerate_family(lo, hi, plan.k):
+        raise ConstructionError("classes do not partition the full family")
+    for idx, cls in enumerate(classes):
+        degrees = label_degrees(cls, hi)[lo - 1:]
+        if max(degrees) - min(degrees) > 1:
+            raise ConstructionError(f"class {idx} has degree spread > 1")
 
 
 def dumps_canonical_reference(document: Any) -> str:

@@ -3,8 +3,11 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneser_minors import (
+    AlmostRegularPartition,
     ConstructionError,
     ParameterError,
     Params,
@@ -23,7 +26,7 @@ from kneser_minors import (
 from kneser_minors import baranyai
 from kneser_minors.cli import main
 from kneser_minors.serialize import dumps_canonical, partition_to_dict
-from oracles import covered_labels, exhaustive_partition_feasible, remainder_block
+from oracles import covered_labels, exhaustive_partition_feasible, remainder_block, self_check_reference
 
 
 def degree_profile(cls, lo, hi):
@@ -204,6 +207,57 @@ class TestPartitionC:
             partition_C(Params(9, 3), 1)
 
 
+@st.composite
+def engine_partitions(draw):
+    """Engine partitions of the k-subsets of a ground of at most 8 labels."""
+    g = draw(st.integers(1, 8) | st.integers(5, 8))
+    k = draw(st.integers(1, g))
+    lo = draw(st.integers(1, 64 - g + 1))
+    total = binomial(g, k)
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=1, max_size=6))) if total > 1 else []
+    sizes = tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+    return almost_regular_partition(PartitionPlan((lo, lo + g - 1), k, sizes))
+
+
+class TestSharedPartitionCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(engine_partitions(), st.data())
+    def test_agrees_with_the_enumeration_reference(self, part, data):
+        # Swap members between classes, replace one with any mask of 1-64
+        # bits, overwrite one with a copy of another, or drop one.
+        classes = [list(cls) for cls in part.classes]
+        for _ in range(data.draw(st.integers(0, 2))):
+            slots = [(ci, mi) for ci, cls in enumerate(classes) for mi in range(len(cls))]
+            if not slots:
+                break
+            ci, mi = data.draw(st.sampled_from(slots))
+            kind = data.draw(st.sampled_from(["swap", "replace", "duplicate", "drop"]))
+            others = [(cj, mj) for cj, mj in slots if cj != ci]
+            if kind == "swap":
+                if others:
+                    cj, mj = data.draw(st.sampled_from(others))
+                    classes[ci][mi], classes[cj][mj] = classes[cj][mj], classes[ci][mi]
+            elif kind == "replace":
+                classes[ci][mi] = data.draw(st.integers(1, 2**64 - 1))
+            elif kind == "duplicate":
+                cj, mj = data.draw(st.sampled_from(slots))
+                classes[cj][mj] = classes[ci][mi]
+            else:
+                del classes[ci][mi]
+        classes = tuple(map(tuple, classes))
+        try:
+            self_check_reference(part.plan, classes)
+            accepted = True
+        except ConstructionError:
+            accepted = False
+        if accepted:
+            baranyai._self_check(part.plan, classes)
+        else:
+            with pytest.raises(ConstructionError):
+                baranyai._self_check(part.plan, classes)
+        assert verify_partition(AlmostRegularPartition(part.plan, classes)).passed is accepted
+
+
 @pytest.fixture
 def memo(monkeypatch):
     """A fresh plan memo with the module's bound, in place of the shared one."""
@@ -230,6 +284,27 @@ def memo_key(cov):
     return (plan.ground_size, plan.k, plan.sizes)
 
 
+# Corruptions of a stored entry: local pairs of [1, g], class 0 first.
+def pair_twice(flat, g):
+    flat[1] = flat[0]  # one pair twice, one missing
+
+
+def wrong_popcount(flat, g):
+    flat[0] |= ~flat[0] & (flat[0] + 1)  # its lowest free label joins
+
+
+def outside_ground(flat, g):
+    flat[0] = flat[0] & (flat[0] - 1) | 1 << g  # label g + 1 replaces its lowest
+
+
+def spread_two(flat, g):
+    # Class 0 is 4 disjoint pairs of 11 labels; a pair of another class that
+    # meets the last three, swapped in for the first, gives a label degree 2.
+    rest = flat[1] | flat[2] | flat[3]
+    j = next(j for j in range(4, len(flat)) if flat[j] & rest)
+    flat[0], flat[j] = flat[j], flat[0]
+
+
 class TestPlanMemo:
     def test_hit_equals_a_cold_engine_run(self, memo, solved, monkeypatch):
         # The family of (13, 3) anchored at 13, the one anchored at 1 and the
@@ -254,10 +329,20 @@ class TestPlanMemo:
                 partition_A(i, Params(n, 3), 4, cap=54)
         assert len(solved) == 1 and partition_A(2, Params(13, 3), 4, cap=55).guaranteed_blocks == 13
 
-    def test_hits_are_self_checked(self, memo):
+    @pytest.mark.parametrize(
+        "corrupt,match",
+        [
+            (pair_twice, "do not partition"),
+            (wrong_popcount, "do not partition"),
+            (outside_ground, "do not partition"),
+            (spread_two, "class 0 has degree spread 2"),
+        ],
+        ids=["pair-twice", "wrong-popcount", "outside-ground", "spread-two"],
+    )
+    def test_hits_are_self_checked(self, memo, corrupt, match):
         key = memo_key(partition_A(1, Params(12, 3), 4))
-        memo.entries[key][1] = memo.entries[key][0]  # one pair twice, one missing
-        with pytest.raises(ConstructionError, match="do not partition"):
+        corrupt(memo.entries[key], key[0])
+        with pytest.raises(ConstructionError, match=match):
             partition_A(2, Params(13, 3), 4)
 
     def test_edges_held_stay_within_the_bound(self, monkeypatch):

@@ -145,6 +145,19 @@ class TestVerifyCommand:
         check = "partition" if kind == "coloring" else "disjoint-union"
         assert failed[check] == "1 members, expected 1832624140942590534"
 
+    def test_member_below_a_shifted_ground(self, capsys, tmp_path):
+        doc = {"version": 1, "ground": [3, 8], "k": 2, "sizes": [3, 3, 3, 3, 3],
+               "classes": [[[3, 4], [5, 6], [7, 8]]] * 4 + [[[3, 4], [5, 6], [1, 8]]]}
+        target = tmp_path / "part.json"
+        target.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--kind", "partition", "--in", str(target))
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert checks[0] == {"name": "structure", "pass": False, "detail": "class 4 member 2 has labels outside [3, 8]"}
+        assert [(c["name"], c["detail"]) for c in checks[1:]] == [
+            (name, "skipped: structural errors") for name in ("sizes", "disjoint-union", "degree-spread")
+        ]
+
     @pytest.mark.parametrize("connected", [True, False])
     def test_one_block_of_4000_members(self, capsys, tmp_path, connected):
         # Distinct random 8-subsets of [1, 64], or of [1, 56] with the
@@ -186,6 +199,18 @@ class TestVerifyCommand:
         assert "internal error: injected" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["minor", "--n", "9", "--k", "3"], ["partition", "--n", "9", "--k", "3", "--block-size", "3"]]
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
+    out = tmp_path / "absent" / "m.json" if target == "missing-directory" else tmp_path
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err and "PASS" not in stdout
+
+
 class TestPartitionCommand:
     def test_28_triples(self, capsys):
         code, out, _ = run_cli(capsys, "partition", "--n", "9", "--k", "3", "--block-size", "3")
@@ -201,6 +226,16 @@ class TestPartitionCommand:
         code, _, err = run_cli(capsys, "partition", "--n", "4", "--k", "2", "--sizes", "2,2")
         assert code == 2
         assert "sizes" in err
+
+    def test_huge_family_is_refused_before_counting_it(self):
+        # C(2000000, 1000000) has about 600000 digits; the 64-bit range check
+        # must not compute it first.
+        proc = subprocess.run(
+            [sys.executable, "-m", "kneser_minors", "partition", "--n", "2000000", "--k", "1000000", "--block-size", "3"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 3
+        assert "64-bit range" in proc.stderr
 
 
 class TestTableCommand:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,18 @@ class TestBinomial:
     def test_overflow_guard(self):
         with pytest.raises(OutOfScopeError):
             binomial(70, 35)
+
+    @pytest.mark.parametrize("small", [32, 33, 34, 35])
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_range_check_comes_before_the_product(self, small, extra):
+        # min(b, a - b) = small; from 34 on the result is refused uncomputed.
+        for a, b in ((2 * small + extra, small), (2 * small + extra, small + extra)):
+            value = math.comb(a, b)
+            if value > 2**63 - 1:
+                with pytest.raises(OutOfScopeError, match="64-bit range"):
+                    binomial(a, b)
+            else:
+                assert binomial(a, b) == value
 
 
 class TestParams:
