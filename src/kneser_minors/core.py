@@ -91,6 +91,8 @@ def kset_mask(labels: Iterable[int]) -> int:
 
 def kset_labels(mask: int) -> tuple[int, ...]:
     """Labels of a mask in increasing order."""
+    if mask < 0:
+        raise ParameterError(f"negative mask {mask}")
     labels = []
     while mask:
         low = mask & -mask

@@ -19,10 +19,12 @@ s = n // k:
   a dedicated two-part build (the n = 13 certificate plus 19 size-4 blocks
   of the label-14 family).
 
-Every build is recorded as a trace of stages; replaying a trace re-executes
-the stages and reproduces the certificate byte-for-byte.  Exact block counts
-(never the floor-bound estimates) are used throughout, so the strongest
-orders fall out automatically.
+Every build is recorded as a trace of stages, one per (n, k) it passes
+through.  ``replay_trace`` accepts only the trace ``build_minor`` records for
+the trace's final (n, k) and re-executes it, so a replay reproduces the
+certificate byte-for-byte; any other trace is a ParameterError.  Exact block
+counts (never the floor-bound estimates) are used throughout, so the
+strongest orders fall out automatically.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 
 from .baranyai import _check_cap, partition_A, partition_C
 from .core import Params, binomial, family_A
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, OutOfScopeError, ParameterError
 from .chromatic import chi_of
 
 
@@ -49,24 +51,7 @@ class CaseTag(str, Enum):
     SPECIAL_14_3 = "SPECIAL_14_3"
 
 
-_BASE_TAGS = frozenset(
-    {CaseTag.S2_CASE1, CaseTag.S3_CASE1, CaseTag.S4_KGE4, CaseTag.S4_K3}
-)
-_EXTEND_TAGS = frozenset(
-    {CaseTag.S2_CASE2, CaseTag.S3_CASE2, CaseTag.S3_CASE3, CaseTag.SPECIAL_14_3}
-)
-
 _SHIFTED_K3 = frozenset({18, 22, 26})
-
-# Stages with a fixed partition block size; the s >= 4 stages derive theirs.
-_FIXED_STAGE_SIZES = {
-    CaseTag.S2_CASE1: 2,
-    CaseTag.S3_CASE1: 3,
-    CaseTag.S2_CASE2: 3,
-    CaseTag.S3_CASE2: 4,
-    CaseTag.S3_CASE3: 4,
-    CaseTag.SPECIAL_14_3: 4,
-}
 
 
 @dataclass(frozen=True)
@@ -168,38 +153,40 @@ def route_case(p: Params) -> CaseTag:
     return CaseTag.S4_K3
 
 
-def _anchored_count(p: Params, first_i: int, last_i: int, l: int) -> int:
-    return sum(binomial(p.n - i, p.k - 1) // l for i in range(first_i, last_i + 1))
+def _layout(p: Params) -> tuple[CaseTag, int | None, bool, range, bool]:
+    """The stage ``route_case(p)`` builds: (tag, l, singletons, anchors, stacked).
+
+    l is its block size (None for the re-embedding stage); singletons: it opens
+    with the singleton blocks of ``family_A(1, p)``; anchors: the i of its
+    ``partition_A(i, p, l)`` parts; stacked: it extends the (n - 1, k)
+    certificate, adding ``partition_C(p, l)`` when l is set.
+    """
+    tag = route_case(p)
+    if tag in (CaseTag.S2_CASE1, CaseTag.S3_CASE1):
+        return tag, p.s, True, range(2, p.k + 1), False
+    if tag is CaseTag.S4_KGE4:
+        q = S4Params.from_params(p)
+        return tag, q.l, False, range(1, q.n_prime + 1), False
+    if tag is CaseTag.S4_K3:
+        q3 = K3Params.from_n(p.n)
+        return tag, q3.l, False, range(1, q3.n_prime + 1), False
+    if tag is CaseTag.S4_K3_SHIFT:
+        return tag, None, False, range(0), True
+    # S2_CASE2 (l = 3), S3_CASE2, S3_CASE3 and SPECIAL_14_3 (l = 4)
+    return tag, 3 if p.s == 2 else 4, False, range(0), True
 
 
 def _stage_entries(p: Params) -> tuple[TraceEntry, ...]:
     """Trace of the build for p, block counts included (all closed-form)."""
-    tag = route_case(p)
+    tag, l, singletons, anchors, stacked = _layout(p)
     n, k = p.n, p.k
-    if tag is CaseTag.S2_CASE1:
-        count = binomial(n - 1, k - 1) + _anchored_count(p, 2, k, 2)
-        return (TraceEntry(tag, n, k, 2, count),)
-    if tag is CaseTag.S2_CASE2:
-        below = _stage_entries(Params(n - 1, k))
-        return below + (TraceEntry(tag, n, k, 3, binomial(n - 1, k - 1) // 3),)
-    if tag is CaseTag.S3_CASE1:
-        count = binomial(n - 1, k - 1) + _anchored_count(p, 2, k, 3)
-        return (TraceEntry(tag, n, k, 3, count),)
-    if tag in (CaseTag.S3_CASE2, CaseTag.S3_CASE3):
-        below = _stage_entries(Params(n - 1, k))
-        return below + (TraceEntry(tag, n, k, 4, binomial(n - 1, k - 1) // 4),)
-    if tag is CaseTag.S4_KGE4:
-        q = S4Params.from_params(p)
-        return (TraceEntry(tag, n, k, q.l, _anchored_count(p, 1, q.n_prime, q.l)),)
-    if tag is CaseTag.S4_K3:
-        q3 = K3Params.from_n(n)
-        return (TraceEntry(tag, n, k, q3.l, _anchored_count(p, 1, q3.n_prime, q3.l)),)
-    if tag is CaseTag.S4_K3_SHIFT:
-        below = _stage_entries(Params(n - 1, 3))
-        return below + (TraceEntry(tag, n, 3, None, 0),)
-    # SPECIAL_14_3
-    below = _stage_entries(Params(13, 3))
-    return below + (TraceEntry(tag, 14, 3, 4, binomial(13, 2) // 4),)
+    count = sum(binomial(n - i, k - 1) // l for i in anchors)
+    if singletons:
+        count += binomial(n - 1, k - 1)
+    below = _stage_entries(Params(n - 1, k)) if stacked else ()
+    if stacked and l is not None:
+        count += binomial(n - 1, k - 1) // l
+    return below + (TraceEntry(tag, n, k, l, count),)
 
 
 def _assert_anchored(blocks: list[tuple[int, ...]]) -> None:
@@ -215,60 +202,27 @@ def _assert_anchored(blocks: list[tuple[int, ...]]) -> None:
 
 
 def _execute(entries: tuple[TraceEntry, ...], cap: int | None) -> MinorCertificate:
-    if not entries:
-        raise ParameterError("empty trace")
+    """Run the stages of a trace from ``_stage_entries``."""
     final = entries[-1]
     _check_cap(binomial(final.n, final.k), cap)
     blocks: list[tuple[int, ...]] = []
-    cur_n = cur_k = None
     for entry in entries:
-        fixed = _FIXED_STAGE_SIZES.get(entry.case)
-        if fixed is not None and entry.block_size != fixed:
-            raise ParameterError(
-                f"stage {entry.case.value} requires block size {fixed}, trace has {entry.block_size}"
-            )
-        added = 0
-        if entry.case in _BASE_TAGS:
-            if blocks:
-                raise ConstructionError("base stage encountered after blocks were built")
-            p = Params(entry.n, entry.k)
-            if entry.case in (CaseTag.S2_CASE1, CaseTag.S3_CASE1):
-                singles = family_A(1, p)
-                blocks.extend((m,) for m in singles)
-                added += len(singles)
-                first_i, last_i = 2, p.k
-            elif entry.case is CaseTag.S4_KGE4:
-                q = S4Params.from_params(p)
-                if entry.block_size != q.l:
-                    raise ConstructionError("trace block size disagrees with derived l")
-                first_i, last_i = 1, q.n_prime
-            else:
-                q3 = K3Params.from_n(p.n)
-                if entry.block_size != q3.l:
-                    raise ConstructionError("trace block size disagrees with derived l")
-                first_i, last_i = 1, q3.n_prime
-            assert entry.block_size is not None
-            for i in range(first_i, last_i + 1):
-                cov = partition_A(i, p, entry.block_size, cap=cap)
-                blocks.extend(cov.blocks[: cov.guaranteed_blocks])
-                added += cov.guaranteed_blocks
-        elif entry.case in _EXTEND_TAGS:
-            if cur_n is None or entry.n != cur_n + 1 or entry.k != cur_k:
-                raise ConstructionError("extension stage does not follow its base")
-            assert entry.block_size is not None
-            cov = partition_C(Params(entry.n, entry.k), entry.block_size, cap=cap)
+        p = Params(entry.n, entry.k)
+        _, l, singletons, anchors, stacked = _layout(p)
+        start = len(blocks)
+        if singletons:
+            blocks.extend((m,) for m in family_A(1, p))
+        for i in anchors:
+            cov = partition_A(i, p, l, cap=cap)
             blocks.extend(cov.blocks[: cov.guaranteed_blocks])
-            added += cov.guaranteed_blocks
-        elif entry.case is CaseTag.S4_K3_SHIFT:
-            if cur_n is None or entry.n != cur_n + 1 or entry.k != cur_k:
-                raise ConstructionError("shift stage does not follow its base")
-        else:  # pragma: no cover - exhaustive over CaseTag
-            raise ConstructionError(f"unknown stage {entry.case}")
+        if stacked and l is not None:
+            cov = partition_C(p, l, cap=cap)
+            blocks.extend(cov.blocks[: cov.guaranteed_blocks])
+        added = len(blocks) - start
         if added != entry.block_count:
             raise ConstructionError(
                 f"stage {entry.case.value} produced {added} blocks, trace says {entry.block_count}"
             )
-        cur_n, cur_k = entry.n, entry.k
     _assert_anchored(blocks)
     return MinorCertificate(
         n=final.n, k=final.k, blocks=tuple(blocks), trace=entries, claimed_order=len(blocks)
@@ -278,8 +232,21 @@ def _execute(entries: tuple[TraceEntry, ...], cap: int | None) -> MinorCertifica
 def replay_trace(
     entries: tuple[TraceEntry, ...] | list[TraceEntry], cap: int | None = None
 ) -> MinorCertificate:
-    """Re-execute a recorded trace; reproduces the original certificate exactly."""
-    return _execute(tuple(entries), cap)
+    """Re-execute the trace ``build_minor`` records for the trace's final (n, k),
+    reproducing that certificate exactly.  Any other trace (empty, tampered,
+    or one the router never produces) is a ParameterError.
+    """
+    entries = tuple(entries)
+    if not entries:
+        raise ParameterError("empty trace")
+    final = entries[-1]
+    try:
+        recorded = _stage_entries(Params(final.n, final.k))
+    except OutOfScopeError as exc:
+        raise ParameterError(f"no trace is recorded for ({final.n}, {final.k}): {exc}") from exc
+    if entries != recorded:
+        raise ParameterError(f"not the trace build_minor records for ({final.n}, {final.k})")
+    return _execute(recorded, cap)
 
 
 def build_minor(p: Params, cap: int | None = None) -> MinorCertificate:

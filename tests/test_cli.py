@@ -237,6 +237,20 @@ class TestPartitionCommand:
         assert proc.returncode == 3
         assert "64-bit range" in proc.stderr
 
+    @pytest.mark.parametrize("n", ["65", "100"])
+    def test_label_cap_is_out_of_scope_as_for_minor(self, capsys, n):
+        want = f"out of scope: n = {n} exceeds the 64-label representation cap\n"
+        for argv in (["partition", "--n", n, "--k", "3", "--block-size", "3"], ["minor", "--n", n, "--k", "3"]):
+            assert run_cli(capsys, *argv) == (3, "", want)
+
+    def test_verify_ground_past_the_label_cap_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "part.json"
+        doc = {"version": 1, "ground": [1, 65], "k": 3, "sizes": [1], "classes": [[[1, 2, 3]]]}
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--kind", "partition", "--in", str(target))
+        assert (code, out) == (2, "")
+        assert "ground" in err
+
 
 class TestTableCommand:
     def test_full_range_matches_reference(self, capsys):

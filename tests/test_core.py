@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,17 @@ class TestKsets:
         mask = kset_mask([1, 4, 7])
         assert kset_text(mask) == "[1,4,7]"
         assert kset_labels(mask) == (1, 4, 7)
+
+    @pytest.mark.parametrize("helper", ["kset_labels", "kset_text"])
+    def test_negative_mask_is_refused(self, helper):
+        # The low-bit walk never ends on a negative int, so a regression hangs:
+        # run it in a child with a timeout.
+        code = (
+            "from kneser_minors import ParameterError, " + helper + "\n"
+            "try:\n    " + helper + "(-1)\nexcept ParameterError as exc:\n    print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+        assert (proc.returncode, proc.stdout) == (0, "negative mask -1\n")
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from kneser_minors import (
     ParameterError,
     Params,
     S4Params,
+    TraceEntry,
     bound_check_s4,
     build_minor,
     chi,
@@ -251,6 +253,30 @@ class TestTrace:
 
         cert = build_minor(Params(8, 3))
         bad = (cert.trace[0], dataclasses.replace(cert.trace[1], block_size=5))
+        with pytest.raises(ParameterError):
+            replay_trace(bad)
+
+    @pytest.mark.parametrize(
+        "n,k,tamper",
+        [
+            pytest.param(
+                8, 3, lambda t: (t[0], dataclasses.replace(t[1], block_count=t[1].block_count + 1)),
+                id="wrong-block-count",
+            ),
+            pytest.param(8, 3, lambda t: t[::-1], id="swapped-entries"),
+            pytest.param(8, 3, lambda t: t[1:], id="dropped-base"),
+            pytest.param(
+                16, 4, lambda t: (dataclasses.replace(t[0], block_size=t[0].block_size + 1),),
+                id="wrong-s4-block-size",
+            ),
+            # (12, 3) routes to S4_K3; this stage layout is never recorded for it.
+            pytest.param(12, 3, lambda t: (TraceEntry(CaseTag.S3_CASE1, 12, 3, 3, 82),), id="not-routed"),
+            pytest.param(8, 3, lambda t: (), id="empty"),
+            pytest.param(8, 3, lambda t: (TraceEntry(CaseTag.S2_CASE1, 65, 3, 2, 1),), id="out-of-scope"),
+        ],
+    )
+    def test_replay_accepts_only_the_recorded_trace(self, n, k, tamper):
+        bad = tamper(build_minor(Params(n, k)).trace)
         with pytest.raises(ParameterError):
             replay_trace(bad)
 
