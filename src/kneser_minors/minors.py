@@ -22,7 +22,9 @@ s = n // k:
 Every build is recorded as a trace of stages, one per (n, k) it passes
 through.  ``replay_trace`` accepts only the trace ``build_minor`` records for
 the trace's final (n, k) and re-executes it, so a replay reproduces the
-certificate byte-for-byte; any other trace is a ParameterError.  Exact block
+certificate byte-for-byte; any other trace is a ParameterError.  The minor
+file parser, ``serialize.minor_from_dict``, holds a file's trace to the same
+rule (``_recorded_trace``).  Exact block
 counts (never the floor-bound estimates) are used throughout, so the
 strongest orders fall out automatically.
 """
@@ -229,21 +231,27 @@ def _execute(entries: tuple[TraceEntry, ...], cap: int | None) -> MinorCertifica
     )
 
 
+def _recorded_trace(n: int, k: int) -> tuple[TraceEntry, ...]:
+    """The trace ``build_minor`` records for (n, k); out of scope is a ParameterError."""
+    try:
+        return _stage_entries(Params(n, k))
+    except OutOfScopeError as exc:
+        raise ParameterError(f"no trace is recorded for ({n}, {k}): {exc}") from exc
+
+
 def replay_trace(
     entries: tuple[TraceEntry, ...] | list[TraceEntry], cap: int | None = None
 ) -> MinorCertificate:
     """Re-execute the trace ``build_minor`` records for the trace's final (n, k),
     reproducing that certificate exactly.  Any other trace (empty, tampered,
-    or one the router never produces) is a ParameterError.
+    or one the router never produces) is a ParameterError, as it is when
+    ``serialize.minor_from_dict`` reads it.
     """
     entries = tuple(entries)
     if not entries:
         raise ParameterError("empty trace")
     final = entries[-1]
-    try:
-        recorded = _stage_entries(Params(final.n, final.k))
-    except OutOfScopeError as exc:
-        raise ParameterError(f"no trace is recorded for ({final.n}, {final.k}): {exc}") from exc
+    recorded = _recorded_trace(final.n, final.k)
     if entries != recorded:
         raise ParameterError(f"not the trace build_minor records for ({final.n}, {final.k})")
     return _execute(recorded, cap)

@@ -4,6 +4,11 @@ All documents are pretty-printed UTF-8 with sorted keys, so identical
 objects serialize to identical bytes.  k-subsets appear as strictly
 increasing label arrays.
 
+A minor document's ``trace`` must be exactly the trace ``build_minor``
+records for its (n, k), as ``minor_to_dict`` writes it; ``minor_from_dict``
+raises ParameterError for any other, and the parsed certificate carries the
+recorded entries.  The verifier never reads the trace.
+
 ``dumps_canonical`` writes exactly the bytes of
 ``json.JSONEncoder(indent=2, sort_keys=True)`` plus a final newline, and
 raises the same exception types.  The stdlib encodes with an indent only in
@@ -27,7 +32,7 @@ from .baranyai import AlmostRegularPartition, PartitionPlan
 from .chromatic import ColoringCertificate
 from .core import kset_labels, kset_mask
 from .errors import ParameterError
-from .minors import CaseTag, MinorCertificate, TraceEntry
+from .minors import MinorCertificate, TraceEntry, _recorded_trace
 from .verify import VerificationReport
 
 FORMAT_VERSION = 1
@@ -174,6 +179,21 @@ def _check_header(document: Any, kind: str) -> None:
             raise ParameterError(f"expected a {kind} certificate, found kind = {got!r}")
 
 
+def _trace_list(trace: tuple[TraceEntry, ...]) -> list[dict[str, Any]]:
+    return [
+        {
+            "case": entry.case.value,
+            "params": {
+                "n": entry.n,
+                "k": entry.k,
+                "block_size": entry.block_size,
+                "block_count": entry.block_count,
+            },
+        }
+        for entry in trace
+    ]
+
+
 def minor_to_dict(cert: MinorCertificate) -> dict[str, Any]:
     return {
         "version": FORMAT_VERSION,
@@ -181,18 +201,7 @@ def minor_to_dict(cert: MinorCertificate) -> dict[str, Any]:
         "n": cert.n,
         "k": cert.k,
         "blocks": [[_labels(m) for m in block] for block in cert.blocks],
-        "trace": [
-            {
-                "case": entry.case.value,
-                "params": {
-                    "n": entry.n,
-                    "k": entry.k,
-                    "block_size": entry.block_size,
-                    "block_count": entry.block_count,
-                },
-            }
-            for entry in cert.trace
-        ],
+        "trace": _trace_list(cert.trace),
         "claimed_order": cert.claimed_order,
     }
 
@@ -203,30 +212,11 @@ def minor_from_dict(document: Any) -> MinorCertificate:
     k = _require(document, "k", int, "minor")
     blocks = _block_lists(_require(document, "blocks", list, "minor"), "blocks")
     claimed = _require(document, "claimed_order", int, "minor")
-    raw_trace = _require(document, "trace", list, "minor")
-    entries = []
-    for ti, item in enumerate(raw_trace):
-        case_name = _require(item, "case", str, f"trace[{ti}]")
-        try:
-            case = CaseTag(case_name)
-        except ValueError as exc:
-            raise ParameterError(f"trace[{ti}]: unknown case {case_name!r}") from exc
-        params = _require(item, "params", dict, f"trace[{ti}]")
-        size = params.get("block_size")
-        if size is not None and (not isinstance(size, int) or isinstance(size, bool)):
-            raise ParameterError(f"trace[{ti}]: block_size must be an integer or null")
-        entries.append(
-            TraceEntry(
-                case=case,
-                n=_require(params, "n", int, f"trace[{ti}].params"),
-                k=_require(params, "k", int, f"trace[{ti}].params"),
-                block_size=size,
-                block_count=_require(params, "block_count", int, f"trace[{ti}].params"),
-            )
-        )
-    return MinorCertificate(
-        n=n, k=k, blocks=blocks, trace=tuple(entries), claimed_order=claimed
-    )
+    trace = _recorded_trace(n, k)
+    # == against the rendering: its depth bounds the comparison, whatever the input's.
+    if _require(document, "trace", list, "minor") != _trace_list(trace):
+        raise ParameterError(f"minor: not the trace build_minor records for ({n}, {k})")
+    return MinorCertificate(n=n, k=k, blocks=blocks, trace=trace, claimed_order=claimed)
 
 
 def coloring_to_dict(cert: ColoringCertificate) -> dict[str, Any]:

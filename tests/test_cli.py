@@ -14,6 +14,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# The trace build_minor records for (64, 8), as minor_to_dict writes it.
+TRACE_64_8 = [{"case": "S4_KGE4", "params": {"n": 64, "k": 8, "block_size": 5, "block_count": 880525903}}]
+
+
 class TestChi:
     def test_values(self, capsys):
         code, out, _ = run_cli(capsys, "chi", "--n", "12", "--k", "3")
@@ -77,6 +81,17 @@ class TestVerifyCommand:
         report = json.loads(out)
         failed = {c["name"] for c in report["checks"] if not c["pass"]}
         assert "disjoint-blocks" in failed
+
+    def test_trace_other_than_the_recorded_one_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "cert.json"
+        run_cli(capsys, "minor", "--n", "8", "--k", "3", "--out", str(target))
+        doc = json.loads(target.read_text())
+        doc["trace"][0]["case"] = "S4_K3"
+        doc["trace"][0]["params"]["block_count"] = 999
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--kind", "minor", "--in", str(target))
+        assert (code, out) == (2, "")
+        assert err == "error: minor: not the trace build_minor records for (8, 3)\n"
 
     def test_wrong_kind_file(self, capsys, tmp_path):
         target = tmp_path / "cert.json"
@@ -172,7 +187,7 @@ class TestVerifyCommand:
             block.insert(2000, list(range(57, 65)))
         target = tmp_path / "block.json"
         target.write_text(json.dumps(
-            {"version": 1, "kind": "minor", "n": 64, "k": 8, "blocks": [block], "trace": [], "claimed_order": 1}
+            {"version": 1, "kind": "minor", "n": 64, "k": 8, "blocks": [block], "trace": TRACE_64_8, "claimed_order": 1}
         ))
         code, out, _ = run_cli(capsys, "verify", "--kind", "minor", "--in", str(target))
         assert code == 1  # one block is far below chi(64, 8)

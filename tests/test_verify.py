@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import math
 
@@ -200,6 +201,33 @@ class TestVerifyPartition:
         assert not checks["disjoint-union"].passed
 
 
+MINOR_8_3 = build_minor(Params(8, 3))
+COLORING_7_3 = build_coloring(Params(7, 3))
+PARTITION_1_5 = almost_regular_partition(PartitionPlan((1, 5), 2, (5, 5)))
+
+
+@pytest.mark.parametrize(
+    "verify,valid,broken",
+    [
+        # k = 0: chi_of(n, 0) would divide by zero, so no check may run.
+        (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, k=0)),
+        (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, blocks=MINOR_8_3.blocks + ((),))),
+        (verify_coloring, COLORING_7_3, dataclasses.replace(COLORING_7_3, k=0)),
+        (verify_coloring, COLORING_7_3, dataclasses.replace(COLORING_7_3, classes=COLORING_7_3.classes + ((),))),
+        (verify_partition, PARTITION_1_5, dataclasses.replace(PARTITION_1_5, classes=PARTITION_1_5.classes + ((),))),
+    ],
+    ids=["minor-k0", "minor-empty-block", "coloring-k0", "coloring-empty-class", "partition-empty-class"],
+)
+def test_structural_errors_skip_every_named_check(verify, valid, broken):
+    passing, failing = verify(valid), verify(broken)
+    assert passing.passed
+    assert [c.name for c in failing.checks] == [c.name for c in passing.checks]
+    assert failing.checks[0].name == "structure" and not failing.checks[0].passed
+    assert [(c.passed, c.detail) for c in failing.checks[1:]] == [(False, "skipped: structural errors")] * (
+        len(passing.checks) - 1
+    )
+
+
 class TestSerialization:
     def test_minor_round_trip(self):
         cert = build_minor(Params(8, 3))
@@ -235,6 +263,12 @@ class TestSerialization:
         doc = minor_to_dict(build_minor(Params(7, 3)))
         del doc["claimed_order"]
         with pytest.raises(ParameterError):
+            minor_from_dict(doc)
+
+    def test_out_of_scope_minor_has_no_recorded_trace(self):
+        doc = minor_to_dict(build_minor(Params(7, 3)))
+        doc["n"] = 65
+        with pytest.raises(ParameterError, match=r"no trace is recorded for \(65, 3\)"):
             minor_from_dict(doc)
 
     def test_report_shape(self):
@@ -302,10 +336,27 @@ def mutated(draw, valid, values=JSON_VALUES):
     return doc
 
 
-MINOR_DOCS = JSON_VALUES | mutated(st.fixed_dictionaries({
-    "version": st.just(1), "kind": st.just("minor"), "n": SMALL, "k": SMALL,
-    "blocks": BLOCKS, "trace": TRACE, "claimed_order": SMALL,
-}))
+@functools.cache
+def recorded_trace(n, k):
+    """The trace field minor_to_dict writes for (n, k)."""
+    return minor_to_dict(build_minor(Params(n, k)))["trace"]
+
+
+@st.composite
+def minor_fields(draw):
+    """Any small (n, k) and well-typed trace, or an in-scope (n, k) with the
+    trace build_minor records for it (the only trace that parses)."""
+    if draw(st.booleans()):
+        n, k, trace = draw(SMALL), draw(SMALL), draw(TRACE)
+    else:
+        k = draw(st.integers(3, 5))
+        n = draw(st.integers(2 * k + 1, 12))
+        trace = copy.deepcopy(recorded_trace(n, k))
+    return {"version": 1, "kind": "minor", "n": n, "k": k,
+            "blocks": draw(BLOCKS), "trace": trace, "claimed_order": draw(SMALL)}
+
+
+MINOR_DOCS = JSON_VALUES | mutated(minor_fields())
 COLORING_DOCS = JSON_VALUES | mutated(st.fixed_dictionaries({
     "version": st.just(1), "kind": st.just("coloring"), "n": SMALL, "k": SMALL, "classes": BLOCKS,
 }))
