@@ -23,8 +23,15 @@ already-placed labels are untouched by the step, so per-class degree spread
 with a fixed arc order (see ``_max_flow``); together with colex ordering of
 types this makes the whole construction reproducible byte-for-byte.
 
+Classes in the same state share one node.  A *group* is a range of
+consecutive classes with equal free slots and partial edges, at first a run
+of equal sizes; m members get m times one member's bounds and capacities.
+The group's flow, laid out run by run, is dealt unit u to member u mod m, so
+each member takes at most its count of each run and the floor or ceiling of
+its own load.  Members dealt alike form a child group, again a subrange.
+
 Between label steps the state is a few flat arrays.  The distinct
-unfinished masks (the *types*) are numbered in mask order; each class is a
+unfinished masks (the *types*) are numbered in mask order; each group is a
 list of (type id, copy count) runs in mask order; copies that reach k
 labels are set aside as finished edges.  After each step the types are
 renumbered as the kept types followed by the grown ones (a type's mask
@@ -138,14 +145,14 @@ def _max_flow(
     sres: list[int], cstart: list[int], pclass: list[int], ptype: list[int],
     cnt: list[int], flow: list[int], tpairs: list[list[int]], tres: list[int],
 ) -> int:
-    """Dinic on source -> class -> type -> sink; returns the flow it adds.
+    """Dinic on source -> group -> type -> sink; returns the flow it adds.
 
-    Residuals live in the caller's arrays: ``sres[j]`` on source -> class j,
-    ``cnt[p] - flow[p]`` on pair p (class ``pclass[p]`` -> type ``ptype[p]``)
+    Residuals live in the caller's arrays: ``sres[j]`` on source -> group j,
+    ``cnt[p] - flow[p]`` on pair p (group ``pclass[p]`` -> type ``ptype[p]``)
     and ``flow[p]`` on its reverse, ``tres[t]`` on type t -> sink.  The search
-    scans arcs in the order a generic Dinic would see them inserted: classes
-    by index at the source, pairs by type mask at a class, reverse pairs by
-    class index and then the sink arc at a type.  A cursor moves only past an
+    scans arcs in the order a generic Dinic would see them inserted: groups
+    by first class at the source, pairs by type mask at a group, reverse pairs
+    by group and then the sink arc at a type.  A cursor moves only past an
     ineligible arc or a dead end, and every augmentation restarts from the
     source, so the flow found is a fixed function of the network.
     """
@@ -243,23 +250,54 @@ def _max_flow(
 
 def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplaced: int) -> tuple:
     """Decide which partial-edge copies absorb local label v; return the next state."""
-    masks, tot, slots, cstart, pclass, ptype, cnt, tpairs = state
+    masks, tot, first, slots, cstart, pgroup, ptype, cnt, tpairs = state
+    mult = [b - a for a, b in zip(first, first[1:])]
     future = unplaced - 1
     by_size = [binomial(future, k - size - 1) for size in range(k)]
     demand = [by_size[m.bit_count()] for m in masks]
-    sres = [a // unplaced for a in slots]
+    sres = [m * (a // unplaced) for m, a in zip(mult, slots)]
+    cap = [mult[g] * c for g, c in zip(pgroup, cnt)]
     flow, tres = [0] * len(cnt), demand[:]
     floor_total = sum(sres)
-    if _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != floor_total:
+    if _max_flow(sres, cstart, pgroup, ptype, cap, flow, tpairs, tres) != floor_total:
         raise ConstructionError(f"label step {v}: could not meet per-class floor loads")
-    sres = [r + (a % unplaced > 0) for r, a in zip(sres, slots)]  # now up to ceiling loads
-    if floor_total + _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != sum(demand):
+    sres = [r + m * (a % unplaced > 0) for r, m, a in zip(sres, mult, slots)]  # now up to ceiling loads
+    if floor_total + _max_flow(sres, cstart, pgroup, ptype, cap, flow, tpairs, tres) != sum(demand):
         raise ConstructionError(f"label step {v}: could not meet absorption demands")
 
+    # Deal each group's flow, laid out run by run, unit u to member u mod m.
+    # Members between cut points (unit offsets mod m) get the same parts and
+    # form a child; one-member groups h..g-1 pass their flow on whole.  Entry
+    # e is child cgroup[e]'s share x[e] of the flow on pair pair[e].
+    load = [m * -(a // -unplaced) - r for m, a, r in zip(mult, slots, sres)]  # copies each group absorbed
+    cfirst, cslots, cgroup, pair, x = [], [], [], [], []
+    h = 0
+    for g in [g for g, m in enumerate(mult) if m > 1] + [len(mult)]:
+        lo, hi, shift = cstart[h], cstart[g], len(cfirst) - h
+        cgroup += [c + shift for c in pgroup[lo:hi]]
+        cfirst += first[h:g]
+        cslots += [a - f for a, f in zip(slots[h:g], load[h:g])]
+        pair += range(lo, hi)
+        x += flow[lo:hi]
+        if g == len(mult):
+            break
+        m, h = mult[g], g + 1
+        lo, hi = cstart[g], cstart[h]
+        part = flow[lo:hi]
+        offsets = list(accumulate(part, initial=0))
+        whole, rest = divmod(load[g], m)
+        for i in sorted({s % m for s in offsets}):
+            cgroup += [len(cfirst)] * (hi - lo)
+            cfirst.append(first[g] + i)
+            cslots.append(slots[g] - whole - (i < rest))
+            pair += range(lo, hi)
+            x += [f // m + ((i - s) % m < f % m) for f, s in zip(part, offsets)]
+    cfirst.append(first[-1])
+
     # Types are renumbered as kept ones, then grown ones: both stay in mask
-    # order because v's bit is above every placed bit.  A class's new runs
-    # are its kept parts, then its grown parts, so a stable merge by class
-    # keeps every class in mask order too.
+    # order because v's bit is above every placed bit.  A group's new runs
+    # are its kept parts, then its grown parts, so a stable merge by group
+    # keeps every group in mask order too.
     bit = 1 << (v - 1)
     keep = [t for t in range(len(masks)) if tot[t] > demand[t]]
     grow = [t for t, m in enumerate(masks) if demand[t] and m.bit_count() + 1 < k]
@@ -268,17 +306,18 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
         kid[t] = i
     for i, t in enumerate(grow, len(keep)):
         gid[t] = i
-    kept = [p for p in range(len(cnt)) if cnt[p] > flow[p]]
-    moved = [p for p in range(len(cnt)) if flow[p]]
-    grown = [p for p in moved if gid[ptype[p]] >= 0]
-    for p in moved:
-        if gid[ptype[p]] < 0:  # the copies took their k-th label
-            done[pclass[p]] += [masks[ptype[p]] | bit] * flow[p]
-    cls = [pclass[p] for p in kept] + [pclass[p] for p in grown]
-    ty = [kid[ptype[p]] for p in kept] + [gid[ptype[p]] for p in grown]
-    ct = [cnt[p] - flow[p] for p in kept] + [flow[p] for p in grown]
-    order = sorted(range(len(cls)), key=cls.__getitem__)
-    pclass = [cls[i] for i in order]
+    kept = [e for e, p in enumerate(pair) if cnt[p] > x[e]]
+    moved = [e for e, n in enumerate(x) if n]
+    grown = [e for e in moved if gid[ptype[pair[e]]] >= 0]
+    for e in moved:
+        if gid[t := ptype[pair[e]]] < 0:  # the copies took their k-th label
+            for j in range(cfirst[cgroup[e]], cfirst[cgroup[e] + 1]):
+                done[j] += [masks[t] | bit] * x[e]
+    grp = [cgroup[e] for e in kept] + [cgroup[e] for e in grown]
+    ty = [kid[ptype[pair[e]]] for e in kept] + [gid[ptype[pair[e]]] for e in grown]
+    ct = [cnt[pair[e]] - x[e] for e in kept] + [x[e] for e in grown]
+    order = sorted(range(len(grp)), key=grp.__getitem__)
+    pgroup = [grp[i] for i in order]
     ptype = [ty[i] for i in order]
     tpairs = [[] for _ in range(len(keep) + len(grow))]
     for p, t in enumerate(ptype):
@@ -286,10 +325,9 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
     return (
         [masks[t] for t in keep] + [masks[t] | bit for t in grow],
         [tot[t] - demand[t] for t in keep] + [demand[t] for t in grow],
-        # Class j absorbed ceil(slots[j] / unplaced) - sres[j] copies.
-        [a + a // -unplaced + r for a, r in zip(slots, sres)],
-        [bisect_left(pclass, j) for j in range(len(slots) + 1)],
-        pclass, ptype, [ct[i] for i in order],
+        cfirst, cslots,
+        [bisect_left(pgroup, c) for c in range(len(cslots) + 1)],
+        pgroup, ptype, [ct[i] for i in order],
         tpairs,
     )
 
@@ -321,11 +359,13 @@ def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> Alm
     _check_cap(plan.edge_count, cap)
     g, k, sizes = plan.ground_size, plan.k, plan.sizes
     n = len(sizes)
-    # Types are the distinct unfinished masks, tot[t] copies in all.  Pair p
-    # is a run of cnt[p] copies of type ptype[p] in class pclass[p]; class j
-    # has free label slots slots[j] and runs cstart[j]..cstart[j+1]-1, in
-    # mask order.  tpairs[t] lists type t's pairs in class order.
-    state = ([0], [sum(sizes)], [k * a for a in sizes], list(range(n + 1)), list(range(n)), [0] * n, list(sizes), [list(range(n))])
+    # Types are the distinct unfinished masks, tot[t] copies in all.  Group g
+    # is classes first[g]..first[g+1]-1, each with slots[g] free label slots
+    # and runs cstart[g]..cstart[g+1]-1 in mask order: pair p is cnt[p] copies
+    # of type ptype[p].  tpairs[t] lists type t's pairs in group order.
+    first = [j for j in range(n) if not j or sizes[j] != sizes[j - 1]]
+    lead, r = [sizes[j] for j in first], range(len(first))
+    state = ([0], [sum(sizes)], first + [n], [k * a for a in lead], [*r, len(r)], list(r), [0] * len(r), lead, [list(r)])
     done: list[list[int]] = [[] for _ in sizes]
     for v in range(1, g + 1):
         state = _absorption_step(state, done, k, v, g - v + 1)

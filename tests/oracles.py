@@ -6,17 +6,21 @@ number and the hockey-stick identity used in the order accounting, all
 only usable on tiny instances, the pairwise connectivity search the
 minor verifier used before it searched over labels, the engine's
 self-check as it was before it shared the verifier's partition checks
-(it compares against the enumerated family), and the stdlib's indented
-encoder that canonical JSON must match byte for byte.  The small
+(it compares against the enumerated family), the partition engine as it
+was before it solved label steps on groups of identical classes (one flow
+node per class; it shares the package's max-flow solver), and the stdlib's
+indented encoder that canonical JSON must match byte for byte.  The small
 helpers at the end are used only by tests.
 """
 
 import io
 import itertools
 import json
+from bisect import bisect_left
 from typing import Any, Sequence
 
 from kneser_minors import (
+    AlmostRegularPartition,
     ConstructionError,
     CoveredPartition,
     ParameterError,
@@ -29,6 +33,7 @@ from kneser_minors import (
     kset_labels,
     union_mask,
 )
+from kneser_minors.baranyai import _max_flow
 from kneser_minors.core import label_degrees
 
 ORACLE_EDGE_CAP = 30
@@ -230,6 +235,71 @@ def self_check_reference(plan: PartitionPlan, classes: Sequence[Sequence[int]]) 
         degrees = label_degrees(cls, hi)[lo - 1:]
         if max(degrees) - min(degrees) > 1:
             raise ConstructionError(f"class {idx} has degree spread > 1")
+
+
+def _absorption_step_reference(state: tuple, done: list[list[int]], k: int, v: int, unplaced: int) -> tuple:
+    """One label step with one flow node per class; return the next state."""
+    masks, tot, slots, cstart, pclass, ptype, cnt, tpairs = state
+    future = unplaced - 1
+    by_size = [binomial(future, k - size - 1) for size in range(k)]
+    demand = [by_size[m.bit_count()] for m in masks]
+    sres = [a // unplaced for a in slots]
+    flow, tres = [0] * len(cnt), demand[:]
+    floor_total = sum(sres)
+    if _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != floor_total:
+        raise ConstructionError(f"label step {v}: could not meet per-class floor loads")
+    sres = [r + (a % unplaced > 0) for r, a in zip(sres, slots)]
+    if floor_total + _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != sum(demand):
+        raise ConstructionError(f"label step {v}: could not meet absorption demands")
+    bit = 1 << (v - 1)
+    keep = [t for t in range(len(masks)) if tot[t] > demand[t]]
+    grow = [t for t, m in enumerate(masks) if demand[t] and m.bit_count() + 1 < k]
+    kid, gid = [0] * len(masks), [-1] * len(masks)
+    for i, t in enumerate(keep):
+        kid[t] = i
+    for i, t in enumerate(grow, len(keep)):
+        gid[t] = i
+    kept = [p for p in range(len(cnt)) if cnt[p] > flow[p]]
+    moved = [p for p in range(len(cnt)) if flow[p]]
+    grown = [p for p in moved if gid[ptype[p]] >= 0]
+    for p in moved:
+        if gid[ptype[p]] < 0:
+            done[pclass[p]] += [masks[ptype[p]] | bit] * flow[p]
+    cls = [pclass[p] for p in kept] + [pclass[p] for p in grown]
+    ty = [kid[ptype[p]] for p in kept] + [gid[ptype[p]] for p in grown]
+    ct = [cnt[p] - flow[p] for p in kept] + [flow[p] for p in grown]
+    order = sorted(range(len(cls)), key=cls.__getitem__)
+    pclass = [cls[i] for i in order]
+    ptype = [ty[i] for i in order]
+    tpairs = [[] for _ in range(len(keep) + len(grow))]
+    for p, t in enumerate(ptype):
+        tpairs[t].append(p)
+    return (
+        [masks[t] for t in keep] + [masks[t] | bit for t in grow],
+        [tot[t] - demand[t] for t in keep] + [demand[t] for t in grow],
+        [a + a // -unplaced + r for a, r in zip(slots, sres)],
+        [bisect_left(pclass, j) for j in range(len(slots) + 1)],
+        pclass, ptype, [ct[i] for i in order],
+        tpairs,
+    )
+
+
+def almost_regular_partition_reference(plan: PartitionPlan) -> AlmostRegularPartition:
+    """The per-class partition engine: each label step solves one flow node per class.
+
+    Raises ConstructionError where the package engine would; runs no
+    self-check, so a caller checks the result itself.
+    """
+    g, k, sizes = plan.ground_size, plan.k, plan.sizes
+    n = len(sizes)
+    state = ([0], [sum(sizes)], [k * a for a in sizes], list(range(n + 1)), list(range(n)), [0] * n, list(sizes), [list(range(n))])
+    done: list[list[int]] = [[] for _ in sizes]
+    for v in range(1, g + 1):
+        state = _absorption_step_reference(state, done, k, v, g - v + 1)
+    if state[0] or any(len(set(cls)) != len(cls) for cls in done):
+        raise ConstructionError("a class finished with unfinished or duplicated edges")
+    shift = plan.ground[0] - 1
+    return AlmostRegularPartition(plan, tuple(tuple(sorted(mask << shift for mask in cls)) for cls in done))
 
 
 def dumps_canonical_reference(document: Any) -> str:

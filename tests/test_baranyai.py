@@ -3,7 +3,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kneser_minors import (
@@ -26,7 +26,13 @@ from kneser_minors import (
 from kneser_minors import baranyai
 from kneser_minors.cli import main
 from kneser_minors.serialize import dumps_canonical, partition_to_dict
-from oracles import covered_labels, exhaustive_partition_feasible, remainder_block, self_check_reference
+from oracles import (
+    almost_regular_partition_reference,
+    covered_labels,
+    exhaustive_partition_feasible,
+    remainder_block,
+    self_check_reference,
+)
 
 
 def degree_profile(cls, lo, hi):
@@ -256,6 +262,70 @@ class TestSharedPartitionCheck:
             with pytest.raises(ConstructionError):
                 baranyai._self_check(part.plan, classes)
         assert verify_partition(AlmostRegularPartition(part.plan, classes)).passed is accepted
+
+
+@st.composite
+def repeated_size_plans(draw):
+    """Plans on at most 8 labels whose sizes come in runs of equal values."""
+    g = draw(st.integers(1, 8) | st.integers(5, 8))
+    k = draw(st.integers(1, g))
+    total = binomial(g, k)
+    if draw(st.booleans()):
+        sizes = list(uniform_sizes(total, draw(st.integers(1, total))))
+    else:
+        sizes, left = [], total
+        while left:
+            a = draw(st.integers(1, left))
+            sizes += [a] * draw(st.integers(1, left // a))
+            left = total - sum(sizes)
+    lo = draw(st.integers(1, 64 - g + 1))
+    return PartitionPlan((lo, lo + g - 1), k, tuple(sizes))
+
+
+@st.composite
+def distinct_neighbour_plans(draw):
+    """Plans on at most 8 labels with no two consecutive sizes equal."""
+    g = draw(st.integers(1, 8) | st.integers(5, 8))
+    k = draw(st.integers(1, g))
+    total = binomial(g, k)
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=6))) if total > 1 else []
+    sizes = tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+    assume(all(a != b for a, b in zip(sizes, sizes[1:])))
+    lo = draw(st.integers(1, 64 - g + 1))
+    return PartitionPlan((lo, lo + g - 1), k, sizes)
+
+
+class TestPerClassReference:
+    """The engine solves each label step on groups of identical classes; the
+    reference solves one flow node per class."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_size_plans())
+    def test_both_engines_are_valid_on_repeated_sizes(self, plan):
+        for part in (almost_regular_partition(plan), almost_regular_partition_reference(plan)):
+            self_check_reference(plan, part.classes)
+            assert verify_partition(part).passed
+
+    @settings(max_examples=200, deadline=None)
+    @given(distinct_neighbour_plans())
+    def test_single_member_groups_give_the_reference_classes(self, plan):
+        assert almost_regular_partition(plan).classes == almost_regular_partition_reference(plan).classes
+
+    @pytest.mark.parametrize("g,k,l", [(11, 3, 3), (12, 4, 3), (12, 4, 7), (10, 5, 4)])
+    def test_uniform_plans_start_as_at_most_two_groups(self, monkeypatch, g, k, l):
+        nodes = []
+
+        def counting(sres, *args):
+            nodes.append(len(sres))
+            return flow(sres, *args)
+
+        flow = baranyai._max_flow
+        monkeypatch.setattr(baranyai, "_max_flow", counting)
+        sizes = uniform_sizes(binomial(g, k), l)
+        part = almost_regular_partition(PartitionPlan((1, g), k, sizes))
+        assert verify_partition(part).passed
+        assert nodes[0] == 1 + (sizes[-1] != l)
+        assert nodes[0] < max(nodes) <= len(sizes)
 
 
 @pytest.fixture

@@ -6,9 +6,14 @@ bytes fails here.  A deliberate change of output must re-pin these digests.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kneser_minors
 from kneser_minors import Params, build_coloring, build_minor, serialize
 from kneser_minors.cli import main
 from kneser_minors.minors import CaseTag, route_case
@@ -22,13 +27,13 @@ def digest(text: str) -> str:
 MINOR_DIGESTS = {
     (7, 3): (CaseTag.S2_CASE1, "76505b55b8b6af0dbbb03eb97bab25a611beaba30f2d7f786a9a2c31ee31eed2"),
     (8, 3): (CaseTag.S2_CASE2, "a97133baae752e21aa4299c8b5064863aeabfd78e1e261c52f3ed6a0f76a90db"),
-    (9, 3): (CaseTag.S3_CASE1, "e9878f02d45ab67697784ff048ec24c56acb8b3ee9b47335845b502f29e3bccd"),
-    (10, 3): (CaseTag.S3_CASE2, "785b4f167a39aae3d5420934f45c378459a6b375e78c0d2783df49dc431daf30"),
-    (11, 3): (CaseTag.S3_CASE3, "53ead3c31acf4ccdc7d43fc943afaf5b46090677030a84734dfe7fcdc0f82f3f"),
-    (12, 3): (CaseTag.S4_K3, "68436983bc3c986e1ad3c1c74c1da298967df4f136cfcd9a4c6de407ab1317b2"),
-    (18, 3): (CaseTag.S4_K3_SHIFT, "c60660464ba81ff2e245449754fb14ca234f6cbcea7fa0f80e42ee5be516c3c6"),
-    (16, 4): (CaseTag.S4_KGE4, "0582608623fcc3ac027f1065810ac01bde665380ed74c1a8dbf0b57a6d24face"),
-    (14, 3): (CaseTag.SPECIAL_14_3, "47a0a3a1e4f40c9b29a33b36a1277d523249e37284332e8809bdee8b5dc60348"),
+    (9, 3): (CaseTag.S3_CASE1, "492e2d374257677d63c3385f9baa85f91444b8bff7ea3b7fcbd47423f2fdee0e"),
+    (10, 3): (CaseTag.S3_CASE2, "7707428887b525f0e4f7c418301acc3de481167d7569d0d692a22e74e3bf5116"),
+    (11, 3): (CaseTag.S3_CASE3, "17de1c82b918a94bc8a23d7840c24f7ae6d29b0a45d589f1bf3eefca59d1658c"),
+    (12, 3): (CaseTag.S4_K3, "4540e453679b3d929fb23dd6d4b2f65edae784bb422896fe2f581d199258de74"),
+    (18, 3): (CaseTag.S4_K3_SHIFT, "9282f33ad0609bc9a63110a8efc50a8f75f6ae7c07dacbd2e4f12019568bbe6d"),
+    (16, 4): (CaseTag.S4_KGE4, "a5cf278e1be14537caa5ad98aa52dcf58e9e5e39b98ee6f9aee4ff87a7c2e945"),
+    (14, 3): (CaseTag.SPECIAL_14_3, "1a82017d45d1b5be966833e2b6b8054536fa5614b126b51409500fac5dcd53a3"),
 }
 
 
@@ -48,8 +53,26 @@ def test_coloring_bytes():
     cert = build_coloring(Params(12, 4))
     assert (
         digest(serialize.dumps_canonical(serialize.coloring_to_dict(cert)))
-        == "e700cb28f7061c9b96c4e78625f8059c16e8296a895b1ab29afb79826887fa02"
+        == "4a39749317dc91b602fc51d2a67af9b06f205273af6bd64d91e47eb9f421050d"
     )
+
+
+def test_coloring_bytes_across_processes():
+    # Fresh interpreters with different string-hash seeds print the digest
+    # test_coloring_bytes pins: no set or dict order may reach the bytes.
+    code = (
+        "import hashlib\n"
+        "from kneser_minors import Params, build_coloring, serialize\n"
+        "text = serialize.dumps_canonical(serialize.coloring_to_dict(build_coloring(Params(12, 4))))\n"
+        "print(hashlib.sha256(text.encode('utf-8')).hexdigest())\n"
+    )
+    src = str(Path(kneser_minors.__file__).resolve().parents[1])
+    printed = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        printed.append((proc.returncode, proc.stdout))
+    assert printed == [(0, "4a39749317dc91b602fc51d2a67af9b06f205273af6bd64d91e47eb9f421050d\n")] * 2
 
 
 def test_sizes_partition_bytes(capsys, tmp_path):
