@@ -31,13 +31,13 @@ each member takes at most its count of each run and the floor or ceiling of
 its own load.  Members dealt alike form a child group, again a subrange.
 
 Between label steps the state is a few flat arrays.  The distinct
-unfinished masks (the *types*) are numbered in mask order; each group is a
-list of (type id, copy count) runs in mask order; copies that reach k
-labels are set aside as finished edges.  After each step the types are
-renumbered as the kept types followed by the grown ones (a type's mask
-plus v), which is mask order without a sort because v's bit is above every
-placed bit.  The flow network is read straight off these arrays, and its
-search is iterative, so a long augmenting path cannot exhaust the stack.
+unfinished masks (the *types*) are numbered in mask order, and each group
+is a list of (type id, copy count) runs in mask order.  One loop over the
+groups deals a step's flow and writes each child's runs in place: its kept
+types, then its grown ones (a type's mask plus v), which is mask order with
+no sort because v's bit is above every placed bit.  Copies that reach k
+labels are set aside as finished edges.  The flow network is read straight
+off these arrays, and its iterative search survives long augmenting paths.
 
 Two wrappers derive covered partitions of the standard anchored families:
 ``partition_A`` (smallest label i fixed) and ``partition_C`` (label n fixed),
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import threading
 from array import array
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
@@ -252,8 +251,7 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
     """Decide which partial-edge copies absorb local label v; return the next state."""
     masks, tot, first, slots, cstart, pgroup, ptype, cnt, tpairs = state
     mult = [b - a for a, b in zip(first, first[1:])]
-    future = unplaced - 1
-    by_size = [binomial(future, k - size - 1) for size in range(k)]
+    by_size = [binomial(unplaced - 1, k - size - 1) for size in range(k)]
     demand = [by_size[m.bit_count()] for m in masks]
     sres = [m * (a // unplaced) for m, a in zip(mult, slots)]
     cap = [mult[g] * c for g, c in zip(pgroup, cnt)]
@@ -265,39 +263,9 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
     if floor_total + _max_flow(sres, cstart, pgroup, ptype, cap, flow, tpairs, tres) != sum(demand):
         raise ConstructionError(f"label step {v}: could not meet absorption demands")
 
-    # Deal each group's flow, laid out run by run, unit u to member u mod m.
-    # Members between cut points (unit offsets mod m) get the same parts and
-    # form a child; one-member groups h..g-1 pass their flow on whole.  Entry
-    # e is child cgroup[e]'s share x[e] of the flow on pair pair[e].
-    load = [m * -(a // -unplaced) - r for m, a, r in zip(mult, slots, sres)]  # copies each group absorbed
-    cfirst, cslots, cgroup, pair, x = [], [], [], [], []
-    h = 0
-    for g in [g for g, m in enumerate(mult) if m > 1] + [len(mult)]:
-        lo, hi, shift = cstart[h], cstart[g], len(cfirst) - h
-        cgroup += [c + shift for c in pgroup[lo:hi]]
-        cfirst += first[h:g]
-        cslots += [a - f for a, f in zip(slots[h:g], load[h:g])]
-        pair += range(lo, hi)
-        x += flow[lo:hi]
-        if g == len(mult):
-            break
-        m, h = mult[g], g + 1
-        lo, hi = cstart[g], cstart[h]
-        part = flow[lo:hi]
-        offsets = list(accumulate(part, initial=0))
-        whole, rest = divmod(load[g], m)
-        for i in sorted({s % m for s in offsets}):
-            cgroup += [len(cfirst)] * (hi - lo)
-            cfirst.append(first[g] + i)
-            cslots.append(slots[g] - whole - (i < rest))
-            pair += range(lo, hi)
-            x += [f // m + ((i - s) % m < f % m) for f, s in zip(part, offsets)]
-    cfirst.append(first[-1])
-
     # Types are renumbered as kept ones, then grown ones: both stay in mask
-    # order because v's bit is above every placed bit.  A group's new runs
-    # are its kept parts, then its grown parts, so a stable merge by group
-    # keeps every group in mask order too.
+    # order because v's bit is above every placed bit, so every kept id is
+    # below len(keep) and every grown id at or above it.
     bit = 1 << (v - 1)
     keep = [t for t in range(len(masks)) if tot[t] > demand[t]]
     grow = [t for t, m in enumerate(masks) if demand[t] and m.bit_count() + 1 < k]
@@ -306,29 +274,52 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
         kid[t] = i
     for i, t in enumerate(grow, len(keep)):
         gid[t] = i
-    kept = [e for e, p in enumerate(pair) if cnt[p] > x[e]]
-    moved = [e for e, n in enumerate(x) if n]
-    grown = [e for e in moved if gid[ptype[pair[e]]] >= 0]
-    for e in moved:
-        if gid[t := ptype[pair[e]]] < 0:  # the copies took their k-th label
-            for j in range(cfirst[cgroup[e]], cfirst[cgroup[e] + 1]):
-                done[j] += [masks[t] | bit] * x[e]
-    grp = [cgroup[e] for e in kept] + [cgroup[e] for e in grown]
-    ty = [kid[ptype[pair[e]]] for e in kept] + [gid[ptype[pair[e]]] for e in grown]
-    ct = [cnt[pair[e]] - x[e] for e in kept] + [x[e] for e in grown]
-    order = sorted(range(len(grp)), key=grp.__getitem__)
-    pgroup = [grp[i] for i in order]
-    ptype = [ty[i] for i in order]
-    tpairs = [[] for _ in range(len(keep) + len(grow))]
-    for p, t in enumerate(ptype):
-        tpairs[t].append(p)
+
+    # Deal each group's flow, laid out run by run, unit u to member u mod m.
+    # Members between cut points (unit offsets mod m) get the same parts and
+    # form a child, each taking x[p - base] copies of pair p; a one-member
+    # group's one child takes its whole flow.  A child's runs are its kept
+    # parts, then its grown parts (mask order); finished copies go to done.
+    load = [m * -(a // -unplaced) - r for m, a, r in zip(mult, slots, sres)]  # copies each group absorbed
+    nfirst, nslots, nstart, ngroup, ntype, ncnt = [], [], [0], [], [], []
+    ntpairs = [[] for _ in range(len(keep) + len(grow))]
+    for m, lo, hi, j, free, took in zip(mult, cstart, cstart[1:], first, slots, load):
+        if m == 1:
+            children = [(j, j + 1, took, flow, 0)]
+        else:
+            part = flow[lo:hi]
+            offsets = list(accumulate(part, initial=0))
+            cuts = sorted({s % m for s in offsets})
+            whole, rest = divmod(took, m)
+            children = [
+                (j + i, j + e, whole + (i < rest), [f // m + ((i - s) % m < f % m) for f, s in zip(part, offsets)], lo)
+                for i, e in zip(cuts, cuts[1:] + [m])
+            ]
+        for c, (j0, j1, each, x, base) in enumerate(children, len(nslots)):
+            nfirst.append(j0)
+            nslots.append(free - each)
+            for p in range(lo, hi):
+                if cnt[p] > (f := x[p - base]):
+                    t = kid[ptype[p]]
+                    ntpairs[t].append(len(ntype))
+                    ngroup.append(c)
+                    ntype.append(t)
+                    ncnt.append(cnt[p] - f)
+            for p in range(lo, hi) if each else ():
+                if (f := x[p - base]) and (t := gid[ptype[p]]) >= 0:
+                    ntpairs[t].append(len(ntype))
+                    ngroup.append(c)
+                    ntype.append(t)
+                    ncnt.append(f)
+                elif f:
+                    for member in range(j0, j1):
+                        done[member] += [masks[ptype[p]] | bit] * f
+            nstart.append(len(ntype))
+    nfirst.append(first[-1])
     return (
         [masks[t] for t in keep] + [masks[t] | bit for t in grow],
         [tot[t] - demand[t] for t in keep] + [demand[t] for t in grow],
-        cfirst, cslots,
-        [bisect_left(pgroup, c) for c in range(len(cslots) + 1)],
-        pgroup, ptype, [ct[i] for i in order],
-        tpairs,
+        nfirst, nslots, nstart, ngroup, ntype, ncnt, ntpairs,
     )
 
 

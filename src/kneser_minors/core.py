@@ -215,6 +215,7 @@ def params_grid(k_values: Iterable[int], cap: int) -> list[Params]:
     """All in-scope Params with the given k values and C(n, k) <= cap, (k, n) ascending."""
     out = []
     for k in sorted(set(k_values)):
+        Params(2 * k + 1, k)  # an out-of-scope k raises even when no n fits the cap
         n = 2 * k + 1
         while n <= MAX_LABELS and binomial(n, k) <= cap:
             out.append(Params(n, k))

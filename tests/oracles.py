@@ -3,20 +3,24 @@
 Each is independent of the code it checks: a backtracking feasibility
 search for almost-regular partitions, a branch-and-bound independence
 number and the hockey-stick identity used in the order accounting, all
-only usable on tiny instances, the pairwise connectivity search the
-minor verifier used before it searched over labels, the engine's
-self-check as it was before it shared the verifier's partition checks
-(it compares against the enumerated family), the partition engine as it
-was before it solved label steps on groups of identical classes (one flow
-node per class; it shares the package's max-flow solver), and the stdlib's
-indented encoder that canonical JSON must match byte for byte.  The small
-helpers at the end are used only by tests.
+only usable on tiny instances, the closed-form order bounds of the s = 2
+and s = 3 builds and the s >= 4, k >= 4 product-bound report, both in
+exact rationals, the pairwise connectivity search the minor verifier used
+before it searched over labels, the engine's self-check as it was before
+it shared the verifier's partition checks (it compares against the
+enumerated family), the partition engine as it was before it solved label
+steps on groups of identical classes (one flow node per class; it shares
+the package's max-flow solver), and the stdlib's indented encoder that
+canonical JSON must match byte for byte.  The small helpers at the end are
+used only by tests.
 """
 
 import io
 import itertools
 import json
 from bisect import bisect_left
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Sequence
 
 from kneser_minors import (
@@ -27,6 +31,7 @@ from kneser_minors import (
     Params,
     PartitionPlan,
     ResourceCapError,
+    S4Params,
     binomial,
     enumerate_family,
     intersects,
@@ -201,6 +206,124 @@ def hockey_stick(a: int, b: int) -> tuple[int, int]:
         raise ParameterError(f"hockey_stick needs a >= b >= 0, got ({a}, {b})")
     total = sum(binomial(i, b) for i in range(a + 1))
     return total, binomial(a + 1, b + 1)
+
+
+def closed_form_lower_bound(p: Params) -> Fraction:
+    """Exact rational lower bound on the constructed order for s in {2, 3}.
+
+    Evaluates the closed forms behind the two- and three-stage builds; the
+    constructed order always satisfies order >= ceil(bound).
+    """
+    n, k, s, t = p.n, p.k, p.s, p.t
+
+    def c(a: int, b: int) -> Fraction:
+        return Fraction(binomial(a, b))
+
+    if s == 2:
+        if t <= k - 2:
+            return (
+                Fraction(1, 2) * c(n, k)
+                + Fraction(1, 2) * c(n - 1, k - 1)
+                - Fraction(1, 2) * c(n - k, k)
+                - Fraction(k - 1, 2)
+            )
+        return (
+            Fraction(1, 2) * c(n, k)
+            + Fraction(1, 6) * c(n - 1, k - 1)
+            - Fraction(1, 2) * c(n - 1 - k, k)
+            - Fraction(k - 1, 2)
+            - Fraction(2, 3)
+        )
+    if s == 3:
+        if t <= k - 3:
+            return (
+                Fraction(1, 3) * c(n, k)
+                + Fraction(2, 3) * c(n - 1, k - 1)
+                - Fraction(1, 3) * c(n - k, k)
+                - Fraction(2 * (k - 2), 3)
+            )
+        if t == k - 2:
+            return (
+                Fraction(1, 3) * c(n, k)
+                + Fraction(1, 3) * c(n - 1, k - 1)
+                - Fraction(1, 3) * c(n - k - 1, k)
+                - Fraction(2 * (k - 2), 3)
+                - Fraction(3, 4)
+            )
+        if k == 3:
+            return Fraction(60)
+        if k == 4:
+            return Fraction(505)
+        return (
+            Fraction(1, 3) * c(n, k)
+            + Fraction(1, 6) * c(n - 1, k - 1)
+            + Fraction(1, 6 * (n - 1)) * c(n - 1, k - 1)
+            - Fraction(1, 3) * c(n - k - 2, k)
+            - Fraction(2 * (k - 2), 3)
+            - Fraction(3, 2)
+        )
+    raise ParameterError(f"no closed-form bound for s = {s}")
+
+
+# Valid upper bounds on the exact product bound g(n, k), keyed by s.
+_G_CUTOFF_K4 = {4: Fraction(224, 1000), 5: Fraction(176, 1000), 6: Fraction(149, 1000)}
+_G_CUTOFF_K4_TAIL = Fraction(133, 1000)  # s >= 7
+_G_CUTOFF_K5P = {4: Fraction(211, 1000), 5: Fraction(151, 1000)}
+_G_CUTOFF_K5P_TAIL = Fraction(119, 1000)  # s >= 6
+
+
+@dataclass(frozen=True)
+class S4BoundReport:
+    """Exact-rational preflight for the s >= 4, k >= 4 regime.
+
+    cut_fraction is the share of k-subsets confined to the top
+    l(k-1)+1 labels; cut_bound is its closed-form product upper bound, and
+    threshold the fixed decimal cutoff for this (s, k).  All three flags
+    must hold; a False would contradict the construction's guarantee.
+    """
+
+    n: int
+    k: int
+    s: int
+    l: int
+    cut_fraction: Fraction
+    cut_bound: Fraction
+    threshold: Fraction
+    fraction_le_bound: bool
+    bound_le_threshold: bool
+    slack_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.fraction_le_bound and self.bound_le_threshold and self.slack_ok
+
+
+def bound_check_s4(p: Params) -> S4BoundReport:
+    """Evaluate the s >= 4, k >= 4 order analytics exactly and flag violations."""
+    n, k, s = p.n, p.k, p.s
+    if not (s >= 4 and k >= 4):
+        raise ParameterError(f"bound check applies to s >= 4 and k >= 4, got ({n}, {k})")
+    q = S4Params.from_params(p)
+    cut = Fraction(binomial(q.l * (k - 1) + 1, k), binomial(n, k))
+    bound = Fraction(1)
+    for j in range(k):
+        bound *= Fraction(1, 2) + Fraction(2 * k - j - 1, 2 * (n - j))
+    if k == 4:
+        threshold = _G_CUTOFF_K4.get(s, _G_CUTOFF_K4_TAIL)
+    else:
+        threshold = _G_CUTOFF_K5P.get(s, _G_CUTOFF_K5P_TAIL)
+    return S4BoundReport(
+        n=n,
+        k=k,
+        s=s,
+        l=q.l,
+        cut_fraction=cut,
+        cut_bound=bound,
+        threshold=threshold,
+        fraction_le_bound=cut <= bound,
+        bound_le_threshold=bound <= threshold,
+        slack_ok=(1 - bound) * s >= q.l,
+    )
 
 
 def unreachable_member_pairwise(block: list[int]) -> int | None:

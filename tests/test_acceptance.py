@@ -19,11 +19,9 @@ from kneser_minors import (
     S4Params,
     almost_regular_partition,
     binomial,
-    bound_check_s4,
     build_coloring,
     build_minor,
     chi,
-    closed_form_lower_bound,
     params_grid,
     uniform_sizes,
     union_mask,
@@ -34,7 +32,7 @@ from kneser_minors import (
 from kneser_minors import minors
 from kneser_minors.cli import main as cli_main
 from kneser_minors.minors import K3_TABLE_REFERENCE, k3_table_rows
-from oracles import alpha_oracle, exhaustive_partition_feasible
+from oracles import alpha_oracle, bound_check_s4, closed_form_lower_bound, exhaustive_partition_feasible
 
 SWEEP_CAP = 20000
 COLORING_CAP = 5000

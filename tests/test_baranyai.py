@@ -307,6 +307,35 @@ class TestPerClassReference:
             assert verify_partition(part).passed
 
     @settings(max_examples=200, deadline=None)
+    @given(repeated_size_plans())
+    def test_every_label_step_state_is_consistent(self, plan):
+        states = []
+
+        def recording(*args):
+            states.append(step(*args))
+            return states[-1]
+
+        step = baranyai._absorption_step
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baranyai, "_absorption_step", recording)
+            almost_regular_partition(plan)
+        assert len(states) == plan.ground_size
+        for masks, tot, first, slots, cstart, pgroup, ptype, cnt, tpairs in states:
+            assert first[0] == 0 and first[-1] == len(plan.sizes)
+            assert all(a < b for a, b in zip(first, first[1:]))
+            assert masks == sorted(set(masks)) and len(tpairs) == len(tot) == len(masks)
+            assert len(cstart) == len(first) and cstart[0] == 0 and cstart[-1] == len(pgroup)
+            assert pgroup == [g for g in range(len(first) - 1) for _ in range(cstart[g], cstart[g + 1])]
+            assert len(ptype) == len(cnt) == len(pgroup) and all(c > 0 for c in cnt)
+            for g in range(len(first) - 1):
+                runs = range(cstart[g], cstart[g + 1])
+                assert all(ptype[p] < ptype[p + 1] for p in runs[:-1])
+                assert slots[g] == sum(cnt[p] * (plan.k - masks[ptype[p]].bit_count()) for p in runs)
+            for t in range(len(masks)):
+                assert tpairs[t] == [p for p in range(len(ptype)) if ptype[p] == t]
+                assert tot[t] == sum((first[pgroup[p] + 1] - first[pgroup[p]]) * cnt[p] for p in tpairs[t])
+
+    @settings(max_examples=200, deadline=None)
     @given(distinct_neighbour_plans())
     def test_single_member_groups_give_the_reference_classes(self, plan):
         assert almost_regular_partition(plan).classes == almost_regular_partition_reference(plan).classes

@@ -295,8 +295,9 @@ class TestGridCommand:
         assert lines[-1] == "grid: 3 instance(s), 3 passed"
         assert {line.split()[1] for line in lines[:-1]} == {"n=7", "n=8", "n=9"}
 
-    def test_k2_out_of_scope(self, capsys):
-        assert run_cli(capsys, "grid", "--k", "2", "--cap", "100")[0] == 3
+    @pytest.mark.parametrize("k", ["2", "32"])
+    def test_k2_out_of_scope(self, capsys, k):
+        assert run_cli(capsys, "grid", "--k", k, "--cap", "100")[0] == 3
 
     def test_bad_k_list(self, capsys):
         assert run_cli(capsys, "grid", "--k", "three", "--cap", "100")[0] == 2

@@ -12,10 +12,8 @@ from kneser_minors import (
     Params,
     S4Params,
     TraceEntry,
-    bound_check_s4,
     build_minor,
     chi,
-    closed_form_lower_bound,
     intersects,
     k3_table_rows,
     replay_trace,
@@ -25,7 +23,7 @@ from kneser_minors import (
 )
 from kneser_minors.minors import K3_TABLE_REFERENCE
 from kneser_minors.serialize import dumps_canonical, minor_to_dict
-from oracles import covered_labels
+from oracles import bound_check_s4, closed_form_lower_bound, covered_labels
 
 
 class TestRouting:
