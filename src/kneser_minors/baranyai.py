@@ -30,14 +30,16 @@ The group's flow, laid out run by run, is dealt unit u to member u mod m, so
 each member takes at most its count of each run and the floor or ceiling of
 its own load.  Members dealt alike form a child group, again a subrange.
 
-Between label steps the state is a few flat arrays.  The distinct
-unfinished masks (the *types*) are numbered in mask order, and each group
-is a list of (type id, copy count) runs in mask order.  One loop over the
-groups deals a step's flow and writes each child's runs in place: its kept
-types, then its grown ones (a type's mask plus v), which is mask order with
-no sort because v's bit is above every placed bit.  Copies that reach k
-labels are set aside as finished edges.  The flow network is read straight
-off these arrays, and its iterative search survives long augmenting paths.
+Between label steps the state is six flat arrays: the distinct unfinished
+masks (the *types*) in mask order, and per group its first class, its free
+slots and its (type id, copy count) runs in mask order.  Each step derives
+the rest in one pass over the runs: a run's group and capacity, a type's
+copies in all and its runs in group order.  One loop over the groups deals
+the step's flow and writes each child's runs in place: its kept types, then
+its grown ones (a type's mask plus v), which is mask order with no sort
+because v's bit is above every placed bit.  Copies that reach k labels are
+set aside as finished edges.  The flow network is read straight off these
+arrays, and its iterative search survives long augmenting paths.
 
 Two wrappers derive covered partitions of the standard anchored families:
 ``partition_A`` (smallest label i fixed) and ``partition_C`` (label n fixed),
@@ -249,12 +251,19 @@ def _max_flow(
 
 def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplaced: int) -> tuple:
     """Decide which partial-edge copies absorb local label v; return the next state."""
-    masks, tot, first, slots, cstart, pgroup, ptype, cnt, tpairs = state
+    masks, first, slots, cstart, ptype, cnt = state
     mult = [b - a for a, b in zip(first, first[1:])]
+    # Each pair's group and capacity, each type's copies in all and pairs in group order.
+    pgroup, cap, tot, tpairs = [], [], [0] * len(masks), [[] for _ in masks]
+    for g, (m, lo, hi) in enumerate(zip(mult, cstart, cstart[1:])):
+        for p in range(lo, hi):
+            pgroup.append(g)
+            cap.append(c := m * cnt[p])
+            tot[t := ptype[p]] += c
+            tpairs[t].append(p)
     by_size = [binomial(unplaced - 1, k - size - 1) for size in range(k)]
     demand = [by_size[m.bit_count()] for m in masks]
     sres = [m * (a // unplaced) for m, a in zip(mult, slots)]
-    cap = [mult[g] * c for g, c in zip(pgroup, cnt)]
     flow, tres = [0] * len(cnt), demand[:]
     floor_total = sum(sres)
     if _max_flow(sres, cstart, pgroup, ptype, cap, flow, tpairs, tres) != floor_total:
@@ -281,8 +290,7 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
     # group's one child takes its whole flow.  A child's runs are its kept
     # parts, then its grown parts (mask order); finished copies go to done.
     load = [m * -(a // -unplaced) - r for m, a, r in zip(mult, slots, sres)]  # copies each group absorbed
-    nfirst, nslots, nstart, ngroup, ntype, ncnt = [], [], [0], [], [], []
-    ntpairs = [[] for _ in range(len(keep) + len(grow))]
+    nfirst, nslots, nstart, ntype, ncnt = [], [], [0], [], []
     for m, lo, hi, j, free, took in zip(mult, cstart, cstart[1:], first, slots, load):
         if m == 1:
             children = [(j, j + 1, took, flow, 0)]
@@ -295,20 +303,15 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
                 (j + i, j + e, whole + (i < rest), [f // m + ((i - s) % m < f % m) for f, s in zip(part, offsets)], lo)
                 for i, e in zip(cuts, cuts[1:] + [m])
             ]
-        for c, (j0, j1, each, x, base) in enumerate(children, len(nslots)):
+        for j0, j1, each, x, base in children:
             nfirst.append(j0)
             nslots.append(free - each)
             for p in range(lo, hi):
                 if cnt[p] > (f := x[p - base]):
-                    t = kid[ptype[p]]
-                    ntpairs[t].append(len(ntype))
-                    ngroup.append(c)
-                    ntype.append(t)
+                    ntype.append(kid[ptype[p]])
                     ncnt.append(cnt[p] - f)
             for p in range(lo, hi) if each else ():
                 if (f := x[p - base]) and (t := gid[ptype[p]]) >= 0:
-                    ntpairs[t].append(len(ntype))
-                    ngroup.append(c)
                     ntype.append(t)
                     ncnt.append(f)
                 elif f:
@@ -316,11 +319,7 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
                         done[member] += [masks[ptype[p]] | bit] * f
             nstart.append(len(ntype))
     nfirst.append(first[-1])
-    return (
-        [masks[t] for t in keep] + [masks[t] | bit for t in grow],
-        [tot[t] - demand[t] for t in keep] + [demand[t] for t in grow],
-        nfirst, nslots, nstart, ngroup, ntype, ncnt, ntpairs,
-    )
+    return [masks[t] for t in keep] + [masks[t] | bit for t in grow], nfirst, nslots, nstart, ntype, ncnt
 
 
 def _self_check(plan: PartitionPlan, classes: tuple[tuple[int, ...], ...]) -> None:
@@ -350,13 +349,13 @@ def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> Alm
     _check_cap(plan.edge_count, cap)
     g, k, sizes = plan.ground_size, plan.k, plan.sizes
     n = len(sizes)
-    # Types are the distinct unfinished masks, tot[t] copies in all.  Group g
-    # is classes first[g]..first[g+1]-1, each with slots[g] free label slots
-    # and runs cstart[g]..cstart[g+1]-1 in mask order: pair p is cnt[p] copies
-    # of type ptype[p].  tpairs[t] lists type t's pairs in group order.
+    # Types are the distinct unfinished masks.  Group g is classes
+    # first[g]..first[g+1]-1, each with slots[g] free label slots and runs
+    # cstart[g]..cstart[g+1]-1 in mask order: pair p is cnt[p] copies of
+    # type ptype[p].  At first there is one type, the empty mask.
     first = [j for j in range(n) if not j or sizes[j] != sizes[j - 1]]
-    lead, r = [sizes[j] for j in first], range(len(first))
-    state = ([0], [sum(sizes)], first + [n], [k * a for a in lead], [*r, len(r)], list(r), [0] * len(r), lead, [list(r)])
+    lead = [sizes[j] for j in first]
+    state = ([0], first + [n], [k * a for a in lead], list(range(len(first) + 1)), [0] * len(first), lead)
     done: list[list[int]] = [[] for _ in sizes]
     for v in range(1, g + 1):
         state = _absorption_step(state, done, k, v, g - v + 1)

@@ -206,8 +206,6 @@ def family_A(i: int, p: Params) -> list[int]:
     if not 1 <= i <= p.n - p.k + 1:
         raise ParameterError(f"i = {i} outside [1, {p.n - p.k + 1}] for (n, k) = ({p.n}, {p.k})")
     anchor = 1 << (i - 1)
-    if p.k == 1:
-        return [anchor]
     return [anchor | rest for rest in enumerate_family(i + 1, p.n, p.k - 1)]
 
 
@@ -215,7 +213,9 @@ def params_grid(k_values: Iterable[int], cap: int) -> list[Params]:
     """All in-scope Params with the given k values and C(n, k) <= cap, (k, n) ascending."""
     out = []
     for k in sorted(set(k_values)):
-        Params(2 * k + 1, k)  # an out-of-scope k raises even when no n fits the cap
+        if 2 * k + 1 > MAX_LABELS:
+            raise OutOfScopeError(f"k = {k} is out of scope (2k + 1 <= {MAX_LABELS} required)")
+        Params(2 * k + 1, k)  # a k below 3 raises even when no n fits the cap
         n = 2 * k + 1
         while n <= MAX_LABELS and binomial(n, k) <= cap:
             out.append(Params(n, k))

@@ -139,43 +139,35 @@ class K3Params:
 
 def route_case(p: Params) -> CaseTag:
     """Total, unique routing of in-scope (n, k) to a construction regime."""
-    s, t, k = p.s, p.t, p.k
-    if s == 2:
-        return CaseTag.S2_CASE2 if t == k - 1 else CaseTag.S2_CASE1
-    if s == 3:
-        if t <= k - 3:
-            return CaseTag.S3_CASE1
-        return CaseTag.S3_CASE2 if t == k - 2 else CaseTag.S3_CASE3
-    if k >= 4:
-        return CaseTag.S4_KGE4
-    if p.n == 14:
-        return CaseTag.SPECIAL_14_3
-    if p.n in _SHIFTED_K3:
-        return CaseTag.S4_K3_SHIFT
-    return CaseTag.S4_K3
+    return _layout(p)[0]
 
 
 def _layout(p: Params) -> tuple[CaseTag, int | None, bool, range, bool]:
-    """The stage ``route_case(p)`` builds: (tag, l, singletons, anchors, stacked).
+    """Route p to its regime; return its stage (tag, l, singletons, anchors, stacked).
 
     l is its block size (None for the re-embedding stage); singletons: it opens
     with the singleton blocks of ``family_A(1, p)``; anchors: the i of its
     ``partition_A(i, p, l)`` parts; stacked: it extends the (n - 1, k)
     certificate, adding ``partition_C(p, l)`` when l is set.
     """
-    tag = route_case(p)
-    if tag in (CaseTag.S2_CASE1, CaseTag.S3_CASE1):
-        return tag, p.s, True, range(2, p.k + 1), False
-    if tag is CaseTag.S4_KGE4:
+    s, t, k = p.s, p.t, p.k
+    if s == 2:
+        if t == k - 1:
+            return CaseTag.S2_CASE2, 3, False, range(0), True
+        return CaseTag.S2_CASE1, s, True, range(2, k + 1), False
+    if s == 3:
+        if t <= k - 3:
+            return CaseTag.S3_CASE1, s, True, range(2, k + 1), False
+        return CaseTag.S3_CASE2 if t == k - 2 else CaseTag.S3_CASE3, 4, False, range(0), True
+    if k >= 4:
         q = S4Params.from_params(p)
-        return tag, q.l, False, range(1, q.n_prime + 1), False
-    if tag is CaseTag.S4_K3:
-        q3 = K3Params.from_n(p.n)
-        return tag, q3.l, False, range(1, q3.n_prime + 1), False
-    if tag is CaseTag.S4_K3_SHIFT:
-        return tag, None, False, range(0), True
-    # S2_CASE2 (l = 3), S3_CASE2, S3_CASE3 and SPECIAL_14_3 (l = 4)
-    return tag, 3 if p.s == 2 else 4, False, range(0), True
+        return CaseTag.S4_KGE4, q.l, False, range(1, q.n_prime + 1), False
+    if p.n == 14:
+        return CaseTag.SPECIAL_14_3, 4, False, range(0), True
+    if p.n in _SHIFTED_K3:
+        return CaseTag.S4_K3_SHIFT, None, False, range(0), True
+    q3 = K3Params.from_n(p.n)
+    return CaseTag.S4_K3, q3.l, False, range(1, q3.n_prime + 1), False
 
 
 def _stage_entries(p: Params) -> tuple[TraceEntry, ...]:

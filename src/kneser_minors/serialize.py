@@ -147,9 +147,7 @@ def _mask_from_labels(raw: Any, where: str) -> int:
     return mask
 
 
-def _block_lists(blocks: Any, where: str) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(blocks, list):
-        raise ParameterError(f"{where}: expected an array")
+def _block_lists(blocks: list, where: str) -> tuple[tuple[int, ...], ...]:
     out = []
     for bi, block in enumerate(blocks):
         if not isinstance(block, list) or not block:

@@ -320,20 +320,17 @@ class TestPerClassReference:
             patch.setattr(baranyai, "_absorption_step", recording)
             almost_regular_partition(plan)
         assert len(states) == plan.ground_size
-        for masks, tot, first, slots, cstart, pgroup, ptype, cnt, tpairs in states:
+        for masks, first, slots, cstart, ptype, cnt in states:
             assert first[0] == 0 and first[-1] == len(plan.sizes)
             assert all(a < b for a, b in zip(first, first[1:]))
-            assert masks == sorted(set(masks)) and len(tpairs) == len(tot) == len(masks)
-            assert len(cstart) == len(first) and cstart[0] == 0 and cstart[-1] == len(pgroup)
-            assert pgroup == [g for g in range(len(first) - 1) for _ in range(cstart[g], cstart[g + 1])]
-            assert len(ptype) == len(cnt) == len(pgroup) and all(c > 0 for c in cnt)
+            assert masks == sorted(set(masks)) and sorted(set(ptype)) == list(range(len(masks)))
+            assert len(cstart) == len(first) and cstart[0] == 0 and cstart[-1] == len(ptype)
+            assert all(a <= b for a, b in zip(cstart, cstart[1:]))
+            assert len(ptype) == len(cnt) and all(c > 0 for c in cnt)
             for g in range(len(first) - 1):
                 runs = range(cstart[g], cstart[g + 1])
                 assert all(ptype[p] < ptype[p + 1] for p in runs[:-1])
                 assert slots[g] == sum(cnt[p] * (plan.k - masks[ptype[p]].bit_count()) for p in runs)
-            for t in range(len(masks)):
-                assert tpairs[t] == [p for p in range(len(ptype)) if ptype[p] == t]
-                assert tot[t] == sum((first[pgroup[p] + 1] - first[pgroup[p]]) * cnt[p] for p in tpairs[t])
 
     @settings(max_examples=200, deadline=None)
     @given(distinct_neighbour_plans())

@@ -241,6 +241,9 @@ class TestPartitionCommand:
         code, _, err = run_cli(capsys, "partition", "--n", "4", "--k", "2", "--sizes", "2,2")
         assert code == 2
         assert "sizes" in err
+        code, _, err = run_cli(capsys, "partition", "--n", "4", "--k", "2", "--sizes", "2,x")
+        assert code == 2
+        assert "cannot parse sizes" in err
 
     def test_huge_family_is_refused_before_counting_it(self):
         # C(2000000, 1000000) has about 600000 digits; the 64-bit range check
@@ -297,7 +300,9 @@ class TestGridCommand:
 
     @pytest.mark.parametrize("k", ["2", "32"])
     def test_k2_out_of_scope(self, capsys, k):
-        assert run_cli(capsys, "grid", "--k", k, "--cap", "100")[0] == 3
+        code, _, err = run_cli(capsys, "grid", "--k", k, "--cap", "100")
+        assert code == 3
+        assert f"k = {k}" in err
 
     def test_bad_k_list(self, capsys):
         assert run_cli(capsys, "grid", "--k", "three", "--cap", "100")[0] == 2

@@ -207,22 +207,48 @@ PARTITION_1_5 = almost_regular_partition(PartitionPlan((1, 5), 2, (5, 5)))
 
 
 @pytest.mark.parametrize(
-    "verify,valid,broken",
+    "verify,valid,broken,detail",
     [
         # k = 0: chi_of(n, 0) would divide by zero, so no check may run.
-        (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, k=0)),
-        (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, blocks=MINOR_8_3.blocks + ((),))),
-        (verify_coloring, COLORING_7_3, dataclasses.replace(COLORING_7_3, k=0)),
-        (verify_coloring, COLORING_7_3, dataclasses.replace(COLORING_7_3, classes=COLORING_7_3.classes + ((),))),
-        (verify_partition, PARTITION_1_5, dataclasses.replace(PARTITION_1_5, classes=PARTITION_1_5.classes + ((),))),
+        (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, k=0), "invalid parameters"),
+        (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, blocks=MINOR_8_3.blocks + ((),)), "is empty"),
+        (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, blocks=()), "certificate has no blocks"),
+        (
+            verify_minor,
+            MINOR_8_3,
+            dataclasses.replace(MINOR_8_3, blocks=((*MINOR_8_3.blocks[0], MINOR_8_3.blocks[0][0]), *MINOR_8_3.blocks[1:])),
+            "block 0 repeats member ",
+        ),
+        (verify_coloring, COLORING_7_3, dataclasses.replace(COLORING_7_3, k=0), "invalid parameters"),
+        (
+            verify_coloring,
+            COLORING_7_3,
+            dataclasses.replace(COLORING_7_3, classes=COLORING_7_3.classes + ((),)),
+            "is empty",
+        ),
+        (
+            verify_partition,
+            PARTITION_1_5,
+            dataclasses.replace(PARTITION_1_5, classes=PARTITION_1_5.classes + ((),)),
+            "is empty",
+        ),
     ],
-    ids=["minor-k0", "minor-empty-block", "coloring-k0", "coloring-empty-class", "partition-empty-class"],
+    ids=[
+        "minor-k0",
+        "minor-empty-block",
+        "minor-no-blocks",
+        "minor-repeated-member",
+        "coloring-k0",
+        "coloring-empty-class",
+        "partition-empty-class",
+    ],
 )
-def test_structural_errors_skip_every_named_check(verify, valid, broken):
+def test_structural_errors_skip_every_named_check(verify, valid, broken, detail):
     passing, failing = verify(valid), verify(broken)
     assert passing.passed
     assert [c.name for c in failing.checks] == [c.name for c in passing.checks]
     assert failing.checks[0].name == "structure" and not failing.checks[0].passed
+    assert detail in failing.checks[0].detail
     assert [(c.passed, c.detail) for c in failing.checks[1:]] == [(False, "skipped: structural errors")] * (
         len(passing.checks) - 1
     )
