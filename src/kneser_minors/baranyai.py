@@ -407,8 +407,7 @@ _MEMO = _PlanMemo(MEMO_EDGE_BOUND)
 
 
 def _memo_partition(plan: PartitionPlan, cap: int | None) -> AlmostRegularPartition:
-    """``almost_regular_partition(plan, cap)``, solving each ``(g, k, sizes)`` once."""
-    _check_cap(plan.edge_count, cap)
+    """``almost_regular_partition(plan, cap)``, solving each ``(g, k, sizes)`` once; the caller checks the cap."""
     key = (plan.ground_size, plan.k, plan.sizes)
     shift = plan.ground[0] - 1
     flat = _MEMO.get(key)
@@ -454,6 +453,7 @@ def partition_A(i: int, p: Params, l: int, cap: int | None = None) -> CoveredPar
     family_size = binomial(n - i, k - 1)
     if not 1 <= l <= family_size:
         raise ParameterError(f"block size l = {l} outside [1, {family_size}]")
+    _check_cap(family_size, cap)  # before the size vector, which may not fit in memory
     plan = PartitionPlan(ground=(i + 1, n), k=k - 1, sizes=uniform_sizes(family_size, l))
     base = _memo_partition(plan, cap)
     return _attach_anchor(base, i, family_size // l, min(n - i + 1, l * (k - 1) + 1))
@@ -469,6 +469,7 @@ def partition_C(p: Params, l: int, cap: int | None = None) -> CoveredPartition:
     family_size = binomial(n - 1, k - 1)
     if not 2 <= l <= family_size:
         raise ParameterError(f"block size l = {l} outside [2, {family_size}]")
+    _check_cap(family_size, cap)
     plan = PartitionPlan(ground=(1, n - 1), k=k - 1, sizes=uniform_sizes(family_size, l))
     base = _memo_partition(plan, cap)
     return _attach_anchor(base, n, family_size // l, min(n, l * (k - 1) + 1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .baranyai import PartitionPlan, almost_regular_partition, uniform_sizes
+from .baranyai import PartitionPlan, _check_cap, almost_regular_partition, uniform_sizes
 from .core import Params, binomial
 
 
@@ -39,7 +39,9 @@ def chi(p: Params) -> int:
 def build_coloring(p: Params, cap: int | None = None) -> ColoringCertificate:
     """Proper coloring with exactly chi(p) classes, each of size <= floor(n/k)."""
     alpha = p.n // p.k
-    sizes = uniform_sizes(binomial(p.n, p.k), alpha)
+    total = binomial(p.n, p.k)
+    _check_cap(total, cap)  # before the size vector, which may not fit in memory
+    sizes = uniform_sizes(total, alpha)
     plan = PartitionPlan(ground=(1, p.n), k=p.k, sizes=sizes)
     part = almost_regular_partition(plan, cap=cap)
     return ColoringCertificate(n=p.n, k=p.k, classes=part.classes)

@@ -16,7 +16,7 @@ import sys
 from typing import Sequence
 
 from . import serialize
-from .baranyai import DEFAULT_EDGE_CAP, PartitionPlan, almost_regular_partition, uniform_sizes
+from .baranyai import DEFAULT_EDGE_CAP, PartitionPlan, _check_cap, almost_regular_partition, uniform_sizes
 from .chromatic import build_coloring, chi
 from .core import MAX_LABELS, Params, binomial, params_grid
 from .errors import (
@@ -125,6 +125,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ParameterError(f"cannot parse sizes {args.sizes!r}") from exc
     else:
+        _check_cap(total, cap)  # before the size vector, which may not fit in memory
         sizes = uniform_sizes(total, args.block_size)
     plan = PartitionPlan(ground=(1, args.n), k=args.k, sizes=sizes)
     part = almost_regular_partition(plan, cap=cap)

@@ -9,6 +9,11 @@ records for its (n, k), as ``minor_to_dict`` writes it; ``minor_from_dict``
 raises ParameterError for any other, and the parsed certificate carries the
 recorded entries.  The verifier never reads the trace.
 
+``_block_lists`` reads each label array in one loop that accepts only an
+exact list of exact ints, strictly increasing within [1, MAX_LABELS].  Any
+other member goes whole to ``_mask_from_labels``, which accepts it or raises
+the ParameterError naming it, so inputs and messages are that reader's.
+
 ``dumps_canonical`` writes exactly the bytes of
 ``json.JSONEncoder(indent=2, sort_keys=True)`` plus a final newline, and
 raises the same exception types.  The stdlib encodes with an indent only in
@@ -30,7 +35,7 @@ from typing import Any
 
 from .baranyai import AlmostRegularPartition, PartitionPlan
 from .chromatic import ColoringCertificate
-from .core import kset_labels, kset_mask
+from .core import MAX_LABELS, kset_labels, kset_mask
 from .errors import ParameterError
 from .minors import MinorCertificate, TraceEntry, _recorded_trace
 from .verify import VerificationReport
@@ -152,7 +157,20 @@ def _block_lists(blocks: list, where: str) -> tuple[tuple[int, ...], ...]:
     for bi, block in enumerate(blocks):
         if not isinstance(block, list) or not block:
             raise ParameterError(f"{where}[{bi}]: expected a nonempty array of label arrays")
-        out.append(tuple(_mask_from_labels(member, f"{where}[{bi}][{mi}]") for mi, member in enumerate(block)))
+        masks = []
+        for mi, member in enumerate(block):
+            if type(member) is list and member:
+                mask = prev = 0
+                for x in member:
+                    if type(x) is not int or not prev < x <= MAX_LABELS:
+                        break
+                    mask |= 1 << (x - 1)
+                    prev = x
+                else:
+                    masks.append(mask)
+                    continue
+            masks.append(_mask_from_labels(member, f"{where}[{bi}][{mi}]"))  # any other member
+        out.append(tuple(masks))
     return tuple(out)
 
 

@@ -3,9 +3,12 @@
 Verifiers trust nothing but the certificate contents and the definitions:
 every edge is re-derived from label-set intersection, traces are never
 consulted, and each failed check names the offending block, class, pair or
-vertex.  The all-pairs cross-edge check exploits that two blocks are joined
-by an edge exactly when their covered-label sets meet, which allows one
-bit-vector of block indices per label instead of a quadratic member scan.
+vertex.  A block whose members all share a label (a nonzero AND, as in
+every anchored block ``build_minor`` makes) is connected, since any two
+members meet; any other block gets the label-closure search.  Two blocks
+are joined exactly when their covered-label sets meet, so the cross-edge
+check keeps one bit-vector of blocks per label and reads a block's reach
+from per-8-label OR tables: one OR per 8 labels, not one per covered label.
 
 Each verifier is an ordered table of named checks, each name declared once,
 run by ``_run_checks``.  The structure check runs first; if it fails, every
@@ -25,7 +28,7 @@ from typing import Callable, Sequence
 
 from .baranyai import AlmostRegularPartition
 from .chromatic import ColoringCertificate, chi_of
-from .core import MAX_LABELS, family_detail, intersects, kset_labels, kset_text, sizes_detail, spread_detail, union_mask
+from .core import MAX_LABELS, family_detail, intersects, kset_text, sizes_detail, spread_detail, union_mask
 from .minors import MinorCertificate
 
 _Check = Callable[[], tuple[bool, str]]
@@ -122,6 +125,11 @@ def _shared_vertex(blocks: Sequence[Sequence[int]]) -> str | None:
 
 def _disconnected_block(blocks: Sequence[Sequence[int]]) -> str | None:
     for bi, block in enumerate(blocks):
+        common = block[0]
+        for mask in block:
+            common &= mask
+        if common:  # members sharing a label are pairwise adjacent
+            continue
         missing = _unreachable_member(block)
         if missing is not None:
             return (
@@ -131,20 +139,33 @@ def _disconnected_block(blocks: Sequence[Sequence[int]]) -> str | None:
     return None
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _unjoined_blocks(n: int, blocks: Sequence[Sequence[int]]) -> str | None:
     # Blocks are joined by an edge iff their covered-label sets intersect.
     t = len(blocks)
-    per_label = [0] * (n + 1)
-    covered = [kset_labels(union_mask(block)) for block in blocks]
-    for bi, labels in enumerate(covered):
-        bit = 1 << bi
-        for label in labels:
-            per_label[label] |= bit
+    covered = [union_mask(block) for block in blocks]
+    # Bit bi of per_label[x] is set iff block bi covers label x + 1: one row
+    # of 0/1 bytes per label, last block first, read as a base-2 numeral.
+    last_first = covered[::-1]
+    per_label = [int(bytes([cover >> x & 1 for cover in last_first]).translate(_DIGITS), 2) for x in range(n)]
+    # tables[c][b] is the OR of per_label over the labels of chunk c
+    # (8c + 1 .. 8c + 8) whose bits are set in byte b; labels past n read 0.
+    per_label += [0] * 7
+    tables = []
+    for c in range(0, n, 8):
+        table = [0]
+        for b in range(1, 256):
+            low = b & -b
+            table.append(table[b ^ low] | per_label[c + low.bit_length() - 1])
+        tables.append(table)
     want = (1 << t) - 1
-    for bi, labels in enumerate(covered):
+    for bi, cover in enumerate(covered):
         reach = 0
-        for label in labels:
-            reach |= per_label[label]
+        for table in tables:
+            reach |= table[cover & 255]
+            cover >>= 8
         if reach != want:
             other = next(j for j in range(t) if not reach >> j & 1)
             return f"blocks {bi} and {other} are joined by no edge"

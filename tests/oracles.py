@@ -6,13 +6,15 @@ number and the hockey-stick identity used in the order accounting, all
 only usable on tiny instances, the closed-form order bounds of the s = 2
 and s = 3 builds and the s >= 4, k >= 4 product-bound report, both in
 exact rationals, the pairwise connectivity search the minor verifier used
-before it searched over labels, the engine's self-check as it was before
-it shared the verifier's partition checks (it compares against the
-enumerated family), the partition engine as it was before it solved label
-steps on groups of identical classes (one flow node per class; it shares
-the package's max-flow solver), and the stdlib's indented encoder that
-canonical JSON must match byte for byte.  The small helpers at the end are
-used only by tests.
+before it searched over labels, a pairwise block-join search and the
+cross-edge check as it was before it read per-chunk tables, the parser's
+block reader as it was before it read members inline, the engine's
+self-check as it was before it shared the verifier's partition checks (it
+compares against the enumerated family), the partition engine as it was
+before it solved label steps on groups of identical classes (one flow node
+per class; it shares the package's max-flow solver), and the stdlib's
+indented encoder that canonical JSON must match byte for byte.  The small
+helpers at the end are used only by tests.
 """
 
 import io
@@ -40,6 +42,7 @@ from kneser_minors import (
 )
 from kneser_minors.baranyai import _max_flow
 from kneser_minors.core import label_degrees
+from kneser_minors.serialize import _mask_from_labels
 
 ORACLE_EDGE_CAP = 30
 ALPHA_ORACLE_CAP = 500
@@ -341,6 +344,51 @@ def unreachable_member_pairwise(block: list[int]) -> int | None:
                 reached.add(j)
                 frontier.append(j)
     return next((j for j in range(len(block)) if j not in reached), None)
+
+
+def unjoined_blocks_pairwise(blocks: Sequence[Sequence[int]]) -> str | None:
+    """The minor verifier's cross-edge detail from the definition, or None.
+
+    For each block in order, the first block none of whose members meets
+    one of its members: a search over every member pair of every block pair.
+    """
+    for bi, block in enumerate(blocks):
+        for other, them in enumerate(blocks):
+            if not any(intersects(a, b) for a in block for b in them):
+                return f"blocks {bi} and {other} are joined by no edge"
+    return None
+
+
+def unjoined_blocks_reference(n: int, blocks: Sequence[Sequence[int]]) -> str | None:
+    """The cross-edge check as it was before it read reaches from per-chunk tables:
+    one block bitset per label, and one OR per covered label per block."""
+    t = len(blocks)
+    per_label = [0] * (n + 1)
+    covered = [kset_labels(union_mask(block)) for block in blocks]
+    for bi, labels in enumerate(covered):
+        bit = 1 << bi
+        for label in labels:
+            per_label[label] |= bit
+    want = (1 << t) - 1
+    for bi, labels in enumerate(covered):
+        reach = 0
+        for label in labels:
+            reach |= per_label[label]
+        if reach != want:
+            other = next(j for j in range(t) if not reach >> j & 1)
+            return f"blocks {bi} and {other} are joined by no edge"
+    return None
+
+
+def block_lists_reference(blocks: list, where: str) -> tuple[tuple[int, ...], ...]:
+    """The certificate parser's block reader as it was before it parsed
+    members inline: every member goes through ``_mask_from_labels``."""
+    out = []
+    for bi, block in enumerate(blocks):
+        if not isinstance(block, list) or not block:
+            raise ParameterError(f"{where}[{bi}]: expected a nonempty array of label arrays")
+        out.append(tuple(_mask_from_labels(member, f"{where}[{bi}][{mi}]") for mi, member in enumerate(block)))
+    return tuple(out)
 
 
 def self_check_reference(plan: PartitionPlan, classes: Sequence[Sequence[int]]) -> None:

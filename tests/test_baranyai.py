@@ -85,6 +85,16 @@ class TestEngine:
         with pytest.raises(ResourceCapError):
             almost_regular_partition(plan, cap=10)
 
+    @pytest.mark.parametrize("build", [
+        lambda p: partition_A(1, p, 2),
+        lambda p: partition_C(p, 2),
+        build_coloring,
+    ], ids=["partition_A", "partition_C", "build_coloring"])
+    def test_cap_comes_before_the_size_vector(self, build):
+        # About 4e17 classes of size 2: the size vector alone cannot be allocated.
+        with pytest.raises(ResourceCapError, match="above the cap of 20000"):
+            build(Params(64, 31))
+
     def test_deterministic_bytes(self):
         plan = PartitionPlan((1, 8), 3, uniform_sizes(binomial(8, 3), 4))
         one = dumps_canonical(partition_to_dict(almost_regular_partition(plan)))

@@ -255,6 +255,12 @@ class TestPartitionCommand:
         assert proc.returncode == 3
         assert "64-bit range" in proc.stderr
 
+    def test_cap_comes_before_the_size_vector(self, capsys):
+        # C(64, 32) / 2 classes of size 2: the size vector alone cannot be allocated.
+        assert run_cli(capsys, "partition", "--n", "64", "--k", "32", "--block-size", "2") == (
+            4, "", "resource cap: 1832624140942590534 hyperedges, above the cap of 20000\n"
+        )
+
     @pytest.mark.parametrize("n", ["65", "100"])
     def test_label_cap_is_out_of_scope_as_for_minor(self, capsys, n):
         want = f"out of scope: n = {n} exceeds the 64-label representation cap\n"

@@ -1,7 +1,10 @@
-"""``serialize.dumps_canonical`` against the stdlib's indented encoder.
+"""``serialize.dumps_canonical`` against the stdlib's indented encoder, and
+the certificate block reader against its reference.
 
 The writer must give exactly the bytes of ``oracles.dumps_canonical_reference``
-on any value, and raise the same exception type where the stdlib raises.
+on any value, and raise the same exception type where the stdlib raises.  The
+reader must return the masks ``oracles.block_lists_reference`` returns, or
+raise ParameterError with the same message.
 """
 
 import enum
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from kneser_minors import (
     MinorCertificate,
+    ParameterError,
     Params,
     PartitionPlan,
     almost_regular_partition,
@@ -22,13 +26,14 @@ from kneser_minors import (
 )
 from kneser_minors.minors import CaseTag
 from kneser_minors.serialize import (
+    _block_lists,
     coloring_to_dict,
     dumps_canonical,
     minor_to_dict,
     partition_to_dict,
     report_to_dict,
 )
-from oracles import dumps_canonical_reference
+from oracles import block_lists_reference, dumps_canonical_reference
 
 
 class Row(list):
@@ -168,3 +173,49 @@ def test_unserializable_and_circular_values_raise_like_the_stdlib():
     for value in ({1, 2}, b"12", [[1], {3}], loop, alone, pair, keyed, named, {"a": 1, 2: "b"}):
         assert_same(value)
         assert outcome(dumps_canonical, value)[0] == "raises"
+
+
+# The block reader: label arrays that take the inline loop, and one of each
+# kind it hands to _mask_from_labels (bool, float, int subclass, 0, 65, a
+# repeat, a descent, an empty list, a non-list, a list subclass).
+ODD_LABELS = [0, 65, -1, 2**70, True, False, 3.0, 1.5, Level.LOW, Level.HIGH, "3", None]
+LABEL_ARRAYS = st.lists(st.integers(1, 64), min_size=1, max_size=6, unique=True).map(sorted)
+
+
+def with_odd_label(array, label, at):
+    array[at % len(array)] = label
+    return array
+
+
+MEMBERS = st.one_of(
+    LABEL_ARRAYS,
+    st.builds(with_odd_label, LABEL_ARRAYS, st.sampled_from(ODD_LABELS), st.integers(0, 5)),
+    st.sampled_from(ODD_LABELS).map(lambda label: [label]),
+    LABEL_ARRAYS.map(lambda a: a + a[-1:]),
+    LABEL_ARRAYS.filter(lambda a: len(a) > 1).map(lambda a: a[::-1]),
+    st.lists(st.integers(1, 64) | st.sampled_from(ODD_LABELS), max_size=6),
+    LABEL_ARRAYS.map(Row),
+    LABEL_ARRAYS.map(Backwards),
+    LABEL_ARRAYS.map(tuple),
+    st.sampled_from([None, 3, "1,2", {}]),
+)
+READER_BLOCKS = st.one_of(
+    st.lists(MEMBERS, max_size=4),
+    st.lists(LABEL_ARRAYS, min_size=1, max_size=4),
+    st.lists(MEMBERS, max_size=4).map(Row),
+    st.lists(MEMBERS, max_size=4).map(Backwards),
+    MEMBERS,
+)
+
+
+def read(reader, blocks):
+    try:
+        return "blocks", reader(blocks, "blocks")
+    except ParameterError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(READER_BLOCKS, max_size=4))
+def test_block_reader_matches_the_reference(blocks):
+    assert read(_block_lists, blocks) == read(block_lists_reference, blocks)

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from kneser_minors import (
     AlmostRegularPartition,
     CaseTag,
+    CheckResult,
     ColoringCertificate,
     MinorCertificate,
     ParameterError,
     Params,
     PartitionPlan,
+    VerificationReport,
     almost_regular_partition,
     build_coloring,
     build_minor,
@@ -37,11 +39,44 @@ from kneser_minors.serialize import (
     partition_to_dict,
     report_to_dict,
 )
-from oracles import unreachable_member_pairwise
+from oracles import unjoined_blocks_pairwise, unjoined_blocks_reference, unreachable_member_pairwise
 
 
 def check_map(report):
     return {c.name: c for c in report.checks}
+
+
+def disconnected_block_pairwise(blocks):
+    """The block-connectivity detail from the pairwise search, or None."""
+    return next(
+        (
+            f"block {bi} is disconnected: member {kset_text(block[j])} is unreachable from {kset_text(block[0])}"
+            for bi, block in enumerate(blocks)
+            if (j := unreachable_member_pairwise(block)) is not None
+        ),
+        None,
+    )
+
+
+@st.composite
+def block_families(draw):
+    """(n, k, blocks) with n <= 12: singleton blocks, blocks whose members
+    share a label, and blocks of free members, so families may be
+    disconnected, unjoined or both."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, min(4, n - 1)))
+    free = st.frozensets(st.integers(1, n), min_size=k, max_size=k).map(kset_mask)
+
+    def sharing(label):
+        rest = st.frozensets(st.integers(1, n).filter(lambda x: x != label), min_size=k - 1, max_size=k - 1)
+        return st.lists(rest.map(lambda s: kset_mask(s | {label})), min_size=1, max_size=8, unique=True)
+
+    block = st.one_of(
+        free.map(lambda m: [m]),
+        st.integers(1, n).flatmap(sharing),
+        st.lists(free, min_size=2, max_size=12, unique=True),
+    )
+    return n, k, draw(st.lists(block, min_size=1, max_size=6))
 
 
 def bare_minor(n, k, blocks, order=None):
@@ -77,18 +112,31 @@ class TestVerifyMinor:
         k = data.draw(st.integers(1, min(4, n - 1)))
         member = st.frozensets(st.integers(1, n), min_size=k, max_size=k).map(kset_mask)
         blocks = data.draw(st.lists(st.lists(member, min_size=1, max_size=12, unique=True), min_size=1, max_size=3))
-        want = next(
-            (
-                f"block {bi} is disconnected: member {kset_text(block[j])} is unreachable from {kset_text(block[0])}"
-                for bi, block in enumerate(blocks)
-                if (j := unreachable_member_pairwise(block)) is not None
-            ),
-            None,
-        )
+        want = disconnected_block_pairwise(blocks)
         check = check_map(verify_minor(bare_minor(n, k, tuple(map(tuple, blocks)))))["block-connectivity"]
         assert (check.passed, check.detail) == (
             want is None, want or "every block induces a connected subgraph"
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_families())
+    def test_report_matches_the_definitions(self, family):
+        # Connectivity and cross edges from pairwise member searches; the
+        # other checks are the package's own and must come out unchanged.
+        n, k, blocks = family
+        cross = unjoined_blocks_pairwise(blocks)
+        assert unjoined_blocks_reference(n, blocks) == cross
+        want = {
+            "block-connectivity": (disconnected_block_pairwise(blocks), "every block induces a connected subgraph"),
+            "cross-edges": (cross, "every pair of blocks is joined"),
+        }
+        report = verify_minor(bare_minor(n, k, tuple(map(tuple, blocks))))
+        assert report.checks[0] == CheckResult("structure", True, f"{len(blocks)} well-formed blocks")
+        expected = VerificationReport(tuple(
+            CheckResult(c.name, want[c.name][0] is None, want[c.name][0] or want[c.name][1]) if c.name in want else c
+            for c in report.checks
+        ))
+        assert report == expected
 
     def test_shared_vertex_named(self):
         shared = kset_mask([1, 2, 3])
