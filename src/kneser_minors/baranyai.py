@@ -41,17 +41,18 @@ because v's bit is above every placed bit.  Copies that reach k labels are
 set aside as finished edges.  The flow network is read straight off these
 arrays, and its iterative search survives long augmenting paths.
 
-Two wrappers derive covered partitions of the standard anchored families:
-``partition_A`` (smallest label i fixed) and ``partition_C`` (label n fixed),
-each obtained by partitioning the (k-1)-subsets of the remaining interval
-and re-attaching the anchor.  Every non-remainder block is checked against
-its coverage floor on construction.
+``partition_A`` (smallest label i fixed) and ``partition_C`` (label n
+fixed) share one anchored body: it partitions the (k-1)-subsets of the
+remaining interval, re-attaches the anchor and checks every full block
+against its coverage floor.  ``_uniform_plan`` turns a family into blocks of
+one size and a remainder, for that body, ``build_coloring`` and the
+``partition`` command alike, with the cap check before the size vector.
 
 The engine's output depends only on ``(g, k, sizes)``: it works on local
 labels 1..g and shifts onto the plan's ground at the end.  The family
 anchored at label i in K(n, k) is the one anchored at i + 1 in K(n + 1, k),
 shifted by one label, so a sweep over n asks for the same local partition
-many times.  The two wrappers therefore take their base partition from a
+many times.  The anchored body therefore takes its base partition from a
 plan memo keyed on ``(g, k, sizes)``.  Each entry is one flat ``array('Q')``
 of local masks, class after class (the boundaries are ``sizes``); the memo
 holds at most ``MEMO_EDGE_BOUND`` edges in all and evicts the least
@@ -341,6 +342,13 @@ def _check_cap(edges: int, cap: int | None) -> None:
         raise ResourceCapError(f"{edges} hyperedges, above the cap of {limit}")
 
 
+def _uniform_plan(ground: tuple[int, int], k: int, block_size: int, cap: int | None) -> PartitionPlan:
+    """The ground's k-sets in classes of ``block_size`` and a remainder, capped first."""
+    total = binomial(ground[1] - ground[0] + 1, k)
+    _check_cap(total, cap)  # before the size vector, which may not fit in memory
+    return PartitionPlan(ground, k, uniform_sizes(total, block_size))
+
+
 def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> AlmostRegularPartition:
     """Partition the k-subsets of the plan's ground into almost-regular classes.
 
@@ -406,35 +414,26 @@ class _PlanMemo:
 _MEMO = _PlanMemo(MEMO_EDGE_BOUND)
 
 
-def _memo_partition(plan: PartitionPlan, cap: int | None) -> AlmostRegularPartition:
-    """``almost_regular_partition(plan, cap)``, solving each ``(g, k, sizes)`` once; the caller checks the cap."""
-    key = (plan.ground_size, plan.k, plan.sizes)
-    shift = plan.ground[0] - 1
+def _anchored(anchor: int, ground: tuple[int, int], k: int, l: int, cap: int | None) -> CoveredPartition:
+    """The k-sets made of ``anchor`` and k - 1 labels of ``ground``, in blocks of l."""
+    plan = _uniform_plan(ground, k - 1, l, cap)
+    key, shift = (plan.ground_size, plan.k, plan.sizes), ground[0] - 1
     flat = _MEMO.get(key)
     if flat is None:
-        part = almost_regular_partition(plan, cap=cap)
-        _MEMO.put(key, array("Q", [m >> shift for cls in part.classes for m in cls]))
-        return part
-    masks = [m << shift for m in flat]
-    result = tuple(tuple(masks[end - a:end]) for a, end in zip(plan.sizes, accumulate(plan.sizes)))
-    _self_check(plan, result)
-    return AlmostRegularPartition(plan=plan, classes=result)
-
-
-def _attach_anchor(
-    base: AlmostRegularPartition,
-    anchor: int,
-    guaranteed: int,
-    floor: int,
-) -> CoveredPartition:
+        base = almost_regular_partition(plan, cap=cap)
+        _MEMO.put(key, array("Q", [m >> shift for cls in base.classes for m in cls]))
+    else:
+        masks = [m << shift for m in flat]
+        classes = tuple(tuple(masks[end - a:end]) for a, end in zip(plan.sizes, accumulate(plan.sizes)))
+        _self_check(plan, classes)
+        base = AlmostRegularPartition(plan=plan, classes=classes)
     bit = 1 << (anchor - 1)
     blocks = tuple(tuple(bit | m for m in cls) for cls in base.classes)
+    guaranteed, floor = plan.sizes.count(l), min(plan.ground_size + 1, l * (k - 1) + 1)
     for idx in range(guaranteed):
         covered = union_mask(blocks[idx]).bit_count()
         if covered < floor:
-            raise ConstructionError(
-                f"block {idx} covers {covered} labels, below the floor of {floor}"
-            )
+            raise ConstructionError(f"block {idx} covers {covered} labels, below the floor of {floor}")
     return CoveredPartition(
         base=base, anchor=anchor, blocks=blocks, guaranteed_blocks=guaranteed, coverage_floor=floor
     )
@@ -453,10 +452,7 @@ def partition_A(i: int, p: Params, l: int, cap: int | None = None) -> CoveredPar
     family_size = binomial(n - i, k - 1)
     if not 1 <= l <= family_size:
         raise ParameterError(f"block size l = {l} outside [1, {family_size}]")
-    _check_cap(family_size, cap)  # before the size vector, which may not fit in memory
-    plan = PartitionPlan(ground=(i + 1, n), k=k - 1, sizes=uniform_sizes(family_size, l))
-    base = _memo_partition(plan, cap)
-    return _attach_anchor(base, i, family_size // l, min(n - i + 1, l * (k - 1) + 1))
+    return _anchored(i, (i + 1, n), k, l, cap)
 
 
 def partition_C(p: Params, l: int, cap: int | None = None) -> CoveredPartition:
@@ -469,7 +465,4 @@ def partition_C(p: Params, l: int, cap: int | None = None) -> CoveredPartition:
     family_size = binomial(n - 1, k - 1)
     if not 2 <= l <= family_size:
         raise ParameterError(f"block size l = {l} outside [2, {family_size}]")
-    _check_cap(family_size, cap)
-    plan = PartitionPlan(ground=(1, n - 1), k=k - 1, sizes=uniform_sizes(family_size, l))
-    base = _memo_partition(plan, cap)
-    return _attach_anchor(base, n, family_size // l, min(n, l * (k - 1) + 1))
+    return _anchored(n, (1, n - 1), k, l, cap)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .baranyai import PartitionPlan, _check_cap, almost_regular_partition, uniform_sizes
+from .baranyai import _uniform_plan, almost_regular_partition
 from .core import Params, binomial
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -27,9 +28,9 @@ class ColoringCertificate:
 
 def chi_of(n: int, k: int) -> int:
     """ceil(C(n, k) / floor(n / k)) with exact integer arithmetic."""
-    alpha = n // k
-    total = binomial(n, k)
-    return -(-total // alpha)
+    if not 1 <= k <= n:
+        raise ParameterError(f"k = {k} outside [1, {n}]")
+    return -(-binomial(n, k) // (n // k))
 
 
 def chi(p: Params) -> int:
@@ -38,10 +39,5 @@ def chi(p: Params) -> int:
 
 def build_coloring(p: Params, cap: int | None = None) -> ColoringCertificate:
     """Proper coloring with exactly chi(p) classes, each of size <= floor(n/k)."""
-    alpha = p.n // p.k
-    total = binomial(p.n, p.k)
-    _check_cap(total, cap)  # before the size vector, which may not fit in memory
-    sizes = uniform_sizes(total, alpha)
-    plan = PartitionPlan(ground=(1, p.n), k=p.k, sizes=sizes)
-    part = almost_regular_partition(plan, cap=cap)
+    part = almost_regular_partition(_uniform_plan((1, p.n), p.k, p.n // p.k, cap), cap=cap)
     return ColoringCertificate(n=p.n, k=p.k, classes=part.classes)

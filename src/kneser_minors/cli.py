@@ -16,7 +16,7 @@ import sys
 from typing import Sequence
 
 from . import serialize
-from .baranyai import DEFAULT_EDGE_CAP, PartitionPlan, _check_cap, almost_regular_partition, uniform_sizes
+from .baranyai import DEFAULT_EDGE_CAP, PartitionPlan, _uniform_plan, almost_regular_partition
 from .chromatic import build_coloring, chi
 from .core import MAX_LABELS, Params, binomial, params_grid
 from .errors import (
@@ -116,18 +116,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     cap = _cap(args)
-    total = binomial(args.n, args.k)
+    binomial(args.n, args.k)  # first, so the refusals come in order: 64-bit range, label cap, hyperedge cap
     if args.n > MAX_LABELS:
         raise OutOfScopeError(f"n = {args.n} exceeds the {MAX_LABELS}-label representation cap")
-    if args.sizes is not None:
+    if args.sizes is None:
+        plan = _uniform_plan((1, args.n), args.k, args.block_size, cap)
+    else:
         try:
             sizes = tuple(int(x) for x in args.sizes.split(","))
         except ValueError as exc:
             raise ParameterError(f"cannot parse sizes {args.sizes!r}") from exc
-    else:
-        _check_cap(total, cap)  # before the size vector, which may not fit in memory
-        sizes = uniform_sizes(total, args.block_size)
-    plan = PartitionPlan(ground=(1, args.n), k=args.k, sizes=sizes)
+        plan = PartitionPlan(ground=(1, args.n), k=args.k, sizes=sizes)
     part = almost_regular_partition(plan, cap=cap)
     report = verify_partition(part)
     if args.out:

@@ -223,6 +223,25 @@ class TestPartitionC:
             partition_C(Params(9, 3), 1)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda p: partition_A(0, p, 2), "anchor i = 0 outside [1, 7]"),
+        (lambda p: partition_A(8, p, 2), "anchor i = 8 outside [1, 7]"),
+        (lambda p: partition_A(1, p, 0), "block size l = 0 outside [1, 28]"),
+        (lambda p: partition_A(1, p, 29), "block size l = 29 outside [1, 28]"),
+        (lambda p: partition_C(p, 1), "block size l = 1 outside [2, 28]"),
+        (lambda p: partition_C(p, 29), "block size l = 29 outside [2, 28]"),
+    ],
+    ids=["A-anchor-0", "A-anchor-8", "A-block-0", "A-block-29", "C-block-1", "C-block-29"],
+)
+def test_anchored_argument_errors(call, message):
+    # C(8, 2) = 28 members in each family of (9, 3) the calls ask for.
+    with pytest.raises(ParameterError) as info:
+        call(Params(9, 3))
+    assert type(info.value) is ParameterError and str(info.value) == message
+
+
 @st.composite
 def engine_partitions(draw):
     """Engine partitions of the k-subsets of a ground of at most 8 labels."""

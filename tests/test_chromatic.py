@@ -3,11 +3,13 @@ import hashlib
 import pytest
 
 from kneser_minors import (
+    ParameterError,
     Params,
     ResourceCapError,
     binomial,
     build_coloring,
     chi,
+    chi_of,
     intersects,
     params_grid,
     serialize,
@@ -29,6 +31,12 @@ class TestChi:
             total = binomial(p.n, p.k)
             value = chi(p)
             assert value * alpha >= total > (value - 1) * alpha
+
+    @pytest.mark.parametrize("n,k,message", [(3, 5, "k = 5 outside [1, 3]"), (5, 0, "k = 0 outside [1, 5]")])
+    def test_k_outside_one_to_n_is_a_parameter_error(self, n, k, message):
+        with pytest.raises(ParameterError) as info:
+            chi_of(n, k)
+        assert type(info.value) is ParameterError and str(info.value) == message
 
 
 class TestColoring:

@@ -257,7 +257,7 @@ PARTITION_1_5 = almost_regular_partition(PartitionPlan((1, 5), 2, (5, 5)))
 @pytest.mark.parametrize(
     "verify,valid,broken,detail",
     [
-        # k = 0: chi_of(n, 0) would divide by zero, so no check may run.
+        # k = 0: chi_of(n, 0) would raise ParameterError, so no check may run.
         (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, k=0), "invalid parameters"),
         (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, blocks=MINOR_8_3.blocks + ((),)), "is empty"),
         (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, blocks=()), "certificate has no blocks"),
