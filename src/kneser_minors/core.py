@@ -14,12 +14,17 @@ serve both as partition classes and as branch-set candidates.
 
 The facts of an almost-regular partition are checked once, here, for the
 engine's self-check and the verifiers alike (the ``*_detail`` functions).
+``family_detail`` and ``spread_detail`` judge the whole family with C-level
+set, map and bit operations first and walk the members only to name a fault;
+``spread_detail`` passes a class of pairwise-disjoint members at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import OutOfScopeError, ParameterError
@@ -89,8 +94,8 @@ def kset_mask(labels: Iterable[int]) -> int:
     return mask
 
 
-def kset_labels(mask: int) -> tuple[int, ...]:
-    """Labels of a mask in increasing order."""
+def label_list(mask: int) -> list[int]:
+    """Labels of a mask in increasing order, as a new list."""
     if mask < 0:
         raise ParameterError(f"negative mask {mask}")
     labels = []
@@ -98,7 +103,12 @@ def kset_labels(mask: int) -> tuple[int, ...]:
         low = mask & -mask
         labels.append(low.bit_length())
         mask ^= low
-    return tuple(labels)
+    return labels
+
+
+def kset_labels(mask: int) -> tuple[int, ...]:
+    """Labels of a mask in increasing order."""
+    return tuple(label_list(mask))
 
 
 def label_degrees(block: Iterable[int], n: int) -> list[int]:
@@ -124,10 +134,12 @@ def intersects(a: int, b: int) -> bool:
 
 
 def union_mask(members: Iterable[int]) -> int:
-    mask = 0
-    for m in members:
-        mask |= m
-    return mask
+    return reduce(or_, members, 0)
+
+
+def pairwise_disjoint(members: Sequence[int]) -> bool:
+    """True iff no label lies in two members: the union's popcount is the sum of theirs."""
+    return union_mask(members).bit_count() == sum(map(int.bit_count, members))
 
 
 def sizes_detail(classes: Sequence[Sequence[int]], sizes: tuple[int, ...]) -> str | None:
@@ -160,9 +172,13 @@ def family_detail(classes: Sequence[Sequence[int]], lo: int, hi: int, k: int) ->
 def spread_detail(classes: Sequence[Sequence[int]], lo: int, hi: int) -> str | None:
     """The first class whose degrees on labels lo..hi differ by more than one, or None.
 
-    Every member must lie inside [1, hi], as ``family_detail`` ensures.
+    Every member must lie inside [1, hi], as ``family_detail`` ensures.  A class
+    of pairwise-disjoint members has every degree 0 or 1, so it passes at once;
+    only the other classes count their degrees.
     """
     for ci, cls in enumerate(classes):
+        if pairwise_disjoint(cls):
+            continue
         degrees = label_degrees(cls, hi)[lo - 1:]
         hi_deg, lo_deg = max(degrees), min(degrees)
         if hi_deg - lo_deg > 1:

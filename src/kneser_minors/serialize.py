@@ -2,7 +2,8 @@
 
 All documents are pretty-printed UTF-8 with sorted keys, so identical
 objects serialize to identical bytes.  k-subsets appear as strictly
-increasing label arrays.
+increasing label arrays, each written by ``core.label_list`` straight into
+a new list (a negative mask raises ParameterError).
 
 A minor document's ``trace`` must be exactly the trace ``build_minor``
 records for its (n, k), as ``minor_to_dict`` writes it; ``minor_from_dict``
@@ -35,7 +36,7 @@ from typing import Any
 
 from .baranyai import AlmostRegularPartition, PartitionPlan
 from .chromatic import ColoringCertificate
-from .core import MAX_LABELS, kset_labels, kset_mask
+from .core import MAX_LABELS, kset_mask, label_list
 from .errors import ParameterError
 from .minors import MinorCertificate, TraceEntry, _recorded_trace
 from .verify import VerificationReport
@@ -136,10 +137,6 @@ def _array_nest(value: list | tuple, level: int) -> str | None:
     return "".join(opens) + text + "".join(reversed(shuts))
 
 
-def _labels(mask: int) -> list[int]:
-    return list(kset_labels(mask))
-
-
 def _mask_from_labels(raw: Any, where: str) -> int:
     if not isinstance(raw, list) or not raw:
         raise ParameterError(f"{where}: expected a nonempty label array")
@@ -216,7 +213,7 @@ def minor_to_dict(cert: MinorCertificate) -> dict[str, Any]:
         "kind": "minor",
         "n": cert.n,
         "k": cert.k,
-        "blocks": [[_labels(m) for m in block] for block in cert.blocks],
+        "blocks": [[label_list(m) for m in block] for block in cert.blocks],
         "trace": _trace_list(cert.trace),
         "claimed_order": cert.claimed_order,
     }
@@ -241,7 +238,7 @@ def coloring_to_dict(cert: ColoringCertificate) -> dict[str, Any]:
         "kind": "coloring",
         "n": cert.n,
         "k": cert.k,
-        "classes": [[_labels(m) for m in cls] for cls in cert.classes],
+        "classes": [[label_list(m) for m in cls] for cls in cert.classes],
     }
 
 
@@ -260,7 +257,7 @@ def partition_to_dict(part: AlmostRegularPartition) -> dict[str, Any]:
         "ground": list(part.plan.ground),
         "k": part.plan.k,
         "sizes": list(part.plan.sizes),
-        "classes": [[_labels(m) for m in cls] for cls in part.classes],
+        "classes": [[label_list(m) for m in cls] for cls in part.classes],
     }
 
 

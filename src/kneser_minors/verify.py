@@ -3,12 +3,15 @@
 Verifiers trust nothing but the certificate contents and the definitions:
 every edge is re-derived from label-set intersection, traces are never
 consulted, and each failed check names the offending block, class, pair or
-vertex.  A block whose members all share a label (a nonzero AND, as in
-every anchored block ``build_minor`` makes) is connected, since any two
-members meet; any other block gets the label-closure search.  Two blocks
-are joined exactly when their covered-label sets meet, so the cross-edge
-check keeps one bit-vector of blocks per label and reads a block's reach
-from per-8-label OR tables: one OR per 8 labels, not one per covered label.
+vertex.  The structure and shared-vertex checks first judge the whole
+certificate with set, map and bit operations (one set of all members, one
+set per block), and walk the members only to name a fault.  A block whose
+members all share a label (a nonzero AND, as in every anchored block
+``build_minor`` makes) is connected, since any two members meet; any other
+block gets the label-closure search.  Two blocks are joined exactly when
+their covered-label sets meet, so the cross-edge check cuts one bit-vector
+of blocks per label from the blocks' covers written as binary rows, and
+reads a block's reach from per-8-label OR tables: one OR per 8 labels.
 
 Each verifier is an ordered table of named checks, each name declared once,
 run by ``_run_checks``.  The structure check runs first; if it fails, every
@@ -24,11 +27,14 @@ self-check runs too; the structure check of outside input is the verifier's own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 from .baranyai import AlmostRegularPartition
 from .chromatic import ColoringCertificate, chi_of
-from .core import MAX_LABELS, family_detail, intersects, kset_text, sizes_detail, spread_detail, union_mask
+from .core import (
+    MAX_LABELS, family_detail, intersects, kset_text, pairwise_disjoint, sizes_detail, spread_detail, union_mask,
+)
 from .minors import MinorCertificate
 
 _Check = Callable[[], tuple[bool, str]]
@@ -64,6 +70,15 @@ def _structure_blocks(
     if not blocks:
         return False, f"certificate has no {plural}"
     universe = (1 << n) - (1 << (lo - 1))
+    # The whole certificate at once; the loop below only names the first fault
+    # (and alone reads blocks that are not tuples or lists, as it always did).
+    members = list(chain.from_iterable(blocks)) if set(map(type, blocks)) <= {tuple, list} else []
+    if (
+        all(blocks) and set(map(type, members)) == {int} and min(members) > 0
+        and not union_mask(members) & ~universe and set(map(int.bit_count, members)) == {k}
+        and sum(map(len, map(set, blocks))) == len(members)
+    ):
+        return True, f"{len(blocks)} well-formed {plural}"
     for bi, block in enumerate(blocks):
         if not block:
             return False, f"{unit} {bi} is empty"
@@ -114,6 +129,8 @@ def _verdict(detail: str | None, ok: str) -> tuple[bool, str]:
 
 
 def _shared_vertex(blocks: Sequence[Sequence[int]]) -> str | None:
+    if len(set(chain.from_iterable(blocks))) == sum(map(len, blocks)):
+        return None
     owner: dict[int, int] = {}
     for bi, block in enumerate(blocks):
         for mask in block:
@@ -139,17 +156,15 @@ def _disconnected_block(blocks: Sequence[Sequence[int]]) -> str | None:
     return None
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
 def _unjoined_blocks(n: int, blocks: Sequence[Sequence[int]]) -> str | None:
     # Blocks are joined by an edge iff their covered-label sets intersect.
     t = len(blocks)
-    covered = [union_mask(block) for block in blocks]
-    # Bit bi of per_label[x] is set iff block bi covers label x + 1: one row
-    # of 0/1 bytes per label, last block first, read as a base-2 numeral.
-    last_first = covered[::-1]
-    per_label = [int(bytes([cover >> x & 1 for cover in last_first]).translate(_DIGITS), 2) for x in range(n)]
+    covered = list(map(union_mask, blocks))
+    # Bit bi of per_label[x] is set iff block bi covers label x + 1.  Each
+    # cover is a binary row of n digits, last block first, so label x + 1's
+    # digits of all blocks, read every n-th from n - 1 - x, form one numeral.
+    rows = "".join(map(f"{{:0{n}b}}".format, reversed(covered)))
+    per_label = [int(rows[n - 1 - x::n], 2) for x in range(n)]
     # tables[c][b] is the OR of per_label over the labels of chunk c
     # (8c + 1 .. 8c + 8) whose bits are set in byte b; labels past n read 0.
     per_label += [0] * 7
@@ -174,7 +189,7 @@ def _unjoined_blocks(n: int, blocks: Sequence[Sequence[int]]) -> str | None:
 
 def _intersecting_members(classes: Sequence[Sequence[int]]) -> str | None:
     for ci, cls in enumerate(classes):
-        if union_mask(cls).bit_count() != sum(m.bit_count() for m in cls):
+        if not pairwise_disjoint(cls):
             for a in range(len(cls)):
                 for b in range(a + 1, len(cls)):
                     if intersects(cls[a], cls[b]):

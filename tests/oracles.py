@@ -7,8 +7,9 @@ only usable on tiny instances, the closed-form order bounds of the s = 2
 and s = 3 builds and the s >= 4, k >= 4 product-bound report, both in
 exact rationals, the pairwise connectivity search the minor verifier used
 before it searched over labels, a pairwise block-join search and the
-cross-edge check as it was before it read per-chunk tables, the parser's
-block reader as it was before it read members inline, the engine's
+cross-edge check as it was before it read per-chunk tables, the degree-spread
+and structure checks as they were before they took whole-family verdicts
+first, the parser's block reader as it was before it read members inline, the engine's
 self-check as it was before it shared the verifier's partition checks (it
 compares against the enumerated family), the partition engine as it was
 before it solved label steps on groups of identical classes (one flow node
@@ -38,10 +39,11 @@ from kneser_minors import (
     enumerate_family,
     intersects,
     kset_labels,
+    kset_text,
     union_mask,
 )
 from kneser_minors.baranyai import _max_flow
-from kneser_minors.core import label_degrees
+from kneser_minors.core import MAX_LABELS, label_degrees
 from kneser_minors.serialize import _mask_from_labels
 
 ORACLE_EDGE_CAP = 30
@@ -378,6 +380,48 @@ def unjoined_blocks_reference(n: int, blocks: Sequence[Sequence[int]]) -> str | 
             other = next(j for j in range(t) if not reach >> j & 1)
             return f"blocks {bi} and {other} are joined by no edge"
     return None
+
+
+def spread_detail_reference(classes: Sequence[Sequence[int]], lo: int, hi: int) -> str | None:
+    """The degree-spread check as it was before it passed classes of
+    pairwise-disjoint members at once: every class counts its degrees."""
+    for ci, cls in enumerate(classes):
+        degrees = label_degrees(cls, hi)[lo - 1:]
+        hi_deg, lo_deg = max(degrees), min(degrees)
+        if hi_deg - lo_deg > 1:
+            hot = lo + degrees.index(hi_deg)
+            cold = lo + degrees.index(lo_deg)
+            return (
+                f"class {ci} has degree spread {hi_deg - lo_deg}: "
+                f"label {hot} has degree {hi_deg}, label {cold} has degree {lo_deg}"
+            )
+    return None
+
+
+def structure_blocks_reference(
+    n: int, k: int, blocks: Sequence[Sequence[int]], unit: str, lo: int = 1
+) -> tuple[bool, str]:
+    """The verifiers' structure check as it was before it judged the whole
+    certificate first: every member of every block is tested in turn."""
+    if not (1 <= lo and 1 <= k <= n - lo + 1 and n <= MAX_LABELS):
+        return False, f"invalid parameters (n, k) = ({n}, {k})"
+    plural = f"{unit}es" if unit.endswith("s") else f"{unit}s"
+    if not blocks:
+        return False, f"certificate has no {plural}"
+    universe = (1 << n) - (1 << (lo - 1))
+    for bi, block in enumerate(blocks):
+        if not block:
+            return False, f"{unit} {bi} is empty"
+        seen = set()
+        for mi, mask in enumerate(block):
+            if not isinstance(mask, int) or mask <= 0 or mask & ~universe:
+                return False, f"{unit} {bi} member {mi} has labels outside [{lo}, {n}]"
+            if mask.bit_count() != k:
+                return False, f"{unit} {bi} member {mi} = {kset_text(mask)} is not a {k}-subset"
+            if mask in seen:
+                return False, f"{unit} {bi} repeats member {kset_text(mask)}"
+            seen.add(mask)
+    return True, f"{len(blocks)} well-formed {plural}"
 
 
 def block_lists_reference(blocks: list, where: str) -> tuple[tuple[int, ...], ...]:

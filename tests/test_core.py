@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneser_minors import (
+    ColoringCertificate,
     OutOfScopeError,
     ParameterError,
     Params,
@@ -19,9 +20,10 @@ from kneser_minors import (
     kset_mask,
     kset_text,
     params_grid,
+    verify_coloring,
 )
-from kneser_minors.core import label_degrees
-from oracles import covered_labels, family_C, hockey_stick
+from kneser_minors.core import label_degrees, pairwise_disjoint, spread_detail
+from oracles import covered_labels, family_C, hockey_stick, spread_detail_reference
 
 
 def masks_by_hand(lo, hi, k):
@@ -129,6 +131,60 @@ def test_label_degrees_counts_each_label(case):
     n, block = case
     naive = [sum(1 for mask in block if mask >> (x - 1) & 1) for x in range(1, n + 1)]
     assert label_degrees(block, n) == naive
+
+
+@st.composite
+def shifted_classes(draw):
+    """(lo, hi, k, classes) on a ground [lo, hi] with lo > 1, every member a
+    k-subset of [lo, hi]: classes of pairwise-disjoint members, classes of
+    free members (which may intersect), and classes of two members sharing
+    one label with another label left out, whose degree spread is exactly 2."""
+    lo = draw(st.integers(2, 8))
+    hi = lo + draw(st.integers(1, 11))
+    k = draw(st.integers(1, min(4, hi - lo + 1)))
+    ground = list(range(lo, hi + 1))
+    member = st.frozensets(st.sampled_from(ground), min_size=k, max_size=k).map(kset_mask)
+
+    def disjoint(perm):
+        count = draw(st.integers(1, len(perm) // k))
+        return [kset_mask(perm[i * k:(i + 1) * k]) for i in range(count)]
+
+    kinds = [st.permutations(ground).map(disjoint), st.lists(member, min_size=1, max_size=8, unique=True)]
+    if k >= 2 and len(ground) >= 2 * k:
+        # labels perm[0] (degree 2) and perm[-1] (degree 0): spread exactly 2
+        kinds.append(st.permutations(ground).map(lambda perm: [
+            kset_mask(perm[:k]), kset_mask([perm[0], *perm[k:2 * k - 1]]),
+        ]))
+    return lo, hi, k, draw(st.lists(st.one_of(kinds), min_size=1, max_size=6))
+
+
+def intersecting_members_pairwise(classes):
+    """The independent-classes detail from the first intersecting member pair, or None."""
+    for ci, cls in enumerate(classes):
+        for a, b in itertools.combinations(cls, 2):
+            if intersects(a, b):
+                return f"class {ci} contains intersecting members {kset_text(a)} and {kset_text(b)}"
+    return None
+
+
+class TestSpreadDetail:
+    @settings(max_examples=200, deadline=None)
+    @given(shifted_classes())
+    def test_matches_the_per_label_reference(self, drawn):
+        lo, hi, k, classes = drawn
+        classes = tuple(map(tuple, classes))
+        assert spread_detail(classes, lo, hi) == spread_detail_reference(classes, lo, hi)
+        for cls in classes:
+            degrees = label_degrees(cls, hi)
+            assert pairwise_disjoint(cls) == (max(degrees) <= 1)
+        want = intersecting_members_pairwise(classes)
+        check = {c.name: c for c in verify_coloring(ColoringCertificate(hi, k, classes)).checks}["independent-classes"]
+        assert (check.passed, check.detail) == (want is None, want or "all classes are pairwise disjoint families")
+
+    def test_spread_two_is_named(self):
+        classes = ((kset_mask([3, 4, 5]),), (kset_mask([3, 4, 5]), kset_mask([3, 6, 7])))
+        detail = "class 1 has degree spread 2: label 3 has degree 2, label 8 has degree 0"
+        assert spread_detail(classes, 3, 8) == spread_detail_reference(classes, 3, 8) == detail
 
 
 class TestEnumerateFamily:

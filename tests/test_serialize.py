@@ -8,8 +8,11 @@ raise ParameterError with the same message.
 """
 
 import enum
+import subprocess
+import sys
 from collections import OrderedDict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,3 +222,22 @@ def read(reader, blocks):
 @given(st.lists(READER_BLOCKS, max_size=4))
 def test_block_reader_matches_the_reference(blocks):
     assert read(_block_lists, blocks) == read(block_lists_reference, blocks)
+
+
+@pytest.mark.parametrize(
+    "writer,cert",
+    [
+        ("minor_to_dict", "MinorCertificate(n=7, k=3, blocks=((7, -7),), trace=(), claimed_order=1)"),
+        ("coloring_to_dict", "ColoringCertificate(n=7, k=3, classes=((7,), (-7,)))"),
+    ],
+)
+def test_writers_refuse_a_negative_mask(writer, cert):
+    # The low-bit walk never ends on a negative int, so a regression hangs:
+    # run it in a child with a timeout.
+    code = (
+        "from kneser_minors import ColoringCertificate, MinorCertificate, ParameterError\n"
+        f"from kneser_minors.serialize import {writer}\n"
+        f"try:\n    {writer}({cert})\nexcept ParameterError as exc:\n    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (0, "negative mask -7\n")

@@ -39,7 +39,12 @@ from kneser_minors.serialize import (
     partition_to_dict,
     report_to_dict,
 )
-from oracles import unjoined_blocks_pairwise, unjoined_blocks_reference, unreachable_member_pairwise
+from oracles import (
+    structure_blocks_reference,
+    unjoined_blocks_pairwise,
+    unjoined_blocks_reference,
+    unreachable_member_pairwise,
+)
 
 
 def check_map(report):
@@ -300,6 +305,119 @@ def test_structural_errors_skip_every_named_check(verify, valid, broken, detail)
     assert [(c.passed, c.detail) for c in failing.checks[1:]] == [(False, "skipped: structural errors")] * (
         len(passing.checks) - 1
     )
+
+
+PARTITION_3_8 = almost_regular_partition(PartitionPlan((3, 8), 3, uniform_sizes(20, 4)))
+MINOR_K1 = bare_minor(4, 1, ((1,), (2, 4), (8,)))
+
+# (verify, certificate, its blocks, then the n, k, unit and lo of its structure check)
+STRUCTURED = {
+    "minor": (verify_minor, MINOR_8_3, MINOR_8_3.blocks, 8, 3, "block", 1),
+    "coloring": (verify_coloring, COLORING_7_3, COLORING_7_3.classes, 7, 3, "class", 1),
+    "partition": (verify_partition, PARTITION_3_8, PARTITION_3_8.classes, 8, 3, "class", 3),
+    "minor-k1": (verify_minor, MINOR_K1, MINOR_K1.blocks, 4, 1, "block", 1),
+}
+MUTATIONS = (
+    "bool", "zero", "negative", "non-int", "above-n", "below-lo", "popcount", "repeat", "shared", "empty",
+)
+
+
+def with_blocks(cert, blocks):
+    field = "blocks" if isinstance(cert, MinorCertificate) else "classes"
+    return dataclasses.replace(cert, **{field: blocks})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(STRUCTURED)), st.data())
+def test_structure_matches_the_per_member_reference(kind, data):
+    """Built certificates with up to three members or blocks mutated: the
+    whole report is the reference structure verdict, then every check
+    skipped or, when the structure holds, the unmutated report's names."""
+    verify, cert, blocks, n, k, unit, lo = STRUCTURED[kind]
+    blocks = [list(block) for block in blocks]
+    for _ in range(data.draw(st.integers(0, 3))):
+        bi = data.draw(st.integers(0, len(blocks) - 1))
+        block = blocks[bi]
+        if not block:
+            continue
+        mi = data.draw(st.integers(0, len(block) - 1))
+        mask = block[mi]
+        if not isinstance(mask, int) or mask <= 0:
+            continue
+        how = data.draw(st.sampled_from(MUTATIONS))
+        if how == "bool":
+            block[mi] = data.draw(st.booleans())
+        elif how == "zero":
+            block[mi] = 0
+        elif how == "negative":
+            block[mi] = -mask
+        elif how == "non-int":
+            block[mi] = data.draw(st.sampled_from([float(mask), str(mask), None, (mask,)]))
+        elif how == "above-n":  # its top label becomes n + 1
+            block[mi] = mask & ~(1 << (mask.bit_length() - 1)) | 1 << n
+        elif how == "below-lo":  # its bottom label becomes lo - 1 (outside the ground when lo > 1)
+            block[mi] = mask & (mask - 1) | 1 << max(lo - 2, 0)
+        elif how == "popcount":
+            block[mi] = mask & (mask - 1) if data.draw(st.booleans()) else mask | 1 << data.draw(st.integers(0, n - 1))
+        elif how == "repeat":
+            block.insert(data.draw(st.integers(0, len(block))), mask)
+        elif how == "shared":
+            other = blocks[data.draw(st.integers(0, len(blocks) - 1))]
+            if other:
+                block[mi] = other[data.draw(st.integers(0, len(other) - 1))]
+        else:
+            blocks[bi] = []
+    blocks = tuple(map(tuple, blocks))
+    want = structure_blocks_reference(n, k, blocks, unit, lo)
+    report = verify(with_blocks(cert, blocks))
+    names = [c.name for c in verify(cert).checks]
+    assert [c.name for c in report.checks] == names
+    assert report.checks[0] == CheckResult("structure", *want)
+    if not want[0]:
+        assert all(c.detail == "skipped: structural errors" and not c.passed for c in report.checks[1:])
+
+
+def test_bool_members_pass_the_structure_check_as_before():
+    # True is an int with one label: the per-member check accepted it for
+    # k = 1 and still does, though the whole-certificate verdict does not.
+    blocks = ((True,), (2, 4), (8,))
+    assert check_map(verify_minor(bare_minor(4, 1, blocks)))["structure"] == CheckResult(
+        "structure", *structure_blocks_reference(4, 1, blocks, "block")
+    ) == CheckResult("structure", True, "3 well-formed blocks")
+
+
+@st.composite
+def edge_label_families(draw):
+    """(n, k, blocks) with n up to 64, labels 1 and n (the two ends of each
+    binary row) drawn often, and families that may be unjoined."""
+    n = draw(st.sampled_from([2, 7, 8, 9, 16, 17, 63, 64]) | st.integers(2, 64))
+    k = draw(st.integers(1, min(4, n - 1)))
+    label = st.sampled_from([1, n]) | st.integers(1, n)
+    member = st.frozensets(label, min_size=k, max_size=k).map(kset_mask)
+    blocks = draw(st.lists(st.lists(member, min_size=1, max_size=4, unique=True), min_size=1, max_size=8))
+    return n, k, tuple(map(tuple, blocks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_label_families())
+def test_cross_edges_match_the_reference_up_to_64_labels(family):
+    n, k, blocks = family
+    want = unjoined_blocks_reference(n, blocks)
+    assert want == unjoined_blocks_pairwise(blocks)
+    check = check_map(verify_minor(bare_minor(n, k, blocks)))["cross-edges"]
+    assert (check.passed, check.detail) == (want is None, want or "every pair of blocks is joined")
+
+
+def test_cross_edges_read_labels_1_and_64():
+    # Blocks 0 and 1 meet only on label 1, blocks 2 and 3 only on label 64.
+    ends = [kset_mask([1, 2]), kset_mask([1, 3]), kset_mask([63, 64]), kset_mask([62, 64])]
+    blocks = tuple((m,) for m in ends)
+    # A member holding both ends joins block 0 to every block.
+    spanning = ((ends[0], kset_mask([1, 64])), *blocks[1:])
+    for family, want in ((blocks, "blocks 0 and 2"), (spanning, "blocks 1 and 2")):
+        detail = f"{want} are joined by no edge"
+        assert unjoined_blocks_reference(64, family) == detail
+        assert check_map(verify_minor(bare_minor(64, 2, family)))["cross-edges"].detail == detail
 
 
 class TestSerialization:
