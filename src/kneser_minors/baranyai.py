@@ -68,10 +68,9 @@ from __future__ import annotations
 import threading
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import Params, binomial, family_detail, sizes_detail, spread_detail, union_mask
+from .core import Params, Record, binomial, family_detail, sizes_detail, spread_detail, union_mask
 from .errors import ConstructionError, ParameterError, ResourceCapError
 
 DEFAULT_EDGE_CAP = 20000
@@ -80,8 +79,7 @@ DEFAULT_EDGE_CAP = 20000
 MEMO_EDGE_BOUND = 1 << 18
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
+class PartitionPlan(Record):
     """Prescription for one partition: ground interval, uniformity k, class sizes."""
 
     ground: tuple[int, int]
@@ -112,14 +110,12 @@ class PartitionPlan:
         return binomial(self.ground_size, self.k)
 
 
-@dataclass(frozen=True)
-class AlmostRegularPartition:
+class AlmostRegularPartition(Record):
     plan: PartitionPlan
     classes: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CoveredPartition:
+class CoveredPartition(Record):
     """Partition of an anchored family with a coverage floor on leading blocks.
 
     ``base`` is the anchor-free almost-regular partition on the reduced

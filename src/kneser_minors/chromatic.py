@@ -10,15 +10,13 @@ disjoint k-subsets is the most [n] can hold, so no color class is larger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .baranyai import _uniform_plan, almost_regular_partition
-from .core import Params, binomial
+from .core import Params, Record, binomial
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class ColoringCertificate:
+class ColoringCertificate(Record):
     """A proper coloring of the complement graph by pairwise-disjoint families."""
 
     n: int

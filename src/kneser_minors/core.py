@@ -22,7 +22,6 @@ set, map and bit operations first and walk the members only to name a fault;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
@@ -50,8 +49,43 @@ def binomial(a: int, b: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Params:
+class Record:
+    """Immutable record of its annotated fields, in order: built by position or
+    keyword, checked by ``__post_init__``, and equal only within its own type."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__}() takes each of ({', '.join(names)}) once")
+        self.__dict__.update(zip(names, args), **kwargs)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields; a type with invariants overrides this."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._values()))})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Params(Record):
     """Graph parameters (n, k) with the split n = s*k + t, 0 <= t <= k-1.
 
     Valid instances satisfy k >= 3 and 2k+1 <= n <= 64, which forces s >= 2.

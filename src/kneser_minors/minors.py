@@ -31,12 +31,10 @@ strongest orders fall out automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .baranyai import _check_cap, partition_A, partition_C
-from .core import Params, binomial, family_A
+from .core import Params, Record, binomial, family_A
 from .errors import ConstructionError, OutOfScopeError, ParameterError
 from .chromatic import chi_of
 
@@ -56,8 +54,7 @@ class CaseTag(str, Enum):
 _SHIFTED_K3 = frozenset({18, 22, 26})
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(Record):
     """One build stage: the case applied, its (n, k), the partition block
     size it used (None for the pure re-embedding stage) and how many blocks
     it contributed."""
@@ -69,8 +66,7 @@ class TraceEntry:
     block_count: int
 
 
-@dataclass(frozen=True)
-class MinorCertificate:
+class MinorCertificate(Record):
     n: int
     k: int
     blocks: tuple[tuple[int, ...], ...]
@@ -82,8 +78,7 @@ class MinorCertificate:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class S4Params:
+class S4Params(Record):
     """Derived quantities for the s >= 4, k >= 4 regime, self-checked on build.
 
     l_prime = floor((n-1)/(k-1)); l is ceil((l'+1)/2), except floor at
@@ -117,8 +112,7 @@ class S4Params:
         return cls(l_prime=l_prime, l=l, n_prime=n_prime)
 
 
-@dataclass(frozen=True)
-class K3Params:
+class K3Params(Record):
     """Derived quantities for the s >= 4, k = 3 regime: n = 4s' + t',
     l = s' or s' + 1 by t', n' = n - 2l; (n-1)/2 <= 2l <= n/2 + 1 is asserted
     rather than trusted."""
@@ -254,8 +248,7 @@ def build_minor(p: Params, cap: int | None = None) -> MinorCertificate:
     return _execute(_stage_entries(p), cap)
 
 
-@dataclass(frozen=True)
-class K3TableRow:
+class K3TableRow(Record):
     """One row of the k = 3 summary table: block size l, exact constructed
     order, the closed-form order bound as an exact rational, and chi."""
 
@@ -274,6 +267,7 @@ def k3_table_rows(n_min: int = 12, n_max: int = 35) -> list[K3TableRow]:
     """Compute the k = 3 table for n_min <= n <= n_max (within [12, 35])."""
     if not 12 <= n_min <= n_max <= 35:
         raise ParameterError(f"table range [{n_min}, {n_max}] outside [12, 35]")
+    from fractions import Fraction
     rows = []
     for n in range(n_min, n_max + 1):
         q3 = K3Params.from_n(n)

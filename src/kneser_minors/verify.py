@@ -26,29 +26,26 @@ self-check runs too; the structure check of outside input is the verifier's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
 
 from .baranyai import AlmostRegularPartition
 from .chromatic import ColoringCertificate, chi_of
 from .core import (
-    MAX_LABELS, family_detail, intersects, kset_text, pairwise_disjoint, sizes_detail, spread_detail, union_mask,
+    MAX_LABELS, Record, family_detail, intersects, kset_text, pairwise_disjoint, sizes_detail, spread_detail, union_mask,
 )
 from .minors import MinorCertificate
 
 _Check = Callable[[], tuple[bool, str]]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     checks: tuple[CheckResult, ...]
 
     @property

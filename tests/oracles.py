@@ -543,3 +543,9 @@ def remainder_block(cov: CoveredPartition) -> tuple[int, ...] | None:
     if len(cov.blocks) > cov.guaranteed_blocks:
         return cov.blocks[cov.guaranteed_blocks]
     return None
+
+
+def replaced(record, **changes):
+    """A copy of a package record with some fields changed, built through its constructor."""
+    fields = {name: getattr(record, name) for name in type(record).__annotations__}
+    return type(record)(**{**fields, **changes})

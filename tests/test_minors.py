@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ from kneser_minors import (
 )
 from kneser_minors.minors import K3_TABLE_REFERENCE
 from kneser_minors.serialize import dumps_canonical, minor_to_dict
-from oracles import bound_check_s4, closed_form_lower_bound, covered_labels
+from oracles import bound_check_s4, closed_form_lower_bound, covered_labels, replaced
 
 
 class TestRouting:
@@ -247,10 +246,8 @@ class TestTrace:
         ]
 
     def test_replay_rejects_wrong_stage_size(self):
-        import dataclasses
-
         cert = build_minor(Params(8, 3))
-        bad = (cert.trace[0], dataclasses.replace(cert.trace[1], block_size=5))
+        bad = (cert.trace[0], replaced(cert.trace[1], block_size=5))
         with pytest.raises(ParameterError):
             replay_trace(bad)
 
@@ -258,13 +255,13 @@ class TestTrace:
         "n,k,tamper",
         [
             pytest.param(
-                8, 3, lambda t: (t[0], dataclasses.replace(t[1], block_count=t[1].block_count + 1)),
+                8, 3, lambda t: (t[0], replaced(t[1], block_count=t[1].block_count + 1)),
                 id="wrong-block-count",
             ),
             pytest.param(8, 3, lambda t: t[::-1], id="swapped-entries"),
             pytest.param(8, 3, lambda t: t[1:], id="dropped-base"),
             pytest.param(
-                16, 4, lambda t: (dataclasses.replace(t[0], block_size=t[0].block_size + 1),),
+                16, 4, lambda t: (replaced(t[0], block_size=t[0].block_size + 1),),
                 id="wrong-s4-block-size",
             ),
             # (12, 3) routes to S4_K3; this stage layout is never recorded for it.

@@ -1,0 +1,81 @@
+"""The theorem over the whole 64-label scope, by counting.
+
+The acceptance suite builds and checks the 79 sweep instances.  Here every
+in-scope (n, k) -- 3 <= k and 2k + 1 <= n <= 64, 870 pairs -- is checked
+without a build: the trace ``build_minor`` would record derives (so every
+``S4Params``/``K3Params`` preflight holds), its closed-form block counts
+reach chi, and the preflight inequalities hold in exact rationals.  The three
+k = 7 instances the default cap admits, which no sweep covers, are built and
+verified.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from kneser_minors import (
+    K3Params,
+    MAX_LABELS,
+    Params,
+    S4Params,
+    binomial,
+    build_coloring,
+    build_minor,
+    chi,
+    chi_of,
+    verify_coloring,
+    verify_minor,
+)
+from kneser_minors.minors import _recorded_trace
+from oracles import bound_check_s4
+
+SCOPE = [(n, k) for k in range(3, MAX_LABELS) for n in range(2 * k + 1, MAX_LABELS + 1)]
+SHIFTED = {18, 22, 26}
+
+
+def test_scope_has_870_instances():
+    assert len(SCOPE) == 870
+
+
+def test_every_recorded_trace_reaches_chi():
+    margins = {}
+    for n, k in SCOPE:
+        trace = _recorded_trace(n, k)
+        assert (trace[-1].n, trace[-1].k) == (n, k)
+        margins[n, k] = sum(entry.block_count for entry in trace) - chi_of(n, k)
+    assert min(margins.values()) == 2
+    assert sorted(nk for nk, margin in margins.items() if margin == 2) == [(8, 3), (23, 3)]
+
+
+def test_preflight_inequalities_in_exact_rationals():
+    s4_checked = k3_checked = 0
+    for n, k in SCOPE:
+        p = Params(n, k)
+        if k >= 4 and p.s >= 4:
+            q = S4Params.from_params(p)
+            assert Fraction(q.l) <= Fraction(q.l_prime + 2, 2), (n, k)
+            assert Fraction(q.l_prime + 2, 2) <= Fraction(p.s + 3 + Fraction(p.s - 1, k - 1), 2), (n, k)
+            cover = q.l * (k - 1) + 1
+            assert Fraction(n, 2) < cover <= Fraction(n - 1, 2) + k, (n, k)
+            assert Fraction(binomial(n - q.n_prime, k - 1), q.l) > q.n_prime, (n, k)
+            assert bound_check_s4(p).ok, (n, k)
+            s4_checked += 1
+        if k == 3 and p.s >= 4:
+            effective = 13 if n == 14 else n - 1 if n in SHIFTED else n
+            q3 = K3Params.from_n(effective)
+            assert Fraction(effective - 1, 2) <= 2 * q3.l <= Fraction(effective, 2) + 1, n
+            k3_checked += 1
+    assert (s4_checked, k3_checked) == (325, 53)
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_k7_instances_inside_the_default_cap(n):
+    p = Params(n, 7)
+    minor = build_minor(p)
+    report = verify_minor(minor)
+    assert report.passed, report.summary_lines()
+    assert minor.order >= chi(p)
+    coloring = build_coloring(p)
+    report = verify_coloring(coloring)
+    assert report.passed, report.summary_lines()
+    assert len(coloring.classes) == chi(p)

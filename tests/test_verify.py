@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import json
 import math
@@ -40,6 +39,7 @@ from kneser_minors.serialize import (
     report_to_dict,
 )
 from oracles import (
+    replaced,
     structure_blocks_reference,
     unjoined_blocks_pairwise,
     unjoined_blocks_reference,
@@ -159,7 +159,7 @@ class TestVerifyMinor:
         # A well-formed certificate that claims its own order truthfully still
         # fails when that order is below chi(8, 3) = 28.
         cert = build_minor(Params(8, 3))
-        cut = dataclasses.replace(cert, blocks=cert.blocks[:5], claimed_order=5)
+        cut = replaced(cert, blocks=cert.blocks[:5], claimed_order=5)
         report = verify_minor(cut)
         assert not report.passed
         assert [c.name for c in report.checks if not c.passed] == ["witnesses-chi"]
@@ -190,19 +190,19 @@ class TestVerifyColoring:
         classes = list(cert.classes)
         classes[0] = classes[0] + (moved,)
         classes[donor] = classes[donor][1:]
-        report = verify_coloring(dataclasses.replace(cert, classes=tuple(classes)))
+        report = verify_coloring(replaced(cert, classes=tuple(classes)))
         assert not check_map(report)["independent-classes"].passed
 
     def test_missing_member_fails_partition(self):
         cert = build_coloring(Params(7, 3))
         pruned = (cert.classes[0][:1],) + cert.classes[1:]
-        checks = check_map(verify_coloring(dataclasses.replace(cert, classes=pruned)))
+        checks = check_map(verify_coloring(replaced(cert, classes=pruned)))
         assert not checks["partition"].passed
 
     def test_wrong_class_count(self):
         cert = build_coloring(Params(7, 3))
         merged = (cert.classes[0] + cert.classes[1],) + cert.classes[2:]
-        checks = check_map(verify_coloring(dataclasses.replace(cert, classes=merged)))
+        checks = check_map(verify_coloring(replaced(cert, classes=merged)))
         assert not checks["class-count"].passed
 
     def test_explicit_intersecting_pair(self):
@@ -263,26 +263,26 @@ PARTITION_1_5 = almost_regular_partition(PartitionPlan((1, 5), 2, (5, 5)))
     "verify,valid,broken,detail",
     [
         # k = 0: chi_of(n, 0) would raise ParameterError, so no check may run.
-        (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, k=0), "invalid parameters"),
-        (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, blocks=MINOR_8_3.blocks + ((),)), "is empty"),
-        (verify_minor, MINOR_8_3, dataclasses.replace(MINOR_8_3, blocks=()), "certificate has no blocks"),
+        (verify_minor, MINOR_8_3, replaced(MINOR_8_3, k=0), "invalid parameters"),
+        (verify_minor, MINOR_8_3, replaced(MINOR_8_3, blocks=MINOR_8_3.blocks + ((),)), "is empty"),
+        (verify_minor, MINOR_8_3, replaced(MINOR_8_3, blocks=()), "certificate has no blocks"),
         (
             verify_minor,
             MINOR_8_3,
-            dataclasses.replace(MINOR_8_3, blocks=((*MINOR_8_3.blocks[0], MINOR_8_3.blocks[0][0]), *MINOR_8_3.blocks[1:])),
+            replaced(MINOR_8_3, blocks=((*MINOR_8_3.blocks[0], MINOR_8_3.blocks[0][0]), *MINOR_8_3.blocks[1:])),
             "block 0 repeats member ",
         ),
-        (verify_coloring, COLORING_7_3, dataclasses.replace(COLORING_7_3, k=0), "invalid parameters"),
+        (verify_coloring, COLORING_7_3, replaced(COLORING_7_3, k=0), "invalid parameters"),
         (
             verify_coloring,
             COLORING_7_3,
-            dataclasses.replace(COLORING_7_3, classes=COLORING_7_3.classes + ((),)),
+            replaced(COLORING_7_3, classes=COLORING_7_3.classes + ((),)),
             "is empty",
         ),
         (
             verify_partition,
             PARTITION_1_5,
-            dataclasses.replace(PARTITION_1_5, classes=PARTITION_1_5.classes + ((),)),
+            replaced(PARTITION_1_5, classes=PARTITION_1_5.classes + ((),)),
             "is empty",
         ),
     ],
@@ -324,7 +324,7 @@ MUTATIONS = (
 
 def with_blocks(cert, blocks):
     field = "blocks" if isinstance(cert, MinorCertificate) else "classes"
-    return dataclasses.replace(cert, **{field: blocks})
+    return replaced(cert, **{field: blocks})
 
 
 @settings(max_examples=400, deadline=None)
