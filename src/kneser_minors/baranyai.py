@@ -19,9 +19,10 @@ where the class arc carries floor/ceil bounds of the class's fractional
 load, the (j, S) arc is capped by the copy count, and the sink arc demands
 exactly the number of completions through S that contain v.  Degrees of
 already-placed labels are untouched by the step, so per-class degree spread
-<= 1 holds at the end.  Each step's flow is solved by Dinic's algorithm
-with a fixed arc order (see ``_max_flow``); together with colex ordering of
-types this makes the whole construction reproducible byte-for-byte.
+<= 1 holds at the end.  Each step solves two flows, first up to the floor
+loads and then up to the ceilings, by FIFO push-relabel with a fixed node
+and arc order (see ``_max_flow``); together with colex ordering of types
+this makes the whole construction reproducible byte-for-byte.
 
 Classes in the same state share one node.  A *group* is a range of
 consecutive classes with equal free slots and partial edges, at first a run
@@ -39,7 +40,8 @@ the step's flow and writes each child's runs in place: its kept types, then
 its grown ones (a type's mask plus v), which is mask order with no sort
 because v's bit is above every placed bit.  Copies that reach k labels are
 set aside as finished edges.  The flow network is read straight off these
-arrays, and its iterative search survives long augmenting paths.
+arrays, and the solver is a loop with no call stack, so long residual paths
+cost no recursion depth.
 
 ``partition_A`` (smallest label i fixed) and ``partition_C`` (label n
 fixed) share one anchored body: it partitions the (k-1)-subsets of the
@@ -143,106 +145,137 @@ def _max_flow(
     sres: list[int], cstart: list[int], pclass: list[int], ptype: list[int],
     cnt: list[int], flow: list[int], tpairs: list[list[int]], tres: list[int],
 ) -> int:
-    """Dinic on source -> group -> type -> sink; returns the flow it adds.
+    """Push-relabel on source -> group -> type -> sink; returns the flow it adds.
 
     Residuals live in the caller's arrays: ``sres[j]`` on source -> group j,
     ``cnt[p] - flow[p]`` on pair p (group ``pclass[p]`` -> type ``ptype[p]``)
-    and ``flow[p]`` on its reverse, ``tres[t]`` on type t -> sink.  The search
-    scans arcs in the order a generic Dinic would see them inserted: groups
-    by first class at the source, pairs by type mask at a group, reverse pairs
-    by group and then the sink arc at a type.  A cursor moves only past an
-    ineligible arc or a dead end, and every augmentation restarts from the
-    source, so the flow found is a fixed function of the network.
+    and ``flow[p]`` on its reverse, ``tres[t]`` on type t -> sink.  The side
+    whose terminal arcs hold less in all must saturate them, so the excess
+    starts there: at the groups in the floor solve, whose loads sum to at
+    most the demands, and at the types, over the reversed network, in the
+    ceiling solve, whose ceilings cover what demand is left.  No excess goes
+    back through a terminal arc it started on, so the ceiling solve never
+    lowers a floor load; on an infeasible network the excess is stranded and
+    the total comes back short.
     """
-    n, total = len(sres), 0
-    while any(tres):
-        starts = [j for j in range(n) if sres[j]]
-        if any(tres[ptype[p]] and cnt[p] > flow[p] for j in starts for p in range(cstart[j], cstart[j + 1])):
-            # The sink's level is 3, so every level path is source -> j -> t
-            # -> sink: one greedy sweep finds the cursor search's blocking flow.
-            for j in starts:
-                r = sres[j]
-                for p in range(cstart[j], cstart[j + 1]):
-                    t = ptype[p]
-                    x = min(r, cnt[p] - flow[p], tres[t])
-                    if x > 0:
-                        flow[p] += x
-                        tres[t] -= x
-                        r -= x
-                        if not r:
-                            break
-                total += sres[j] - r
-                sres[j] = r
-            continue
-        # Levels by BFS, stopping at the sink's level: deeper nodes are dead ends.
-        clev, tlev = [1 if r else 0 for r in sres], [0] * len(tres)
-        front, level = starts, 1
-        while front:
-            types = []
-            for j in front:
-                for p in range(cstart[j], cstart[j + 1]):
-                    t = ptype[p]
-                    if not tlev[t] and cnt[p] > flow[p]:
-                        tlev[t] = level + 1
-                        types.append(t)
-            if any(tres[t] for t in types):
-                break
-            front = []
-            for t in types:
-                for q in tpairs[t]:
-                    j = pclass[q]
-                    if not clev[j] and flow[q]:
-                        clev[j] = level + 2
-                        front.append(j)
-            level += 2
-        else:
-            return total
-        sink = level + 2
-        # Iterative DFS from class j; fwd holds pairs used forward (class to
-        # type), rev pairs used backward (type to class), alternately.
-        scur, ccur, tcur = 0, cstart[:-1], [0] * len(tres)
-        while scur < len(starts):
-            j = starts[scur]
-            if not sres[j]:
-                scur += 1
-                continue
-            fwd, rev = [], []
-            while True:
-                if len(fwd) == len(rev):  # at a class
-                    c = pclass[rev[-1]] if rev else j
-                    want, p, end = clev[c] + 1, ccur[c], cstart[c + 1]
-                    while p < end and (cnt[p] == flow[p] or tlev[ptype[p]] != want):
-                        p += 1
-                    ccur[c] = p
-                    if p < end:
-                        fwd.append(p)
-                    elif rev:
-                        rev.pop()
-                        tcur[ptype[fwd[-1]]] += 1
-                    else:
-                        scur += 1
+    groups = [range(a, b) for a, b in zip(cstart, cstart[1:])]
+    if sum(sres) <= sum(tres):
+        return _push_relabel(sres, groups, ptype, tres, tpairs, pclass, cnt, flow)
+    return _push_relabel(tres, tpairs, pclass, sres, groups, ptype, cnt, flow)
+
+
+def _push_relabel(
+    ares: list[int], aarcs: list, ahead: list[int], bres: list[int], barcs: list, bhead: list[int],
+    cnt: list[int], flow: list[int],
+) -> int:
+    """FIFO push-relabel from the A nodes' terminal residuals to the B nodes' ``bres``.
+
+    Pair p joins A node ``bhead[p]`` to B node ``ahead[p]``: a push A -> B
+    adds to ``flow[p]`` (up to ``cnt[p]``), B -> A takes from it and B ->
+    terminal from ``bres``.  One greedy sweep sends what direct A -> B ->
+    terminal paths carry; the rest of ``ares`` becomes A's excess.  Excess
+    moves to nodes one label lower; a node left with excess relabels to one
+    above its lowest residual neighbour, or is stranded at ``top``.  Queued
+    A nodes, then queued B nodes, are discharged in waves, each in the order
+    it gained excess.  A reverse BFS from the terminal sets exact labels at
+    the start and again once relabels, each costing its node's degree plus
+    one, have cost (nodes + arcs) / 2 since the last.
+    The queue starts in node order, arcs are scanned in array order and no
+    set or dict is read, so the flow is a fixed function of the network.
+    """
+    total, na, nb = 0, len(ares), len(bres)
+    exa, exb = [0] * na, [0] * nb
+    for a in range(na):
+        r = ares[a]
+        if r:
+            for p in aarcs[a]:
+                b = ahead[p]
+                x = min(r, cnt[p] - flow[p], bres[b])
+                if x > 0:
+                    flow[p] += x
+                    bres[b] -= x
+                    r -= x
+                    if not r:
                         break
-                    continue
-                t = ptype[fwd[-1]]  # at a type
-                want, i, arcs = tlev[t] + 1, tcur[t], tpairs[t]
-                while i < len(arcs) and (not flow[arcs[i]] or clev[pclass[arcs[i]]] != want):
-                    i += 1
-                tcur[t] = i
-                if i < len(arcs):
-                    rev.append(arcs[i])
-                elif tres[t] and want == sink:
-                    x = min([sres[j], tres[t]] + [cnt[p] - flow[p] for p in fwd] + [flow[q] for q in rev])
-                    sres[j] -= x
-                    tres[t] -= x
-                    total += x
-                    for p in fwd:
+            total += ares[a] - r
+            exa[a], ares[a] = r, 0
+    qa, qb = [a for a in range(na) if exa[a]], []
+    top = na + nb + 1  # the label of a node with no residual path to the terminal
+    interval = work = (top + len(cnt)) // 2
+    while qa or qb:
+        if work >= interval:
+            work, da, db = 0, [top] * na, [top] * nb
+            front, level = [b for b in range(nb) if bres[b]], 1
+            for b in front:
+                db[b] = 1
+            while front:
+                tier = []
+                for b in front:
+                    for p in barcs[b]:
+                        if cnt[p] > flow[p] and da[a := bhead[p]] == top:
+                            da[a] = level + 1
+                            tier.append(a)
+                front = []
+                for a in tier:
+                    for p in aarcs[a]:
+                        if flow[p] and db[b := ahead[p]] == top:
+                            db[b] = level + 2
+                            front.append(b)
+                level += 2
+            qa, qb = [a for a in qa if da[a] < top], [b for b in qb if db[b] < top]
+        again = []
+        for a in qa:
+            e, h, low, arcs = exa[a], da[a] - 1, top, aarcs[a]
+            for p in arcs:
+                r = cnt[p] - flow[p]
+                if r:
+                    b = ahead[p]
+                    if db[b] == h:
+                        x = r if r < e else e
                         flow[p] += x
-                    for q in rev:
-                        flow[q] -= x
-                    break
-                else:
-                    fwd.pop()
-                    ccur[pclass[rev[-1]] if rev else j] += 1
+                        if not exb[b]:
+                            qb.append(b)
+                        exb[b] += x
+                        e -= x
+                        if not e:
+                            break
+                    elif db[b] < low:
+                        low = db[b]
+            exa[a] = e
+            if e:
+                work += len(arcs) + 1
+                da[a] = min(low + 1, top)
+                if low + 1 < top:
+                    again.append(a)
+        qa, again = again, []
+        for b in qb:
+            e, h, low, arcs = exb[b], db[b] - 1, top, barcs[b]
+            if x := min(e, bres[b]):
+                bres[b] -= x
+                total += x
+                e -= x
+            for p in arcs if e else ():
+                f = flow[p]
+                if f:
+                    a = bhead[p]
+                    if da[a] == h:
+                        x = f if f < e else e
+                        flow[p] -= x
+                        if not exa[a]:
+                            qa.append(a)
+                        exa[a] += x
+                        e -= x
+                        if not e:
+                            break
+                    elif da[a] < low:
+                        low = da[a]
+            exb[b] = e
+            if e:
+                work += len(arcs) + 1
+                db[b] = min(low + 1, top)
+                if low + 1 < top:
+                    again.append(b)
+        qb = again
     return total
 
 

@@ -13,9 +13,10 @@ first, the parser's block reader as it was before it read members inline, the en
 self-check as it was before it shared the verifier's partition checks (it
 compares against the enumerated family), the partition engine as it was
 before it solved label steps on groups of identical classes (one flow node
-per class; it shares the package's max-flow solver), and the stdlib's
-indented encoder that canonical JSON must match byte for byte.  The small
-helpers at the end are used only by tests.
+per class; it calls the package's max-flow solver, so both engines solve
+their label steps alike), the max-flow solver as it was before push-relabel
+(Dinic), and the stdlib's indented encoder that canonical JSON must match
+byte for byte.  The small helpers at the end are used only by tests.
 """
 
 import io
@@ -450,6 +451,113 @@ def self_check_reference(plan: PartitionPlan, classes: Sequence[Sequence[int]]) 
         degrees = label_degrees(cls, hi)[lo - 1:]
         if max(degrees) - min(degrees) > 1:
             raise ConstructionError(f"class {idx} has degree spread > 1")
+
+
+def max_flow_reference(
+    sres: list[int], cstart: list[int], pclass: list[int], ptype: list[int],
+    cnt: list[int], flow: list[int], tpairs: list[list[int]], tres: list[int],
+) -> int:
+    """Dinic on source -> group -> type -> sink; returns the flow it adds.
+
+    Residuals live in the caller's arrays: ``sres[j]`` on source -> group j,
+    ``cnt[p] - flow[p]`` on pair p (group ``pclass[p]`` -> type ``ptype[p]``)
+    and ``flow[p]`` on its reverse, ``tres[t]`` on type t -> sink.  The search
+    scans arcs in the order a generic Dinic would see them inserted: groups
+    by first class at the source, pairs by type mask at a group, reverse pairs
+    by group and then the sink arc at a type.  A cursor moves only past an
+    ineligible arc or a dead end, and every augmentation restarts from the
+    source, so the flow found is a fixed function of the network.
+    """
+    n, total = len(sres), 0
+    while any(tres):
+        starts = [j for j in range(n) if sres[j]]
+        if any(tres[ptype[p]] and cnt[p] > flow[p] for j in starts for p in range(cstart[j], cstart[j + 1])):
+            # The sink's level is 3, so every level path is source -> j -> t
+            # -> sink: one greedy sweep finds the cursor search's blocking flow.
+            for j in starts:
+                r = sres[j]
+                for p in range(cstart[j], cstart[j + 1]):
+                    t = ptype[p]
+                    x = min(r, cnt[p] - flow[p], tres[t])
+                    if x > 0:
+                        flow[p] += x
+                        tres[t] -= x
+                        r -= x
+                        if not r:
+                            break
+                total += sres[j] - r
+                sres[j] = r
+            continue
+        # Levels by BFS, stopping at the sink's level: deeper nodes are dead ends.
+        clev, tlev = [1 if r else 0 for r in sres], [0] * len(tres)
+        front, level = starts, 1
+        while front:
+            types = []
+            for j in front:
+                for p in range(cstart[j], cstart[j + 1]):
+                    t = ptype[p]
+                    if not tlev[t] and cnt[p] > flow[p]:
+                        tlev[t] = level + 1
+                        types.append(t)
+            if any(tres[t] for t in types):
+                break
+            front = []
+            for t in types:
+                for q in tpairs[t]:
+                    j = pclass[q]
+                    if not clev[j] and flow[q]:
+                        clev[j] = level + 2
+                        front.append(j)
+            level += 2
+        else:
+            return total
+        sink = level + 2
+        # Iterative DFS from class j; fwd holds pairs used forward (class to
+        # type), rev pairs used backward (type to class), alternately.
+        scur, ccur, tcur = 0, cstart[:-1], [0] * len(tres)
+        while scur < len(starts):
+            j = starts[scur]
+            if not sres[j]:
+                scur += 1
+                continue
+            fwd, rev = [], []
+            while True:
+                if len(fwd) == len(rev):  # at a class
+                    c = pclass[rev[-1]] if rev else j
+                    want, p, end = clev[c] + 1, ccur[c], cstart[c + 1]
+                    while p < end and (cnt[p] == flow[p] or tlev[ptype[p]] != want):
+                        p += 1
+                    ccur[c] = p
+                    if p < end:
+                        fwd.append(p)
+                    elif rev:
+                        rev.pop()
+                        tcur[ptype[fwd[-1]]] += 1
+                    else:
+                        scur += 1
+                        break
+                    continue
+                t = ptype[fwd[-1]]  # at a type
+                want, i, arcs = tlev[t] + 1, tcur[t], tpairs[t]
+                while i < len(arcs) and (not flow[arcs[i]] or clev[pclass[arcs[i]]] != want):
+                    i += 1
+                tcur[t] = i
+                if i < len(arcs):
+                    rev.append(arcs[i])
+                elif tres[t] and want == sink:
+                    x = min([sres[j], tres[t]] + [cnt[p] - flow[p] for p in fwd] + [flow[q] for q in rev])
+                    sres[j] -= x
+                    tres[t] -= x
+                    total += x
+                    for p in fwd:
+                        flow[p] += x
+                    for q in rev:
+                        flow[q] -= x
+                    break
+                else:
+                    fwd.pop()
+                    ccur[pclass[rev[-1]] if rev else j] += 1
+    return total
 
 
 def _absorption_step_reference(state: tuple, done: list[list[int]], k: int, v: int, unplaced: int) -> tuple:

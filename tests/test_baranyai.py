@@ -30,6 +30,7 @@ from oracles import (
     almost_regular_partition_reference,
     covered_labels,
     exhaustive_partition_feasible,
+    max_flow_reference,
     remainder_block,
     self_check_reference,
 )
@@ -381,6 +382,115 @@ class TestPerClassReference:
         assert verify_partition(part).passed
         assert nodes[0] == 1 + (sizes[-1] != l)
         assert nodes[0] < max(nodes) <= len(sizes)
+
+
+@st.composite
+def flow_networks(draw):
+    """A label step's network in the engine's layout: per group its floor load
+    and the rise to its ceiling, pairs in type order, per type its demand."""
+    ng, nt = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cstart, pclass, ptype, cnt = [0], [], [], []
+    for j in range(ng):
+        for t in sorted(draw(st.sets(st.integers(0, nt - 1)))):
+            pclass.append(j)
+            ptype.append(t)
+            cnt.append(draw(st.integers(1, 6)))
+        cstart.append(len(ptype))
+    floor = draw(st.lists(st.integers(0, 8), min_size=ng, max_size=ng))
+    rise = draw(st.lists(st.integers(0, 3), min_size=ng, max_size=ng))
+    demand = draw(st.lists(st.integers(0, 10), min_size=nt, max_size=nt))
+    return floor, rise, cstart, pclass, ptype, cnt, pairs_by_type(ptype, nt), demand
+
+
+def pairs_by_type(ptype, types):
+    return [[p for p, u in enumerate(ptype) if u == t] for t in range(types)]
+
+
+def recorded_networks(plan):
+    """The networks of every label step the engine solves on ``plan``."""
+    calls = []
+
+    def recording(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres):
+        calls.append((sres[:], cstart, pclass, ptype, cnt, tres[:]))
+        return solve(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres)
+
+    solve = baranyai._max_flow
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baranyai, "_max_flow", recording)
+        almost_regular_partition(plan)
+    return [
+        (floor, rise, cstart, pclass, ptype, cnt, pairs_by_type(ptype, len(demand)), demand)
+        for (floor, cstart, pclass, ptype, cnt, demand), (rise, *_) in zip(calls[::2], calls[1::2])
+    ]
+
+
+def floor_then_ceiling(solve, network):
+    """Each solve's added flow and the arrays after it, as ``_absorption_step``
+    runs them: up to the floor loads, then, if those are met, up to the ceilings."""
+    floor, rise, cstart, pclass, ptype, cnt, tpairs, demand = network
+    sres, flow, tres = floor[:], [0] * len(cnt), demand[:]
+
+    def run():
+        before = sres[:], tres[:]
+        added = solve(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres)
+        return added, before, (sres[:], flow[:], tres[:])
+
+    runs = [run()]
+    if runs[0][0] == sum(floor):
+        sres[:] = [r + x for r, x in zip(sres, rise)]
+        runs.append(run())
+    return runs
+
+
+class TestMaxFlow:
+    """Push-relabel against the Dinic solver it replaced, on the engine's arrays."""
+
+    def check(self, network):
+        floor, rise, cstart, pclass, ptype, cnt, tpairs, demand = network
+        runs = floor_then_ceiling(baranyai._max_flow, network)
+        assert runs == floor_then_ceiling(baranyai._max_flow, network)
+        assert [added for added, *_ in runs] == [added for added, *_ in floor_then_ceiling(max_flow_reference, network)]
+        loads = [0] * len(floor)  # flow on each source arc
+        for added, (sres0, tres0), (sres, flow, tres) in runs:
+            assert all(0 <= f <= c for f, c in zip(flow, cnt))
+            assert all(0 <= r <= r0 for r, r0 in zip(sres, sres0)) and all(0 <= r <= r0 for r, r0 in zip(tres, tres0))
+            if added == min(sum(sres0), sum(tres0)):  # no excess stranded, so a flow
+                loads = [load + r0 - r for load, r0, r in zip(loads, sres0, sres)]
+                assert [sum(flow[cstart[j]:cstart[j + 1]]) for j in range(len(floor))] == loads
+                assert [sum(flow[p] for p in pairs) for pairs in tpairs] == [d - r for d, r in zip(demand, tres)]
+        if len(runs) == 2:  # the ceiling solve lowers no floor load
+            assert all(r <= x for r, x in zip(runs[1][2][0], rise))
+
+    @settings(max_examples=300, deadline=None)
+    @given(flow_networks())
+    def test_random_networks(self, network):
+        self.check(network)
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_size_plans())
+    def test_recorded_label_steps(self, plan):
+        for network in recorded_networks(plan):
+            self.check(network)
+
+    @pytest.mark.parametrize(
+        "state,v,stage",
+        [
+            # k = 3 on 6 labels.  Group 0 must place 2 copies on its floor
+            # load but holds 1 copy of its only type: excess strands at a group.
+            (([0, 1], [0, 1, 2], [10, 10], [0, 1, 2], [0, 1], [1, 5]), 2, "per-class floor loads"),
+            # Type 0 needs 3 copies to absorb label 3, but its only group takes
+            # 1 more; the ceilings hold more than the demands, so the excess
+            # starts at the types and strands at type 0.
+            (
+                ([1, 3], [0, 1, 2, 3, 4, 5], [3] * 5, [0, 1, 2, 3, 4, 5], [0, 1, 1, 1, 1], [3, 1, 1, 1, 1]),
+                3,
+                "absorption demands",
+            ),
+        ],
+    )
+    def test_an_infeasible_step_is_a_construction_error(self, state, v, stage):
+        with pytest.raises(ConstructionError, match=f"label step {v}: could not meet {stage}"):
+            baranyai._absorption_step(state, [[] for _ in range(state[1][-1])], 3, v, 6 - v + 1)
 
 
 @pytest.fixture

@@ -69,10 +69,10 @@ class TestColoring:
                     assert not intersects(cls[i], cls[j])
 
     def test_long_augmenting_paths_20_5(self):
-        # With one flow node per class, augmenting paths here reached about
-        # 1800 arcs, beyond the default recursion limit of a recursive search;
-        # with groups of identical classes they reach about 720.  The digest
-        # is the grouped engine's.
+        # This build once raised RecursionError: with one flow node per class
+        # its augmenting paths reached about 1800 arcs, beyond the default
+        # recursion limit of a recursive search.  The flows are now solved by
+        # a loop with no call stack; the digest is the push-relabel engine's.
         p = Params(20, 5)
         cert = build_coloring(p)
         assert len(cert.classes) == chi(p)
@@ -80,7 +80,7 @@ class TestColoring:
         text = serialize.dumps_canonical(serialize.coloring_to_dict(cert))
         assert (
             hashlib.sha256(text.encode("utf-8")).hexdigest()
-            == "658e1bb9c048c5365a3b4bdaef568e813767550b1b50d381667977f7bd9626a7"
+            == "ecea73c1bc263213c601ef159a8853091b92bfcd49f56839a075f8da1b32cb7f"
         )
 
 class TestAlphaOracle:

@@ -25,15 +25,15 @@ def digest(text: str) -> str:
 
 # The smallest instance (by C(n, k)) routed to each construction regime.
 MINOR_DIGESTS = {
-    (7, 3): (CaseTag.S2_CASE1, "76505b55b8b6af0dbbb03eb97bab25a611beaba30f2d7f786a9a2c31ee31eed2"),
-    (8, 3): (CaseTag.S2_CASE2, "a97133baae752e21aa4299c8b5064863aeabfd78e1e261c52f3ed6a0f76a90db"),
-    (9, 3): (CaseTag.S3_CASE1, "492e2d374257677d63c3385f9baa85f91444b8bff7ea3b7fcbd47423f2fdee0e"),
-    (10, 3): (CaseTag.S3_CASE2, "7707428887b525f0e4f7c418301acc3de481167d7569d0d692a22e74e3bf5116"),
-    (11, 3): (CaseTag.S3_CASE3, "17de1c82b918a94bc8a23d7840c24f7ae6d29b0a45d589f1bf3eefca59d1658c"),
-    (12, 3): (CaseTag.S4_K3, "4540e453679b3d929fb23dd6d4b2f65edae784bb422896fe2f581d199258de74"),
-    (18, 3): (CaseTag.S4_K3_SHIFT, "9282f33ad0609bc9a63110a8efc50a8f75f6ae7c07dacbd2e4f12019568bbe6d"),
-    (16, 4): (CaseTag.S4_KGE4, "a5cf278e1be14537caa5ad98aa52dcf58e9e5e39b98ee6f9aee4ff87a7c2e945"),
-    (14, 3): (CaseTag.SPECIAL_14_3, "1a82017d45d1b5be966833e2b6b8054536fa5614b126b51409500fac5dcd53a3"),
+    (7, 3): (CaseTag.S2_CASE1, "5cb2ab8068b62bad4da8d7c3bcf15c1c52fc3f5325c57d7fc1f930b93d0fa996"),
+    (8, 3): (CaseTag.S2_CASE2, "0582cb0e0c8c1e9a4cb090502e58b086fe9853963230604ac0e99b4530faadaa"),
+    (9, 3): (CaseTag.S3_CASE1, "d9131257b6464c031d7512d692b41e8d666f8617c33c1d90dfb95b066bdcbe33"),
+    (10, 3): (CaseTag.S3_CASE2, "cf5aa58f62edea5f05199e01114a8b61f6889ea7783851d1ca9b81de8faa5d1f"),
+    (11, 3): (CaseTag.S3_CASE3, "4e27c9706fd8576ad6af3144f5e83e86b6e1d2bd22bf76f40d4e1570f9fbbf14"),
+    (12, 3): (CaseTag.S4_K3, "de3b0dddd5d252d3489946fa4697cb96d91918f0de8fadbf82620ffbc8319944"),
+    (18, 3): (CaseTag.S4_K3_SHIFT, "8d224642e0b6b61e6b0eaee465c680b645c5bff2fa13ca9538340d635b5ff42f"),
+    (16, 4): (CaseTag.S4_KGE4, "b5e5d2b51d4efe6d803c3e7917bd5cb411c5b0215e25a8712d47bc025a865532"),
+    (14, 3): (CaseTag.SPECIAL_14_3, "50d33d203575e3f9eee09af404939abd04b7291086be15da52ba22dc45e8229a"),
 }
 
 
@@ -53,7 +53,7 @@ def test_coloring_bytes():
     cert = build_coloring(Params(12, 4))
     assert (
         digest(serialize.dumps_canonical(serialize.coloring_to_dict(cert)))
-        == "4a39749317dc91b602fc51d2a67af9b06f205273af6bd64d91e47eb9f421050d"
+        == "4a3680aa8d6d9901de2e6cec510ab4c607b32ba24e7e7cf579c159bc7f2c429d"
     )
 
 
@@ -72,7 +72,7 @@ def test_coloring_bytes_across_processes():
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         printed.append((proc.returncode, proc.stdout))
-    assert printed == [(0, "4a39749317dc91b602fc51d2a67af9b06f205273af6bd64d91e47eb9f421050d\n")] * 2
+    assert printed == [(0, "4a3680aa8d6d9901de2e6cec510ab4c607b32ba24e7e7cf579c159bc7f2c429d\n")] * 2
 
 
 def test_sizes_partition_bytes(capsys, tmp_path):
@@ -82,6 +82,6 @@ def test_sizes_partition_bytes(capsys, tmp_path):
     assert capsys.readouterr().out == "classes=4 PASS\n"
     assert (
         digest(target.read_text(encoding="utf-8"))
-        == "d988d82c4e4d1ddfd649f9680c7a5c5e7f631c651cde3173498907e0d0ec7a33"
+        == "1a7f6a093b13d46fef167108eef914da319c580c130f4797ef814bdff24ab0a5"
     )
 
