@@ -24,6 +24,11 @@ loads and then up to the ceilings, by FIFO push-relabel with a fixed node
 and arc order (see ``_max_flow``); together with colex ordering of types
 this makes the whole construction reproducible byte-for-byte.
 
+The last two steps need no search, as a type of s labels then has
+C(unplaced, k - s) copies: at one label left every copy takes it; at two,
+every (k - 2)-label copy and one copy of each (k - 1)-label type, chosen by
+``_euler_split`` so m classes of a free slots take m floor(a/2)..m ceil(a/2).
+
 Classes in the same state share one node.  A *group* is a range of
 consecutive classes with equal free slots and partial edges, at first a run
 of equal sizes; m members get m times one member's bounds and capacities.
@@ -69,7 +74,7 @@ from __future__ import annotations
 
 import threading
 from array import array
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from itertools import accumulate
 
 from .core import Params, Record, binomial, family_detail, sizes_detail, spread_detail, union_mask
@@ -279,6 +284,39 @@ def _push_relabel(
     return total
 
 
+def _euler_split(groups: int, pgroup: list[int], tpairs: list[list[int]]) -> list[int]:
+    """The flow of a step with two labels unplaced, found with no search.
+
+    A type with one pair gives it flow 1; one with two pairs is an edge
+    between their groups.  Each odd-degree group also gets an edge to an
+    extra node, so walks over unused edges, in type order from each node in
+    index order, close at their start; the pair at each edge's head gets
+    flow 1, so a group heads half its edge ends, rounded either way.
+    """
+    top = len(pgroup)  # pair top + x stands for node x's end of an extra edge
+    flow, ends, node = [0] * (top + groups + 1), [], pgroup + list(range(groups + 1))
+    for pairs in tpairs:
+        if len(pairs) == 1:
+            flow[pairs[0]] = 1
+        else:
+            ends += pairs  # edge e joins pairs ends[2e] and ends[2e + 1]
+    degree = Counter(map(pgroup.__getitem__, ends))  # read by key only
+    ends += [q for x in range(groups) if degree[x] % 2 for q in (top + x, top + groups)]
+    adj = [[] for _ in range(groups + 1)]
+    for i, p in enumerate(ends):
+        adj[node[p]].append(i >> 1)
+    arcs, used = [iter(edges) for edges in adj], [False] * (len(ends) >> 1)
+    for start in range(groups + 1):
+        x = start
+        while (e := next(arcs[x], None)) is not None:
+            if not used[e]:
+                used[e] = True
+                head = ends[2 * e + (node[ends[2 * e]] == x)]
+                flow[head] = 1
+                x = node[head]
+    return flow[:top]
+
+
 def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplaced: int) -> tuple:
     """Decide which partial-edge copies absorb local label v; return the next state."""
     masks, first, slots, cstart, ptype, cnt = state
@@ -291,21 +329,39 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
             cap.append(c := m * cnt[p])
             tot[t := ptype[p]] += c
             tpairs[t].append(p)
+    bit = 1 << (v - 1)
     by_size = [binomial(unplaced - 1, k - size - 1) for size in range(k)]
     demand = [by_size[m.bit_count()] for m in masks]
-    sres = [m * (a // unplaced) for m, a in zip(mult, slots)]
-    flow, tres = [0] * len(cnt), demand[:]
-    floor_total = sum(sres)
-    if _max_flow(sres, cstart, pgroup, ptype, cap, flow, tpairs, tres) != floor_total:
-        raise ConstructionError(f"label step {v}: could not meet per-class floor loads")
-    sres = [r + m * (a % unplaced > 0) for r, m, a in zip(sres, mult, slots)]  # now up to ceiling loads
-    if floor_total + _max_flow(sres, cstart, pgroup, ptype, cap, flow, tpairs, tres) != sum(demand):
-        raise ConstructionError(f"label step {v}: could not meet absorption demands")
+    # A type of s labels has its C(unplaced, k - s) completions as copies iff tot (k - s) = demand unplaced.
+    if unplaced <= 2 and any(c * (k - m.bit_count()) != d * unplaced for c, m, d in zip(tot, masks, demand)):
+        raise ConstructionError(f"label step {v}: a type's copies in all differ from its completions")
+    if unplaced == 1:  # one copy of k - 1 labels per type, so one per pair: each takes v and finishes
+        for j, a, lo, hi in zip(first, slots, cstart, cstart[1:]):
+            if hi - lo != a:
+                raise ConstructionError(f"label step {v}: could not meet per-class loads")
+            done[j] += [masks[ptype[p]] | bit for p in range(lo, hi)]
+        return [], [0, first[-1]], [0], [0, 0], [], []
+    if unplaced == 2:
+        flow = _euler_split(len(mult), pgroup, tpairs)
+        load = [sum(flow[lo:hi]) for lo, hi in zip(cstart, cstart[1:])]  # copies each group absorbed
+        if any(not m * (a // 2) <= x <= m * -(a // -2) for m, a, x in zip(mult, slots, load)):
+            raise ConstructionError(f"label step {v}: could not meet per-class floor and ceiling loads")
+        if any(sum(map(flow.__getitem__, pairs)) != d for pairs, d in zip(tpairs, demand)):
+            raise ConstructionError(f"label step {v}: could not meet absorption demands")
+    else:
+        sres = [m * (a // unplaced) for m, a in zip(mult, slots)]
+        flow, tres = [0] * len(cnt), demand[:]
+        floor_total = sum(sres)
+        if _max_flow(sres, cstart, pgroup, ptype, cap, flow, tpairs, tres) != floor_total:
+            raise ConstructionError(f"label step {v}: could not meet per-class floor loads")
+        sres = [r + m * (a % unplaced > 0) for r, m, a in zip(sres, mult, slots)]  # now up to ceiling loads
+        if floor_total + _max_flow(sres, cstart, pgroup, ptype, cap, flow, tpairs, tres) != sum(demand):
+            raise ConstructionError(f"label step {v}: could not meet absorption demands")
+        load = [m * -(a // -unplaced) - r for m, a, r in zip(mult, slots, sres)]  # copies each group absorbed
 
     # Types are renumbered as kept ones, then grown ones: both stay in mask
     # order because v's bit is above every placed bit, so every kept id is
     # below len(keep) and every grown id at or above it.
-    bit = 1 << (v - 1)
     keep = [t for t in range(len(masks)) if tot[t] > demand[t]]
     grow = [t for t, m in enumerate(masks) if demand[t] and m.bit_count() + 1 < k]
     kid, gid = [0] * len(masks), [-1] * len(masks)
@@ -319,7 +375,6 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
     # form a child, each taking x[p - base] copies of pair p; a one-member
     # group's one child takes its whole flow.  A child's runs are its kept
     # parts, then its grown parts (mask order); finished copies go to done.
-    load = [m * -(a // -unplaced) - r for m, a, r in zip(mult, slots, sres)]  # copies each group absorbed
     nfirst, nslots, nstart, ntype, ncnt = [], [], [0], [], []
     for m, lo, hi, j, free, took in zip(mult, cstart, cstart[1:], first, slots, load):
         if m == 1:

@@ -32,6 +32,7 @@ strongest orders fall out automatically.
 from __future__ import annotations
 
 from enum import Enum
+from numbers import Rational
 
 from .baranyai import _check_cap, partition_A, partition_C
 from .core import Params, Record, binomial, family_A
@@ -250,12 +251,13 @@ def build_minor(p: Params, cap: int | None = None) -> MinorCertificate:
 
 class K3TableRow(Record):
     """One row of the k = 3 summary table: block size l, exact constructed
-    order, the closed-form order bound as an exact rational, and chi."""
+    order, the closed-form order bound as an exact rational (a ``Fraction``,
+    hinted by its ABC so hints resolve with no ``fractions`` import), and chi."""
 
     n: int
     l: int
     order_exact: int
-    order_bound: Fraction
+    order_bound: Rational
     chi: int
 
     @property

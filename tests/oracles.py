@@ -43,7 +43,7 @@ from kneser_minors import (
     kset_text,
     union_mask,
 )
-from kneser_minors.baranyai import _max_flow
+from kneser_minors.baranyai import _euler_split, _max_flow
 from kneser_minors.core import MAX_LABELS, label_degrees
 from kneser_minors.serialize import _mask_from_labels
 
@@ -561,19 +561,26 @@ def max_flow_reference(
 
 
 def _absorption_step_reference(state: tuple, done: list[list[int]], k: int, v: int, unplaced: int) -> tuple:
-    """One label step with one flow node per class; return the next state."""
+    """One label step with one flow node per class; return the next state.
+
+    The last two steps take the package's closed form: with one label
+    unplaced every copy takes it, with two the Euler split decides.
+    """
     masks, tot, slots, cstart, pclass, ptype, cnt, tpairs = state
     future = unplaced - 1
     by_size = [binomial(future, k - size - 1) for size in range(k)]
     demand = [by_size[m.bit_count()] for m in masks]
-    sres = [a // unplaced for a in slots]
-    flow, tres = [0] * len(cnt), demand[:]
-    floor_total = sum(sres)
-    if _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != floor_total:
-        raise ConstructionError(f"label step {v}: could not meet per-class floor loads")
-    sres = [r + (a % unplaced > 0) for r, a in zip(sres, slots)]
-    if floor_total + _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != sum(demand):
-        raise ConstructionError(f"label step {v}: could not meet absorption demands")
+    if unplaced <= 2:
+        flow = cnt[:] if unplaced == 1 else _euler_split(len(slots), pclass, tpairs)
+    else:
+        sres = [a // unplaced for a in slots]
+        flow, tres = [0] * len(cnt), demand[:]
+        floor_total = sum(sres)
+        if _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != floor_total:
+            raise ConstructionError(f"label step {v}: could not meet per-class floor loads")
+        sres = [r + (a % unplaced > 0) for r, a in zip(sres, slots)]
+        if floor_total + _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != sum(demand):
+            raise ConstructionError(f"label step {v}: could not meet absorption demands")
     bit = 1 << (v - 1)
     keep = [t for t in range(len(masks)) if tot[t] > demand[t]]
     grow = [t for t, m in enumerate(masks) if demand[t] and m.bit_count() + 1 < k]
@@ -600,7 +607,7 @@ def _absorption_step_reference(state: tuple, done: list[list[int]], k: int, v: i
     return (
         [masks[t] for t in keep] + [masks[t] | bit for t in grow],
         [tot[t] - demand[t] for t in keep] + [demand[t] for t in grow],
-        [a + a // -unplaced + r for a, r in zip(slots, sres)],
+        [a - sum(flow[lo:hi]) for a, lo, hi in zip(slots, cstart, cstart[1:])],
         [bisect_left(pclass, j) for j in range(len(slots) + 1)],
         pclass, ptype, [ct[i] for i in order],
         tpairs,

@@ -1,9 +1,10 @@
 import random
 import sys
 import threading
+from itertools import accumulate
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kneser_minors import (
@@ -491,6 +492,154 @@ class TestMaxFlow:
     def test_an_infeasible_step_is_a_construction_error(self, state, v, stage):
         with pytest.raises(ConstructionError, match=f"label step {v}: could not meet {stage}"):
             baranyai._absorption_step(state, [[] for _ in range(state[1][-1])], 3, v, 6 - v + 1)
+
+
+@st.composite
+def two_label_states(draw):
+    """A label step's state with two labels unplaced, as the engine holds it.
+
+    Groups have one or two members.  A type of k - 2 labels is one copy in a
+    one-member group; a type of k - 1 labels is two copies: a loop pair (cnt 2
+    in a one-member group, or cnt 1 in a two-member group) or one copy in each
+    of two one-member groups.  Returns the state, k and v.
+    """
+    k = draw(st.integers(2, 5))
+    placed = draw(st.integers(k - 1, 7))
+    masks = sorted(draw(st.sets(
+        st.sampled_from([m for m in range(1 << placed) if m.bit_count() in (k - 2, k - 1)]), min_size=1, max_size=8
+    )))
+    mult = draw(st.lists(st.sampled_from([1, 2]), min_size=2, max_size=6))
+    ones, twos = [g for g, m in enumerate(mult) if m == 1], [g for g, m in enumerate(mult) if m == 2]
+    assume(len(ones) >= 2)
+    runs = [[] for _ in mult]  # per group, (type id, cnt) in type order
+    for t, mask in enumerate(masks):
+        kind = "one" if mask.bit_count() == k - 2 else draw(st.sampled_from(["loop", "edge"] + ["pair"] * bool(twos)))
+        if kind == "one":
+            runs[draw(st.sampled_from(ones))].append((t, 1))
+        elif kind == "loop":
+            runs[draw(st.sampled_from(ones))].append((t, 2))
+        elif kind == "pair":
+            runs[draw(st.sampled_from(twos))].append((t, 1))
+        else:
+            for g in draw(st.lists(st.sampled_from(ones), min_size=2, max_size=2, unique=True)):
+                runs[g].append((t, 1))
+    first = [0, *accumulate(mult)]
+    slots = [sum(c * (k - masks[t].bit_count()) for t, c in run) for run in runs]
+    cstart = [0, *accumulate(len(run) for run in runs)]
+    ptype, cnt = [t for run in runs for t, _ in run], [c for run in runs for _, c in run]
+    return (masks, first, slots, cstart, ptype, cnt), k, placed + 1
+
+
+def step_network(state, k, unplaced):
+    """A label step's network in the ``flow_networks`` layout, derived as ``_absorption_step`` does."""
+    masks, first, slots, cstart, ptype, cnt = state
+    mult = [b - a for a, b in zip(first, first[1:])]
+    pclass = [g for g in range(len(mult)) for _ in range(cstart[g], cstart[g + 1])]
+    floor = [m * (a // unplaced) for m, a in zip(mult, slots)]
+    rise = [m * (a % unplaced > 0) for m, a in zip(mult, slots)]
+    demand = [binomial(unplaced - 1, k - mask.bit_count() - 1) for mask in masks]
+    cap = [mult[g] * c for g, c in zip(pclass, cnt)]
+    return floor, rise, cstart, pclass, ptype, cap, pairs_by_type(ptype, len(masks)), demand
+
+
+def recorded_closing_steps(plan):
+    """The input of every label step with one or two labels unplaced the engine runs on ``plan``."""
+    steps = []
+
+    def recording(state, done, k, v, unplaced):
+        if unplaced <= 2:
+            steps.append((state, k, v, unplaced))
+        return step(state, done, k, v, unplaced)
+
+    step = baranyai._absorption_step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baranyai, "_absorption_step", recording)
+        almost_regular_partition(plan)
+    return steps
+
+
+class TestClosingSteps:
+    """The last two label steps take a closed form in place of two flow solves."""
+
+    def check(self, state, k, v, unplaced):
+        network = step_network(state, k, unplaced)
+        floor, rise, cstart, pclass, ptype, cap, tpairs, demand = network
+        flow = cap[:] if unplaced == 1 else baranyai._euler_split(len(floor), pclass, tpairs)
+        assert all(0 <= f <= c for f, c in zip(flow, cap))
+        loads = [sum(flow[lo:hi]) for lo, hi in zip(cstart, cstart[1:])]
+        assert all(lo <= x <= lo + r for x, lo, r in zip(loads, floor, rise))
+        assert [sum(flow[p] for p in pairs) for pairs in tpairs] == demand
+        assert sum(flow) == sum(added for added, *_ in floor_then_ceiling(max_flow_reference, network))
+        # The step deals each member the floor or ceiling of its own load.
+        first, slots = state[1], state[2]
+        done = [[] for _ in range(first[-1])]
+        _, nfirst, nslots, *_ = baranyai._absorption_step(state, done, k, v, unplaced)
+        before = [a for a, lo, hi in zip(slots, first, first[1:]) for _ in range(lo, hi)]
+        after = [a for a, lo, hi in zip(nslots, nfirst, nfirst[1:]) for _ in range(lo, hi)]
+        assert all(a // unplaced <= a - b <= -(a // -unplaced) for a, b in zip(before, after))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda e: e[0] != e[1]), max_size=14))
+    @example([(0, 1), (0, 2), (1, 3)])  # a walk from group 0 that stopped at group 3 would leave 0 heading none
+    def test_split_gives_every_group_half_its_edge_ends(self, edges):
+        # Type t is edge t: one pair in each of its two groups, pairs laid out by group.
+        groups = 6
+        ends = sorted((g, t) for t, edge in enumerate(edges) for g in edge)
+        pgroup = [g for g, _ in ends]
+        tpairs = pairs_by_type([t for _, t in ends], len(edges))
+        flow = baranyai._euler_split(groups, pgroup, tpairs)
+        assert [sum(flow[p] for p in pairs) for pairs in tpairs] == [1] * len(edges)
+        for g in range(groups):
+            degree = sum(edge.count(g) for edge in edges)
+            assert degree // 2 <= sum(f for f, h in zip(flow, pgroup) if h == g) <= -(degree // -2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_label_states())
+    def test_random_two_label_states(self, drawn):
+        state, k, v = drawn
+        self.check(state, k, v, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(repeated_size_plans() | distinct_neighbour_plans())
+    @example(PartitionPlan((1, 8), 3, uniform_sizes(56, 2)))
+    @example(PartitionPlan((1, 9), 3, (10, 20, 30, 24)))
+    def test_recorded_closing_steps(self, plan):
+        for step in recorded_closing_steps(plan):
+            self.check(*step)
+
+    def test_recorded_two_label_steps_reach_every_branch(self):
+        # A uniform plan (repeated sizes) and the CLI's sizes plan (distinct neighbours).
+        kinds = set()
+        for plan in (PartitionPlan((1, 8), 3, uniform_sizes(56, 2)), PartitionPlan((1, 9), 3, (10, 20, 30, 24))):
+            for state, k, v, unplaced in recorded_closing_steps(plan):
+                if unplaced == 2:
+                    floor, rise, cstart, pclass, ptype, cap, tpairs, demand = step_network(state, k, unplaced)
+                    mult = [b - a for a, b in zip(state[1], state[1][1:])]
+                    kinds |= {"multi-member group" for g in pclass if mult[g] > 1}
+                    kinds |= {"loop pair" if cap[pairs[0]] == 2 else "k - 2 type" for pairs in tpairs if len(pairs) == 1}
+                    kinds |= {"edge" for pairs in tpairs if len(pairs) == 2}
+        assert kinds == {"multi-member group", "loop pair", "k - 2 type", "edge"}
+
+    @pytest.mark.parametrize(
+        "state,v,unplaced,message",
+        [
+            # k = 3: a type of k - 1 labels has three copies, one in each of three groups.
+            (([0b011], [0, 1, 2, 3], [1, 1, 1], [0, 1, 2, 3], [0, 0, 0], [1, 1, 1]), 4, 2, "a type's copies in all"),
+            # The same three copies in one pair.
+            (([0b011], [0, 1], [3], [0, 1], [0], [3]), 4, 2, "a type's copies in all"),
+            # A copy of k - 2 labels needs two more at the last step.
+            (([0b0001], [0, 1], [2], [0, 1], [0], [1]), 5, 1, "a type's copies in all"),
+            # Well-formed copies, but the class claims four free slots for a loop pair's two.
+            (([0b011], [0, 1], [4], [0, 1], [0], [2]), 4, 2, "could not meet per-class floor and ceiling loads"),
+            # Well-formed copies, but the class claims two free slots for one copy at the last step.
+            (([0b0011], [0, 1], [2], [0, 1], [0], [1]), 5, 1, "could not meet per-class loads"),
+        ],
+        ids=["three-copies-in-three-groups", "three-copies-in-one-pair", "two-labels-at-the-last-step",
+             "slots-above-a-loop-pair", "slots-above-the-last-copy"],
+    )
+    def test_a_malformed_closing_step_is_a_construction_error(self, state, v, unplaced, message):
+        with pytest.raises(ConstructionError, match=f"^label step {v}: {message}"):
+            baranyai._absorption_step(state, [[] for _ in range(state[1][-1])], 3, v, unplaced)
 
 
 @pytest.fixture

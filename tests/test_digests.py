@@ -26,14 +26,14 @@ def digest(text: str) -> str:
 # The smallest instance (by C(n, k)) routed to each construction regime.
 MINOR_DIGESTS = {
     (7, 3): (CaseTag.S2_CASE1, "5cb2ab8068b62bad4da8d7c3bcf15c1c52fc3f5325c57d7fc1f930b93d0fa996"),
-    (8, 3): (CaseTag.S2_CASE2, "0582cb0e0c8c1e9a4cb090502e58b086fe9853963230604ac0e99b4530faadaa"),
-    (9, 3): (CaseTag.S3_CASE1, "d9131257b6464c031d7512d692b41e8d666f8617c33c1d90dfb95b066bdcbe33"),
-    (10, 3): (CaseTag.S3_CASE2, "cf5aa58f62edea5f05199e01114a8b61f6889ea7783851d1ca9b81de8faa5d1f"),
-    (11, 3): (CaseTag.S3_CASE3, "4e27c9706fd8576ad6af3144f5e83e86b6e1d2bd22bf76f40d4e1570f9fbbf14"),
-    (12, 3): (CaseTag.S4_K3, "de3b0dddd5d252d3489946fa4697cb96d91918f0de8fadbf82620ffbc8319944"),
-    (18, 3): (CaseTag.S4_K3_SHIFT, "8d224642e0b6b61e6b0eaee465c680b645c5bff2fa13ca9538340d635b5ff42f"),
-    (16, 4): (CaseTag.S4_KGE4, "b5e5d2b51d4efe6d803c3e7917bd5cb411c5b0215e25a8712d47bc025a865532"),
-    (14, 3): (CaseTag.SPECIAL_14_3, "50d33d203575e3f9eee09af404939abd04b7291086be15da52ba22dc45e8229a"),
+    (8, 3): (CaseTag.S2_CASE2, "3baca453c16540b7847a6c3a23fa187680a73d65e40bb6c2f01c594260083c2e"),
+    (9, 3): (CaseTag.S3_CASE1, "d0a7beb5c6089a9327f733dbe6b4436d5ee19af45db509d8f4bec5111eda604d"),
+    (10, 3): (CaseTag.S3_CASE2, "1a7a849d7f2ba398457bf7efcc59f03e059250fe84dfe6dfde771610e96f51c7"),
+    (11, 3): (CaseTag.S3_CASE3, "0695114014ae9ebc0c0532e640b472ab53193b2c4c73298b8e945f02135e1d01"),
+    (12, 3): (CaseTag.S4_K3, "cf2fcfcf44100c990dbd1ea6d63d0f2da82261ee02bb98dceff0c32b97807799"),
+    (18, 3): (CaseTag.S4_K3_SHIFT, "178dd88c38c6b21c05e7c7b3d0cf8d27dee2bf29389782d4cf5721cf4042a4f4"),
+    (16, 4): (CaseTag.S4_KGE4, "fc813a4377309c9bfbd08442f29d7afb46a0ed4029b9726915f32cd0e8ae94c2"),
+    (14, 3): (CaseTag.SPECIAL_14_3, "d18bf3718283eb5ddf59f44b09489256a446eadb44f00214823c504fe9eeff43"),
 }
 
 
@@ -53,7 +53,7 @@ def test_coloring_bytes():
     cert = build_coloring(Params(12, 4))
     assert (
         digest(serialize.dumps_canonical(serialize.coloring_to_dict(cert)))
-        == "4a3680aa8d6d9901de2e6cec510ab4c607b32ba24e7e7cf579c159bc7f2c429d"
+        == "583114d14c26e45375b6f31cceb9970da78902d54dc4a5cb04cb34a64b106d6c"
     )
 
 
@@ -72,7 +72,7 @@ def test_coloring_bytes_across_processes():
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         printed.append((proc.returncode, proc.stdout))
-    assert printed == [(0, "4a3680aa8d6d9901de2e6cec510ab4c607b32ba24e7e7cf579c159bc7f2c429d\n")] * 2
+    assert printed == [(0, "583114d14c26e45375b6f31cceb9970da78902d54dc4a5cb04cb34a64b106d6c\n")] * 2
 
 
 def test_sizes_partition_bytes(capsys, tmp_path):
@@ -82,6 +82,6 @@ def test_sizes_partition_bytes(capsys, tmp_path):
     assert capsys.readouterr().out == "classes=4 PASS\n"
     assert (
         digest(target.read_text(encoding="utf-8"))
-        == "1a7f6a093b13d46fef167108eef914da319c580c130f4797ef814bdff24ab0a5"
+        == "5168bb1668b2983355d3c47357521ea189c4cd04836917d5f7036af19e9277b6"
     )
 

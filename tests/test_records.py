@@ -9,11 +9,14 @@ neither ``dataclasses`` nor ``fractions``.
 
 import copy
 import hashlib
+import importlib
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -164,6 +167,30 @@ def test_k3_table_row_bound_is_an_exact_fraction():
     row = k3_table_rows(12, 12)[0]
     assert type(row.order_bound) is Fraction and row.order_bound == Fraction(182, 3)
     assert row.order_bound_floor == 60
+
+
+def record_types():
+    """Every ``Record`` subclass the package defines, once each module is imported."""
+    for module in pkgutil.iter_modules(kneser_minors.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"kneser_minors.{module.name}")
+    found, todo = [], [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("kneser_minors.") and sub not in found:
+                found.append(sub)
+                todo.append(sub)
+    return found
+
+
+def test_type_hints_resolve_on_every_record_type():
+    types = record_types()
+    assert {cls.__name__ for cls in types} == set(RECORDS)
+    for cls in types:
+        hints = typing.get_type_hints(cls)
+        assert tuple(hints) == cls._fields, cls
+    row = RECORDS["K3TableRow"][0]
+    assert isinstance(row.order_bound, typing.get_type_hints(K3TableRow)["order_bound"])
 
 
 @pytest.mark.parametrize(
