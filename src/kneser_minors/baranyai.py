@@ -72,6 +72,7 @@ guarded like a fresh run: the cap check comes before the lookup, and
 
 from __future__ import annotations
 
+import operator
 import threading
 from array import array
 from collections import Counter, OrderedDict
@@ -150,137 +151,109 @@ def _max_flow(
     sres: list[int], cstart: list[int], pclass: list[int], ptype: list[int],
     cnt: list[int], flow: list[int], tpairs: list[list[int]], tres: list[int],
 ) -> int:
-    """Push-relabel on source -> group -> type -> sink; returns the flow it adds.
+    """FIFO push-relabel on source -> group -> type -> sink; returns the flow it adds.
 
     Residuals live in the caller's arrays: ``sres[j]`` on source -> group j,
     ``cnt[p] - flow[p]`` on pair p (group ``pclass[p]`` -> type ``ptype[p]``)
     and ``flow[p]`` on its reverse, ``tres[t]`` on type t -> sink.  The side
     whose terminal arcs hold less in all must saturate them, so the excess
-    starts there: at the groups in the floor solve, whose loads sum to at
-    most the demands, and at the types, over the reversed network, in the
-    ceiling solve, whose ceilings cover what demand is left.  No excess goes
-    back through a terminal arc it started on, so the ceiling solve never
-    lowers a floor load; on an infeasible network the excess is stranded and
-    the total comes back short.
-    """
-    groups = [range(a, b) for a, b in zip(cstart, cstart[1:])]
-    if sum(sres) <= sum(tres):
-        return _push_relabel(sres, groups, ptype, tres, tpairs, pclass, cnt, flow)
-    return _push_relabel(tres, tpairs, pclass, sres, groups, ptype, cnt, flow)
+    starts there, on side A: at the groups in the floor solve, whose loads
+    sum to at most the demands, and at the types, over the reversed network,
+    in the ceiling solve, whose ceilings cover what demand is left.  The
+    other side, B, drains into its terminal arcs.  A push A -> B adds to
+    ``flow[p]`` in both orientations, so ``room[p] = cnt[p] - flow[p]`` is
+    the residual of each A -> B arc and ``flow[p]`` that of each B -> A arc.
+    No excess goes back through a terminal arc it started on, so the ceiling
+    solve never lowers a floor load; on an infeasible network the excess is
+    stranded and the total comes back short.
 
-
-def _push_relabel(
-    ares: list[int], aarcs: list, ahead: list[int], bres: list[int], barcs: list, bhead: list[int],
-    cnt: list[int], flow: list[int],
-) -> int:
-    """FIFO push-relabel from the A nodes' terminal residuals to the B nodes' ``bres``.
-
-    Pair p joins A node ``bhead[p]`` to B node ``ahead[p]``: a push A -> B
-    adds to ``flow[p]`` (up to ``cnt[p]``), B -> A takes from it and B ->
-    terminal from ``bres``.  One greedy sweep sends what direct A -> B ->
-    terminal paths carry; the rest of ``ares`` becomes A's excess.  Excess
-    moves to nodes one label lower; a node left with excess relabels to one
-    above its lowest residual neighbour, or is stranded at ``top``.  Queued
-    A nodes, then queued B nodes, are discharged in waves, each in the order
-    it gained excess.  A reverse BFS from the terminal sets exact labels at
-    the start and again once relabels, each costing its node's degree plus
-    one, have cost (nodes + arcs) / 2 since the last.
+    One greedy sweep sends what direct A -> B -> terminal paths carry; the
+    rest of A's terminal residuals becomes A's excess, so A's terminal
+    residuals are zero and the drain that starts every discharge takes
+    nothing there.  Excess moves to nodes one label lower on the other side,
+    which queue in the order they gain it; a node left with excess relabels
+    to one above its lowest residual neighbour, or is stranded at ``top``.
+    Queued A nodes, then queued B nodes, are discharged in waves by one
+    loop.  A reverse BFS from the terminal, one tier per side in turn, sets
+    exact labels at the start and again once relabels, each costing its
+    node's degree plus one, have cost (nodes + arcs) / 2 since the last.
     The queue starts in node order, arcs are scanned in array order and no
     set or dict is read, so the flow is a fixed function of the network.
     """
-    total, na, nb = 0, len(ares), len(bres)
-    exa, exb = [0] * na, [0] * nb
-    for a in range(na):
-        r = ares[a]
+    a, b = (sres, [range(x, y) for x, y in zip(cstart, cstart[1:])], ptype), (tres, tpairs, pclass)
+    if sum(sres) > sum(tres):
+        a, b = b, a
+    (ares, aarcs, ahead), (bres, barcs, bhead) = a, b
+    room, total, na, nb = list(map(operator.sub, cnt, flow)), 0, len(ares), len(bres)
+    top = na + nb + 1  # the label of a node with no residual path to the terminal
+    exa, exb, da, db = [0] * na, [0] * nb, [top] * na, [top] * nb
+    # Per side: terminal residuals, arcs per node, head per pair, own and reverse residuals, excess, labels.
+    sides = ((ares, aarcs, ahead, room, flow, exa, da), (bres, barcs, bhead, flow, room, exb, db))
+    for u, r in enumerate(ares):
         if r:
-            for p in aarcs[a]:
-                b = ahead[p]
-                x = min(r, cnt[p] - flow[p], bres[b])
+            for p in aarcs[u]:
+                w = ahead[p]
+                x = min(r, room[p], bres[w])
                 if x > 0:
                     flow[p] += x
-                    bres[b] -= x
+                    room[p] -= x
+                    bres[w] -= x
                     r -= x
                     if not r:
                         break
-            total += ares[a] - r
-            exa[a], ares[a] = r, 0
-    qa, qb = [a for a in range(na) if exa[a]], []
-    top = na + nb + 1  # the label of a node with no residual path to the terminal
+            total += ares[u] - r
+            exa[u], ares[u] = r, 0
+    queues = [[u for u in range(na) if exa[u]], []]
     interval = work = (top + len(cnt)) // 2
-    while qa or qb:
+    while queues[0] or queues[1]:
         if work >= interval:
-            work, da, db = 0, [top] * na, [top] * nb
-            front, level = [b for b in range(nb) if bres[b]], 1
-            for b in front:
-                db[b] = 1
+            da[:], db[:], work = [top] * na, [top] * nb, 0
+            front, level, side, other = [u for u in range(nb) if bres[u]], 1, sides[1], sides[0]
+            for u in front:
+                db[u] = 1
             while front:
-                tier = []
-                for b in front:
-                    for p in barcs[b]:
-                        if cnt[p] > flow[p] and da[a := bhead[p]] == top:
-                            da[a] = level + 1
-                            tier.append(a)
-                front = []
-                for a in tier:
-                    for p in aarcs[a]:
-                        if flow[p] and db[b := ahead[p]] == top:
-                            db[b] = level + 2
-                            front.append(b)
-                level += 2
-            qa, qb = [a for a in qa if da[a] < top], [b for b in qb if db[b] < top]
-        again = []
-        for a in qa:
-            e, h, low, arcs = exa[a], da[a] - 1, top, aarcs[a]
-            for p in arcs:
-                r = cnt[p] - flow[p]
-                if r:
-                    b = ahead[p]
-                    if db[b] == h:
-                        x = r if r < e else e
-                        flow[p] += x
-                        if not exb[b]:
-                            qb.append(b)
-                        exb[b] += x
-                        e -= x
-                        if not e:
-                            break
-                    elif db[b] < low:
-                        low = db[b]
-            exa[a] = e
-            if e:
-                work += len(arcs) + 1
-                da[a] = min(low + 1, top)
-                if low + 1 < top:
-                    again.append(a)
-        qa, again = again, []
-        for b in qb:
-            e, h, low, arcs = exb[b], db[b] - 1, top, barcs[b]
-            if x := min(e, bres[b]):
-                bres[b] -= x
-                total += x
-                e -= x
-            for p in arcs if e else ():
-                f = flow[p]
-                if f:
-                    a = bhead[p]
-                    if da[a] == h:
-                        x = f if f < e else e
-                        flow[p] -= x
-                        if not exa[a]:
-                            qa.append(a)
-                        exa[a] += x
-                        e -= x
-                        if not e:
-                            break
-                    elif da[a] < low:
-                        low = da[a]
-            exb[b] = e
-            if e:
-                work += len(arcs) + 1
-                db[b] = min(low + 1, top)
-                if low + 1 < top:
-                    again.append(b)
-        qb = again
+                arcs, head, rev, od, tier = side[1], side[2], side[4], other[6], []
+                for u in front:
+                    for p in arcs[u]:
+                        if rev[p] and od[w := head[p]] == top:
+                            od[w] = level + 1
+                            tier.append(w)
+                front, level, side, other = tier, level + 1, other, side
+            queues = [[u for u in queues[0] if da[u] < top], [u for u in queues[1] if db[u] < top]]
+        for s in (0, 1):
+            res, arcs, head, own, rev, ex, d = sides[s]
+            oex, od = sides[1 - s][5:]
+            oq, again = queues[1 - s], []
+            for u in queues[s]:
+                e, h, low = ex[u], d[u] - 1, top
+                if r := res[u]:
+                    x = r if r < e else e
+                    res[u] = r - x
+                    total += x
+                    e -= x
+                for p in arcs[u] if e else ():
+                    r = own[p]
+                    if r:
+                        w = head[p]
+                        if od[w] == h:
+                            x = r if r < e else e
+                            own[p] = r - x
+                            rev[p] += x
+                            if not oex[w]:
+                                oq.append(w)
+                            oex[w] += x
+                            e -= x
+                            if not e:
+                                break
+                        elif od[w] < low:
+                            low = od[w]
+                ex[u] = e
+                if e:
+                    work += len(arcs[u]) + 1
+                    d[u] = min(low + 1, top)
+                    if low + 1 < top:
+                        again.append(u)
+            queues[s] = again
     return total
 
 

@@ -3,9 +3,10 @@
 Subcommands: chi, minor, verify, table, partition, grid.  Exit codes:
 0 success/pass, 1 verification failure, 2 usage error, 3 out-of-scope
 parameters, 4 resource cap exceeded, 5 internal error (a broken engine
-invariant, i.e. a bug).  The hyperedge cap defaults to 20000 and can be
-overridden with the KMF_CAP environment variable or, taking precedence,
---cap; a cap below 1 from either is a usage error.
+invariant, i.e. a bug), 141 (128 + SIGPIPE) when the reader closed stdout
+before the output was written.  The hyperedge cap defaults to 20000 and
+can be overridden with the KMF_CAP environment variable or, taking
+precedence, --cap; a cap below 1 from either is a usage error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_USAGE = 2
 EXIT_OUT_OF_SCOPE = 3
 EXIT_RESOURCE = 4
 EXIT_INTERNAL = 5
+EXIT_BROKEN_PIPE = 141
 
 
 def _cap(args: argparse.Namespace) -> int:
@@ -217,7 +219,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so a closed pipe raises below and not at shutdown
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device so the flush at shutdown does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

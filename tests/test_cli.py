@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -330,6 +331,29 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "55\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_141_quietly(capsys, tmp_path, unbuffered):
+    # The pipe's read end is closed before the child starts, so its first
+    # write or flush fails whatever the timing; PYTHONUNBUFFERED moves that
+    # failure from the final flush to the first print.
+    target = tmp_path / "minor.json"
+    assert run_cli(capsys, "minor", "--n", "8", "--k", "3", "--out", str(target))[0] == 0
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (["grid", "--k", "3", "--cap", "200"], ["verify", "--kind", "minor", "--in", str(target)]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kneser_minors", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b""), argv
 
 
 def test_env_cap_override(capsys, monkeypatch):
