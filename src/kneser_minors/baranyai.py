@@ -39,14 +39,16 @@ its own load.  Members dealt alike form a child group, again a subrange.
 Between label steps the state is six flat arrays: the distinct unfinished
 masks (the *types*) in mask order, and per group its first class, its free
 slots and its (type id, copy count) runs in mask order.  Each step derives
-the rest in one pass over the runs: a run's group and capacity, a type's
-copies in all and its runs in group order.  One loop over the groups deals
-the step's flow and writes each child's runs in place: its kept types, then
-its grown ones (a type's mask plus v), which is mask order with no sort
-because v's bit is above every placed bit.  Copies that reach k labels are
-set aside as finished edges.  The flow network is read straight off these
-arrays, and the solver is a loop with no call stack, so long residual paths
-cost no recursion depth.
+the rest from them: one pass over the groups finds each run's group and
+capacity, one flat pass over the runs each type's copies in all and its runs
+in group order; the last step, with no flow to find, takes only the copies
+in all.  One loop over the groups deals the step's flow and writes each
+child's runs in place: its kept types, then its grown ones (a type's mask
+plus v), which is mask order with no sort because v's bit is above every
+placed bit.  A one-member group is its own child and reads its runs straight
+off the flow.  Copies that reach k labels are set aside as finished edges.
+The flow network is read straight off these arrays, and the solver is a loop
+with no call stack, so long residual paths cost no recursion depth.
 
 ``partition_A`` (smallest label i fixed) and ``partition_C`` (label n
 fixed) share one anchored body: it partitions the (k-1)-subsets of the
@@ -293,14 +295,23 @@ def _euler_split(groups: int, pgroup: list[int], tpairs: list[list[int]]) -> lis
 def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplaced: int) -> tuple:
     """Decide which partial-edge copies absorb local label v; return the next state."""
     masks, first, slots, cstart, ptype, cnt = state
-    mult = [b - a for a, b in zip(first, first[1:])]
-    # Each pair's group and capacity, each type's copies in all and pairs in group order.
-    pgroup, cap, tot, tpairs = [], [], [0] * len(masks), [[] for _ in masks]
-    for g, (m, lo, hi) in enumerate(zip(mult, cstart, cstart[1:])):
-        for p in range(lo, hi):
-            pgroup.append(g)
-            cap.append(c := m * cnt[p])
-            tot[t := ptype[p]] += c
+    mult = list(map(operator.sub, first[1:], first))
+    # Each pair's capacity, its group's members times its count, and its group:
+    # the number of groups that end at or before it.
+    cap, ends = cnt[:], [0] * (len(cnt) + 1)
+    for m, lo, hi in zip(mult, cstart, cstart[1:]):
+        ends[hi] += 1
+        if m > 1:
+            cap[lo:hi] = [m * c for c in cnt[lo:hi]]
+    # Each type's copies in all and, but at the last step, its pairs in group order.
+    tot = [0] * len(masks)
+    if unplaced == 1:
+        for t, c in zip(ptype, cap):
+            tot[t] += c
+    else:
+        pgroup, tpairs = list(accumulate(ends[:-1])), [[] for _ in masks]
+        for p, t in enumerate(ptype):
+            tot[t] += cap[p]
             tpairs[t].append(p)
     bit = 1 << (v - 1)
     by_size = [binomial(unplaced - 1, k - size - 1) for size in range(k)]
@@ -309,10 +320,11 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
     if unplaced <= 2 and any(c * (k - m.bit_count()) != d * unplaced for c, m, d in zip(tot, masks, demand)):
         raise ConstructionError(f"label step {v}: a type's copies in all differ from its completions")
     if unplaced == 1:  # one copy of k - 1 labels per type, so one per pair: each takes v and finishes
-        for j, a, lo, hi in zip(first, slots, cstart, cstart[1:]):
-            if hi - lo != a:
-                raise ConstructionError(f"label step {v}: could not meet per-class loads")
-            done[j] += [masks[ptype[p]] | bit for p in range(lo, hi)]
+        if list(map(operator.sub, cstart[1:], cstart)) != slots:
+            raise ConstructionError(f"label step {v}: could not meet per-class loads")
+        edges = [masks[t] | bit for t in ptype]
+        for j, lo, hi in zip(first, cstart, cstart[1:]):
+            done[j] += edges[lo:hi]
         return [], [0, first[-1]], [0], [0, 0], [], []
     if unplaced == 2:
         flow = _euler_split(len(mult), pgroup, tpairs)
@@ -343,37 +355,45 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
     for i, t in enumerate(grow, len(keep)):
         gid[t] = i
 
-    # Deal each group's flow, laid out run by run, unit u to member u mod m.
-    # Members between cut points (unit offsets mod m) get the same parts and
-    # form a child, each taking x[p - base] copies of pair p; a one-member
-    # group's one child takes its whole flow.  A child's runs are its kept
-    # parts, then its grown parts (mask order); finished copies go to done.
+    # A child's runs are its kept parts, then its grown parts.  A group of m > 1 deals unit u
+    # to member u mod m; members between cut points (unit offsets mod m) take x[p - lo] of pair p.
     nfirst, nslots, nstart, ntype, ncnt = [], [], [0], [], []
     for m, lo, hi, j, free, took in zip(mult, cstart, cstart[1:], first, slots, load):
         if m == 1:
-            children = [(j, j + 1, took, flow, 0)]
-        else:
-            part = flow[lo:hi]
-            offsets = list(accumulate(part, initial=0))
-            cuts = sorted({s % m for s in offsets})
-            whole, rest = divmod(took, m)
-            children = [
-                (j + i, j + e, whole + (i < rest), [f // m + ((i - s) % m < f % m) for f, s in zip(part, offsets)], lo)
-                for i, e in zip(cuts, cuts[1:] + [m])
-            ]
-        for j0, j1, each, x, base in children:
-            nfirst.append(j0)
+            nfirst.append(j)
+            nslots.append(free - took)
+            gtype, gcnt = [], []
+            for p in range(lo, hi):
+                if (c := cnt[p]) > (f := flow[p]):
+                    ntype.append(kid[ptype[p]])
+                    ncnt.append(c - f)
+                if f:
+                    if (t := gid[ptype[p]]) >= 0:
+                        gtype.append(t)
+                        gcnt.append(f)
+                    else:
+                        done[j] += [masks[ptype[p]] | bit] * f
+            ntype += gtype
+            ncnt += gcnt
+            nstart.append(len(ntype))
+            continue
+        part = flow[lo:hi]
+        offsets = list(accumulate(part, initial=0))
+        cuts, (whole, rest) = sorted({s % m for s in offsets}), divmod(took, m)
+        for i, e in zip(cuts, cuts[1:] + [m]):
+            each, x = whole + (i < rest), [f // m + ((i - s) % m < f % m) for f, s in zip(part, offsets)]
+            nfirst.append(j + i)
             nslots.append(free - each)
             for p in range(lo, hi):
-                if cnt[p] > (f := x[p - base]):
+                if cnt[p] > (f := x[p - lo]):
                     ntype.append(kid[ptype[p]])
                     ncnt.append(cnt[p] - f)
             for p in range(lo, hi) if each else ():
-                if (f := x[p - base]) and (t := gid[ptype[p]]) >= 0:
+                if (f := x[p - lo]) and (t := gid[ptype[p]]) >= 0:
                     ntype.append(t)
                     ncnt.append(f)
                 elif f:
-                    for member in range(j0, j1):
+                    for member in range(j + i, j + e):
                         done[member] += [masks[ptype[p]] | bit] * f
             nstart.append(len(ntype))
     nfirst.append(first[-1])

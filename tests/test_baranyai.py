@@ -338,7 +338,7 @@ class TestPerClassReference:
             assert verify_partition(part).passed
 
     @settings(max_examples=200, deadline=None)
-    @given(repeated_size_plans())
+    @given(repeated_size_plans() | distinct_neighbour_plans())
     def test_every_label_step_state_is_consistent(self, plan):
         states = []
 
@@ -351,7 +351,7 @@ class TestPerClassReference:
             patch.setattr(baranyai, "_absorption_step", recording)
             almost_regular_partition(plan)
         assert len(states) == plan.ground_size
-        for masks, first, slots, cstart, ptype, cnt in states:
+        for v, (masks, first, slots, cstart, ptype, cnt) in enumerate(states, 1):
             assert first[0] == 0 and first[-1] == len(plan.sizes)
             assert all(a < b for a, b in zip(first, first[1:]))
             assert masks == sorted(set(masks)) and sorted(set(ptype)) == list(range(len(masks)))
@@ -362,6 +362,13 @@ class TestPerClassReference:
                 runs = range(cstart[g], cstart[g + 1])
                 assert all(ptype[p] < ptype[p + 1] for p in runs[:-1])
                 assert slots[g] == sum(cnt[p] * (plan.k - masks[ptype[p]].bit_count()) for p in runs)
+            # Each copy of a type of s labels stands for one of its C(unplaced, k - s) completions.
+            copies = [0] * len(masks)
+            for g in range(len(first) - 1):
+                for p in range(cstart[g], cstart[g + 1]):
+                    copies[ptype[p]] += (first[g + 1] - first[g]) * cnt[p]
+            unplaced = plan.ground_size - v
+            assert copies == [binomial(unplaced, plan.k - mask.bit_count()) for mask in masks]
 
     @settings(max_examples=200, deadline=None)
     @given(distinct_neighbour_plans())
