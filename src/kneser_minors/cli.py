@@ -6,7 +6,10 @@ parameters, 4 resource cap exceeded, 5 internal error (a broken engine
 invariant, i.e. a bug), 141 (128 + SIGPIPE) when the reader closed stdout
 before the output was written.  The hyperedge cap defaults to 20000 and
 can be overridden with the KMF_CAP environment variable or, taking
-precedence, --cap; a cap below 1 from either is a usage error.
+precedence, --cap; a cap below 1 from either is a usage error.  The
+builders refuse a family above the cap, and verify refuses a file with
+more members (k-sets) than the cap before it reads any label, each with
+exit 4.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 from typing import Sequence
 
 from . import serialize
-from .baranyai import DEFAULT_EDGE_CAP, PartitionPlan, _uniform_plan, almost_regular_partition
+from .baranyai import DEFAULT_EDGE_CAP, PartitionPlan, _check_cap, _uniform_plan, almost_regular_partition
 from .chromatic import build_coloring, chi
 from .core import MAX_LABELS, Params, binomial, params_grid
 from .errors import (
@@ -75,14 +78,22 @@ def _cmd_minor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Per kind: the field holding the members, the parser and the verifier.
+_VERIFY_KINDS = {
+    "minor": ("blocks", serialize.minor_from_dict, verify_minor),
+    "coloring": ("classes", serialize.coloring_from_dict, verify_coloring),
+    "partition": ("classes", serialize.partition_from_dict, verify_partition),
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    cap = _cap(args)
     document = serialize.read_document(args.path)
-    if args.kind == "minor":
-        report = verify_minor(serialize.minor_from_dict(document))
-    elif args.kind == "coloring":
-        report = verify_coloring(serialize.coloring_from_dict(document))
-    else:
-        report = verify_partition(serialize.partition_from_dict(document))
+    field, parse, verify = _VERIFY_KINDS[args.kind]
+    rows = document.get(field) if isinstance(document, dict) else None
+    if isinstance(rows, list):  # any other shape is the parser's to refuse
+        _check_cap(sum(len(row) for row in rows if isinstance(row, list)), cap)
+    report = verify(parse(document))
     print(serialize.dumps_canonical(serialize.report_to_dict(report)), end="")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -186,6 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a certificate file")
     p_verify.add_argument("--kind", choices=["minor", "coloring", "partition"], required=True)
     p_verify.add_argument("--in", dest="path", type=str, required=True)
+    p_verify.add_argument("--cap", type=int, default=None, help="hyperedge cap override")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_table = sub.add_parser("table", help="print the k=3 construction table")

@@ -1,9 +1,9 @@
 """Versioned JSON wire formats for certificates, partitions and reports.
 
-All documents are pretty-printed UTF-8 with sorted keys, so identical
-objects serialize to identical bytes.  k-subsets appear as strictly
-increasing label arrays, each written by ``core.label_list`` straight into
-a new list (a negative mask raises ParameterError).
+All documents are UTF-8 JSON with sorted keys, so identical objects
+serialize to identical bytes.  k-subsets appear as strictly increasing
+label arrays, each written by ``core.label_list`` straight into a new list
+(a negative mask raises ParameterError).
 
 A minor document's ``trace`` must be exactly the trace ``build_minor``
 records for its (n, k), as ``minor_to_dict`` writes it; ``minor_from_dict``
@@ -15,22 +15,16 @@ exact list of exact ints, strictly increasing within [1, MAX_LABELS].  Any
 other member goes whole to ``_mask_from_labels``, which accepts it or raises
 the ParameterError naming it, so inputs and messages are that reader's.
 
-``dumps_canonical`` writes exactly the bytes of
-``json.JSONEncoder(indent=2, sort_keys=True)`` plus a final newline, and
-raises the same exception types.  The stdlib encodes with an indent only in
-pure Python, one generator step per value, and a certificate is mostly
-label arrays.  This writer has the stdlib's C-accelerated compact encoder
-write each nest of arrays (one label array, a block, or a certificate's
-whole ``blocks``) and each scalar, and indents a nest by rewriting its
-separators with ``str.replace``.  A dict with a key that is not exactly a
-``str`` goes to the stdlib's indented encoder whole, each line shifted to
-the dict's depth (an encoded string holds no raw newline).
+``dumps_canonical`` writes one line of JSON with sorted keys and no
+insignificant whitespace, plus a final newline: one call to the stdlib's
+C-accelerated encoder.  For these documents, which hold only integers and
+ASCII strings, that is close to the JSON Canonicalization Scheme (RFC 8785).
+The readers accept any whitespace, so files written with an indent still read.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -44,97 +38,9 @@ from .verify import VerificationReport
 FORMAT_VERSION = 1
 
 
-_scalar = json.JSONEncoder(sort_keys=True).encode
-_compact = json.JSONEncoder(separators=(", ", ": ")).encode
-_indented = json.JSONEncoder(indent=2, sort_keys=True).encode
-_ARRAYS = {list, tuple}
-
-
 def dumps_canonical(document: Any) -> str:
-    """Canonical text of a JSON value: two-space indent, sorted keys, final newline."""
-    return _encode(document, 0, set()) + "\n"
-
-
-def _encode(value: Any, level: int, active: set[int]) -> str:
-    """Text of ``value`` at depth ``level``; ``active`` holds the ids of the open containers."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        text = _array_nest(value, level)
-        if text is not None:
-            return text
-        _enter(value, active)
-        parts = []
-        for item in value:  # a loop, not a generator: one frame per level, as in the stdlib
-            parts.append(_encode(item, level + 1, active))
-        active.discard(id(value))
-        pad = "\n" + "  " * (level + 1)
-        return "[" + pad + ("," + pad).join(parts) + pad[:-2] + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        _enter(value, active)
-        items = sorted(value.items())
-        if not all(type(key) is str for key, _ in items):
-            active.discard(id(value))
-            return _indented(value).replace("\n", "\n" + "  " * level)
-        parts = []
-        for key, item in items:
-            parts.append(_scalar(key) + ": " + _encode(item, level + 1, active))
-        active.discard(id(value))
-        pad = "\n" + "  " * (level + 1)
-        return "{" + pad + ("," + pad).join(parts) + pad[:-2] + "}"
-    return _scalar(value)
-
-
-def _enter(container: Any, active: set[int]) -> None:
-    if id(container) in active:
-        raise ValueError("Circular reference detected")
-    active.add(id(container))
-
-
-def _array_nest(value: list | tuple, level: int) -> str | None:
-    """Text of ``value`` at depth ``level`` if it is a nest of nonempty exact
-    lists and tuples with all its leaves at one depth and no string in it (a
-    label array, a block, a certificate's ``blocks``), else None.
-
-    The nest is encoded compactly by the C encoder.  Its text then holds
-    leaves (numbers, ``true``, ``false``, ``null``, ``{}``), brackets and
-    ", ", and siblings inside a container at nesting p are separated by
-    ``depth - 1 - p`` closing brackets, ", " and as many opening ones.  Each
-    separator kind becomes its indented form, longest first; no replacement
-    holds ", ", so a later one never matches inside an earlier one.
-    """
-    try:
-        text = _compact(value)
-    except (TypeError, ValueError):
-        return None
-    if '"' in text or "[]" in text:
-        return None
-    depth = len(text) - len(text.lstrip("["))
-    # One "[" per container: the nest is uniform exactly when the first
-    # ``depth`` layers are all exact arrays and hold every container.
-    layer: list[Any] = [value]
-    containers = 0
-    for q in range(depth):
-        if q:
-            layer = list(chain.from_iterable(layer))
-        if not set(map(type, layer)) <= _ARRAYS:
-            return None
-        containers += len(layer)
-    if text.count("[") != containers:
-        return None
-    pads = ["\n" + "  " * (level + q) for q in range(depth + 1)]
-    opens = ["[" + pads[q + 1] for q in range(depth)]
-    shuts = [pads[q] + "]" for q in range(depth)]
-    text = text[depth:-depth]
-    for p in range(depth):
-        run = depth - 1 - p
-        text = text.replace(
-            "]" * run + ", " + "[" * run,
-            "".join(reversed(shuts[p + 1:])) + "," + pads[p + 1] + "".join(opens[p + 1:]),
-        )
-    return "".join(opens) + text + "".join(reversed(shuts))
+    """Canonical text of a JSON value: sorted keys, no insignificant whitespace, final newline."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _mask_from_labels(raw: Any, where: str) -> int:

@@ -15,8 +15,9 @@ compares against the enumerated family), the partition engine as it was
 before it solved label steps on groups of identical classes (one flow node
 per class; it calls the package's max-flow solver, so both engines solve
 their label steps alike), the max-flow solver as it was before push-relabel
-(Dinic), and the stdlib's indented encoder that canonical JSON must match
-byte for byte.  The small helpers at the end are used only by tests.
+(Dinic), and the writer as it was before documents became flat JSON (the
+stdlib's indented encoder; such files must still read and verify alike).
+The small helpers at the end are used only by tests.
 """
 
 import io
@@ -633,7 +634,7 @@ def almost_regular_partition_reference(plan: PartitionPlan) -> AlmostRegularPart
 
 
 def dumps_canonical_reference(document: Any) -> str:
-    """Canonical JSON as the stdlib writes it: two-space indent, sorted keys, final newline."""
+    """Documents as they were once written: two-space indent, sorted keys, final newline."""
     out = io.StringIO()
     out.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(document))
     out.write("\n")

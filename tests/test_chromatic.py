@@ -81,7 +81,7 @@ class TestColoring:
         text = serialize.dumps_canonical(serialize.coloring_to_dict(cert))
         assert (
             hashlib.sha256(text.encode("utf-8")).hexdigest()
-            == "7c9c14bafb145390edf3f39d4078f283af26add35f9f0938feb47dc611f9f761"
+            == "98c372c33811f28ad323a20d20bfa78253e1ea7967a9725e6d785a6e3d451c86"
         )
 
 class TestAlphaOracle:

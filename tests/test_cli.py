@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from kneser_minors import Params, build_coloring
 from kneser_minors.cli import main
+from kneser_minors.serialize import coloring_to_dict, dumps_canonical
+from oracles import dumps_canonical_reference
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +205,52 @@ class TestVerifyCommand:
                 "detail": f"block 0 is disconnected: member [57,58,59,60,61,62,63,64] is unreachable from {start}",
             }
 
+    @pytest.mark.parametrize("kind", ["minor", "coloring", "partition"])
+    def test_indented_files_verify_like_their_flat_twins(self, capsys, tmp_path, kind):
+        flat, indented = tmp_path / "flat.json", tmp_path / "indented.json"
+        if kind == "minor":
+            run_cli(capsys, "minor", "--n", "14", "--k", "3", "--out", str(flat))
+        elif kind == "coloring":
+            flat.write_text(dumps_canonical(coloring_to_dict(build_coloring(Params(9, 3)))))
+        else:
+            run_cli(capsys, "partition", "--n", "9", "--k", "3", "--sizes", "10,20,30,24", "--out", str(flat))
+        document = json.loads(flat.read_text())
+        indented.write_text(dumps_canonical_reference(document))
+        assert flat.read_text().count("\n") == 1 and indented.read_text().startswith("{\n  ")
+        reports = [run_cli(capsys, "verify", "--kind", kind, "--in", str(path)) for path in (flat, indented)]
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0 and json.loads(reports[0][1])["pass"] is True
+
+    @pytest.mark.parametrize("kind", ["minor", "coloring", "partition"])
+    def test_cap_on_the_member_count(self, capsys, tmp_path, monkeypatch, kind):
+        target = tmp_path / "cert.json"
+        if kind == "minor":
+            run_cli(capsys, "minor", "--n", "9", "--k", "3", "--out", str(target))
+        elif kind == "coloring":
+            target.write_text(dumps_canonical(coloring_to_dict(build_coloring(Params(9, 3)))))
+        else:
+            run_cli(capsys, "partition", "--n", "9", "--k", "3", "--block-size", "3", "--out", str(target))
+        document = json.loads(target.read_text())
+        members = sum(map(len, document["blocks" if kind == "minor" else "classes"]))
+        argv = ("verify", "--kind", kind, "--in", str(target))
+        today = run_cli(capsys, *argv)
+        assert today[0] == 0
+        refused = (4, "", f"resource cap: {members} hyperedges, above the cap of {members - 1}\n")
+        assert run_cli(capsys, *argv, "--cap", str(members - 1)) == refused
+        assert run_cli(capsys, *argv, "--cap", str(members)) == today
+        monkeypatch.setenv("KMF_CAP", str(members - 1))
+        assert run_cli(capsys, *argv) == refused
+        assert run_cli(capsys, *argv, "--cap", str(members)) == today
+
+    def test_default_cap_comes_before_any_label_is_read(self, capsys, tmp_path):
+        target = tmp_path / "big.json"
+        target.write_text(json.dumps({"version": 1, "kind": "coloring", "n": 64, "k": 2, "classes": [[["x"]] * 20001]}))
+        code, out, err = run_cli(capsys, "verify", "--kind", "coloring", "--in", str(target))
+        assert (code, out, err) == (4, "", "resource cap: 20001 hyperedges, above the cap of 20000\n")
+        code, out, err = run_cli(capsys, "verify", "--kind", "coloring", "--in", str(target), "--cap", "20001")
+        assert (code, out) == (2, "")
+        assert "classes[0][0]" in err
+
     def test_construction_error_is_internal(self, capsys, monkeypatch):
         import kneser_minors.cli as cli
         from kneser_minors.errors import ConstructionError
@@ -370,6 +419,7 @@ def test_env_cap_override(capsys, monkeypatch):
         ["minor", "--n", "8", "--k", "3"],
         ["partition", "--n", "9", "--k", "3", "--block-size", "3"],
         ["grid", "--k", "3"],
+        ["verify", "--kind", "minor", "--in", "absent.json"],
     ],
 )
 @pytest.mark.parametrize("cap", ["-5", "0"])

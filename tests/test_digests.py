@@ -25,15 +25,15 @@ def digest(text: str) -> str:
 
 # The smallest instance (by C(n, k)) routed to each construction regime.
 MINOR_DIGESTS = {
-    (7, 3): (CaseTag.S2_CASE1, "5cb2ab8068b62bad4da8d7c3bcf15c1c52fc3f5325c57d7fc1f930b93d0fa996"),
-    (8, 3): (CaseTag.S2_CASE2, "3baca453c16540b7847a6c3a23fa187680a73d65e40bb6c2f01c594260083c2e"),
-    (9, 3): (CaseTag.S3_CASE1, "d0a7beb5c6089a9327f733dbe6b4436d5ee19af45db509d8f4bec5111eda604d"),
-    (10, 3): (CaseTag.S3_CASE2, "1a7a849d7f2ba398457bf7efcc59f03e059250fe84dfe6dfde771610e96f51c7"),
-    (11, 3): (CaseTag.S3_CASE3, "0695114014ae9ebc0c0532e640b472ab53193b2c4c73298b8e945f02135e1d01"),
-    (12, 3): (CaseTag.S4_K3, "cf2fcfcf44100c990dbd1ea6d63d0f2da82261ee02bb98dceff0c32b97807799"),
-    (18, 3): (CaseTag.S4_K3_SHIFT, "178dd88c38c6b21c05e7c7b3d0cf8d27dee2bf29389782d4cf5721cf4042a4f4"),
-    (16, 4): (CaseTag.S4_KGE4, "fc813a4377309c9bfbd08442f29d7afb46a0ed4029b9726915f32cd0e8ae94c2"),
-    (14, 3): (CaseTag.SPECIAL_14_3, "d18bf3718283eb5ddf59f44b09489256a446eadb44f00214823c504fe9eeff43"),
+    (7, 3): (CaseTag.S2_CASE1, "82ca879efabf0ba3b1f0695703308965ce44f6eaeed23148d6af009f4760bb5d"),
+    (8, 3): (CaseTag.S2_CASE2, "b06ea5d2a58daeacbcdeeb57f53060b99f9ac088fa5a299e0d92d3eb766f8ee8"),
+    (9, 3): (CaseTag.S3_CASE1, "01e8523839c5e6788357e087e275cc34a0f82fce5e90ce89bf6adeb9a4eb83c4"),
+    (10, 3): (CaseTag.S3_CASE2, "52996c868b9bd5078a3e2d67cbb04c9f4675734bcfaac972230aec48ab28f2c5"),
+    (11, 3): (CaseTag.S3_CASE3, "fe86ff5550f2d30c5f06f4bd213f23a74802a525dbfb4554db1d181b3fca288d"),
+    (12, 3): (CaseTag.S4_K3, "fd4c587da4144bf62d1499043a46238c09a943cda74407f0d42c3d30f7e30a6f"),
+    (18, 3): (CaseTag.S4_K3_SHIFT, "44b7a529a8cef63d01cc2c4b1e9712db1f927c8ea042956c05f9e75da99f765c"),
+    (16, 4): (CaseTag.S4_KGE4, "3398b95e7b0b30c9a56458fbabae872d914cb578af0b5c0fdb80434bee385cbb"),
+    (14, 3): (CaseTag.SPECIAL_14_3, "29a1a6f0969c33c936e98de592ac33de3dfd884909fa65058241f489c8b1a758"),
 }
 
 
@@ -53,7 +53,7 @@ def test_coloring_bytes():
     cert = build_coloring(Params(12, 4))
     assert (
         digest(serialize.dumps_canonical(serialize.coloring_to_dict(cert)))
-        == "583114d14c26e45375b6f31cceb9970da78902d54dc4a5cb04cb34a64b106d6c"
+        == "b727512777a395f618555ff79180092bfc55ec098c81031972749c99c6b4a196"
     )
 
 
@@ -72,7 +72,7 @@ def test_coloring_bytes_across_processes():
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         printed.append((proc.returncode, proc.stdout))
-    assert printed == [(0, "583114d14c26e45375b6f31cceb9970da78902d54dc4a5cb04cb34a64b106d6c\n")] * 2
+    assert printed == [(0, "b727512777a395f618555ff79180092bfc55ec098c81031972749c99c6b4a196\n")] * 2
 
 
 def test_sizes_partition_bytes(capsys, tmp_path):
@@ -82,6 +82,6 @@ def test_sizes_partition_bytes(capsys, tmp_path):
     assert capsys.readouterr().out == "classes=4 PASS\n"
     assert (
         digest(target.read_text(encoding="utf-8"))
-        == "5168bb1668b2983355d3c47357521ea189c4cd04836917d5f7036af19e9277b6"
+        == "0dd9d540bf5e0b43f46a96dbd05a8463c367428c7c8ee0dc3613a4f39c6dac90"
     )
 

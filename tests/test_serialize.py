@@ -1,13 +1,17 @@
-"""``serialize.dumps_canonical`` against the stdlib's indented encoder, and
-the certificate block reader against its reference.
+"""``serialize.dumps_canonical`` against its one-call contract, and the
+certificate block reader against its reference.
 
-The writer must give exactly the bytes of ``oracles.dumps_canonical_reference``
-on any value, and raise the same exception type where the stdlib raises.  The
-reader must return the masks ``oracles.block_lists_reference`` returns, or
-raise ParameterError with the same message.
+The writer must give exactly the text of ``json.dumps(value, sort_keys=True,
+separators=(",", ":")) + "\n"`` on any value, and raise the same exception
+type where that raises.  Every built document must keep the JSON value it
+had when documents were written with a two-space indent
+(``oracles.dumps_canonical_reference``).  The reader must return the masks
+``oracles.block_lists_reference`` returns, or raise ParameterError with the
+same message.
 """
 
 import enum
+import json
 import subprocess
 import sys
 from collections import OrderedDict
@@ -25,7 +29,9 @@ from kneser_minors import (
     build_coloring,
     build_minor,
     params_grid,
+    verify_coloring,
     verify_minor,
+    verify_partition,
 )
 from kneser_minors.minors import CaseTag
 from kneser_minors.serialize import (
@@ -60,8 +66,12 @@ def outcome(write, value):
         return "raises", type(exc)
 
 
+def stdlib_text(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def assert_same(value):
-    assert outcome(dumps_canonical, value) == outcome(dumps_canonical_reference, value)
+    assert outcome(dumps_canonical, value) == outcome(stdlib_text, value)
 
 
 SCALARS = (
@@ -76,8 +86,8 @@ SCALARS = (
     | st.sampled_from(list(Level) + list(CaseTag))
     | st.sampled_from(["], [", "a, b", "[]", "{}", "x]]"])
 )
-# Label arrays and blocks of them, with bools, empty rows and tuples mixed in
-# now and then, so both the array fast path and its fallbacks run.
+# Label arrays and blocks of them, the bulk of every certificate, with bools,
+# empty rows and tuples mixed in now and then.
 ROWS = st.lists(st.integers(-70, 70) | st.sampled_from([True, False]), max_size=6)
 BLOCKS = st.lists(ROWS | ROWS.map(tuple), max_size=5)
 KEYS = st.integers() | st.floats() | st.booleans() | st.none()
@@ -120,19 +130,33 @@ def test_random_n64_minors_match_the_stdlib(blocks):
     assert_same(minor_to_dict(cert))
 
 
-def test_built_certificates_match_the_stdlib():
+@pytest.fixture(scope="module")
+def built_documents():
+    documents = []
     for p in params_grid((3, 4), 2000):
         cert = build_minor(p)
-        assert_same(minor_to_dict(cert))
-        assert_same(report_to_dict(verify_minor(cert)))
-    for p in (Params(7, 3), Params(10, 3), Params(11, 4)):
-        assert_same(coloring_to_dict(build_coloring(p)))
+        documents += [minor_to_dict(cert), report_to_dict(verify_minor(cert))]
+    for p in (Params(7, 3), Params(10, 3), Params(11, 4), Params(12, 4)):
+        cert = build_coloring(p)
+        documents += [coloring_to_dict(cert), report_to_dict(verify_coloring(cert))]
     for plan in (
         PartitionPlan((1, 9), 3, (10, 20, 30, 24)),
         PartitionPlan((60, 64), 2, (1,) * 10),
         PartitionPlan((3, 8), 6, (1,)),
     ):
-        assert_same(partition_to_dict(almost_regular_partition(plan)))
+        part = almost_regular_partition(plan)
+        documents += [partition_to_dict(part), report_to_dict(verify_partition(part))]
+    return documents
+
+
+def test_built_certificates_match_the_stdlib(built_documents):
+    for document in built_documents:
+        assert_same(document)
+
+
+def test_built_documents_keep_their_indented_json_value(built_documents):
+    for document in built_documents:
+        assert json.loads(dumps_canonical(document)) == json.loads(dumps_canonical_reference(document))
 
 
 def test_array_edge_cases_match_the_stdlib():
@@ -152,8 +176,7 @@ def test_array_edge_cases_match_the_stdlib():
 
 
 def test_deep_nests_match_the_stdlib():
-    # 500 levels fit under the default recursion limit of 1000 only at about
-    # one frame per level, as the stdlib's encoder uses.
+    # 500 levels, well under the default recursion limit of 1000.
     for leaf in ("x", 1):
         nest, keyed = leaf, leaf
         for _ in range(500):
@@ -173,9 +196,12 @@ def test_unserializable_and_circular_values_raise_like_the_stdlib():
     keyed[1] = [keyed]
     named = {}
     named["self"] = named
-    for value in ({1, 2}, b"12", [[1], {3}], loop, alone, pair, keyed, named, {"a": 1, 2: "b"}):
+    for value in (loop, alone, pair, keyed, named):
         assert_same(value)
-        assert outcome(dumps_canonical, value)[0] == "raises"
+        assert outcome(dumps_canonical, value) == ("raises", ValueError)
+    for value in ({1, 2}, b"12", [[1], {3}], {"a": 1, 2: "b"}, {(1, 2): 3}, [{"a": {None: 1, "b": 2}}]):
+        assert_same(value)
+        assert outcome(dumps_canonical, value) == ("raises", TypeError)
 
 
 # The block reader: label arrays that take the inline loop, and one of each
