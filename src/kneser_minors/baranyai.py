@@ -52,10 +52,13 @@ with no call stack, so long residual paths cost no recursion depth.
 
 ``partition_A`` (smallest label i fixed) and ``partition_C`` (label n
 fixed) share one anchored body: it partitions the (k-1)-subsets of the
-remaining interval, re-attaches the anchor and checks every full block
-against its coverage floor.  ``_uniform_plan`` turns a family into blocks of
-one size and a remainder, for that body, ``build_coloring`` and the
-``partition`` command alike, with the cap check before the size vector.
+remaining g labels and re-attaches the anchor.  ``_self_check`` implies that
+each full block covers its floor of min(g, l(k-1)) + 1 labels, so the floor
+is not measured again: l distinct (k-1)-sets of degree spread <= 1 cover
+exactly min(g, l(k-1)) labels, and the anchor lies outside the ground.
+``_uniform_plan`` turns a family into blocks of one size and a remainder,
+for that body, ``build_coloring`` and the ``partition`` command alike, with
+the cap check before the size vector.
 
 The engine's output depends only on ``(g, k, sizes)``: it works on local
 labels 1..g and shifts onto the plan's ground at the end.  The family
@@ -67,7 +70,7 @@ of local masks, class after class (the boundaries are ``sizes``); the memo
 holds at most ``MEMO_EDGE_BOUND`` edges in all and evicts the least
 recently used entry first.  A hit is shifted onto the plan's ground and
 guarded like a fresh run: the cap check comes before the lookup, and
-``_self_check`` and the coverage floors run on the shifted classes.
+``_self_check`` runs on the shifted classes, so the floors hold for a hit too.
 ``almost_regular_partition`` itself, which ``build_coloring`` and the
 ``partition`` command call, never consults the memo.
 """
@@ -80,7 +83,7 @@ from array import array
 from collections import Counter, OrderedDict
 from itertools import accumulate
 
-from .core import Params, Record, binomial, family_detail, sizes_detail, spread_detail, union_mask
+from .core import Params, Record, binomial, family_detail, sizes_detail, spread_detail
 from .errors import ConstructionError, ParameterError, ResourceCapError
 
 DEFAULT_EDGE_CAP = 20000
@@ -130,8 +133,8 @@ class CoveredPartition(Record):
 
     ``base`` is the anchor-free almost-regular partition on the reduced
     ground; ``blocks`` re-attach the anchor label to every member.  Only the
-    first ``guaranteed_blocks`` blocks (all of the requested size) carry the
-    floor; a trailing remainder block, when present, does not.
+    first ``guaranteed_blocks`` blocks, of l members and degree spread <= 1,
+    carry the floor; a trailing remainder block, with fewer members, need not.
     """
 
     base: AlmostRegularPartition
@@ -444,10 +447,6 @@ def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> Alm
     done: list[list[int]] = [[] for _ in sizes]
     for v in range(1, g + 1):
         state = _absorption_step(state, done, k, v, g - v + 1)
-
-    unfinished_types = state[0]
-    if unfinished_types or any(len(set(cls)) != len(cls) for cls in done):
-        raise ConstructionError("a class finished with unfinished or duplicated edges")
     shift = plan.ground[0] - 1
     result = tuple(tuple(sorted(mask << shift for mask in cls)) for cls in done)
     _self_check(plan, result)
@@ -507,10 +506,6 @@ def _anchored(anchor: int, ground: tuple[int, int], k: int, l: int, cap: int | N
     bit = 1 << (anchor - 1)
     blocks = tuple(tuple(bit | m for m in cls) for cls in base.classes)
     guaranteed, floor = plan.sizes.count(l), min(plan.ground_size + 1, l * (k - 1) + 1)
-    for idx in range(guaranteed):
-        covered = union_mask(blocks[idx]).bit_count()
-        if covered < floor:
-            raise ConstructionError(f"block {idx} covers {covered} labels, below the floor of {floor}")
     return CoveredPartition(
         base=base, anchor=anchor, blocks=blocks, guaranteed_blocks=guaranteed, coverage_floor=floor
     )
@@ -521,7 +516,7 @@ def partition_A(i: int, p: Params, l: int, cap: int | None = None) -> CoveredPar
 
     Produces floor(C(n-i, k-1) / l) blocks of size exactly l plus one
     remainder block when l does not divide the family size.  Each full block
-    covers at least min(n - i + 1, l*(k-1) + 1) labels.
+    covers at least min(n - i + 1, l*(k-1) + 1) labels, by degree spread <= 1.
     """
     n, k = p.n, p.k
     if not 1 <= i <= n - k + 1:
@@ -536,7 +531,7 @@ def partition_C(p: Params, l: int, cap: int | None = None) -> CoveredPartition:
     """Split the family of k-subsets containing label n into blocks of size l.
 
     Produces floor(C(n-1, k-1) / l) blocks of size l plus a remainder block;
-    each full block covers at least min(n, l*(k-1) + 1) labels.
+    each full block covers at least min(n, l*(k-1) + 1) labels, by degree spread <= 1.
     """
     n, k = p.n, p.k
     family_size = binomial(n - 1, k - 1)

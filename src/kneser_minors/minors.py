@@ -178,18 +178,6 @@ def _stage_entries(p: Params) -> tuple[TraceEntry, ...]:
     return below + (TraceEntry(tag, n, k, l, count),)
 
 
-def _assert_anchored(blocks: list[tuple[int, ...]]) -> None:
-    # Builder-side guarantee, stronger than the verifier's connectivity check:
-    # every non-singleton block's members share a label.
-    for idx, block in enumerate(blocks):
-        if len(block) > 1:
-            common = block[0]
-            for m in block[1:]:
-                common &= m
-            if not common:
-                raise ConstructionError(f"block {idx} has no common label")
-
-
 def _execute(entries: tuple[TraceEntry, ...], cap: int | None) -> MinorCertificate:
     """Run the stages of a trace from ``_stage_entries``."""
     final = entries[-1]
@@ -212,7 +200,6 @@ def _execute(entries: tuple[TraceEntry, ...], cap: int | None) -> MinorCertifica
             raise ConstructionError(
                 f"stage {entry.case.value} produced {added} blocks, trace says {entry.block_count}"
             )
-    _assert_anchored(blocks)
     return MinorCertificate(
         n=final.n, k=final.k, blocks=tuple(blocks), trace=entries, claimed_order=len(blocks)
     )

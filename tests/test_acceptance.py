@@ -9,6 +9,8 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -86,6 +88,9 @@ def test_criterion_1_full_sweep(full_sweep):
             report = verify_minor(cert)
             assert report.passed, ((p.n, p.k), report.summary_lines())
             assert cert.order >= chi(p), (p.n, p.k)
+            # Not checked by the builder: a block of partition_A or partition_C has
+            # its anchor in every member, and every other block is a singleton.
+            assert all(len(b) == 1 or reduce(and_, b) for b in cert.blocks), (p.n, p.k)
             if p.s in (2, 3):
                 assert cert.order >= math.ceil(closed_form_lower_bound(p)), (p.n, p.k)
 

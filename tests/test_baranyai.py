@@ -733,6 +733,11 @@ class TestPlanMemo:
     def test_hits_are_self_checked(self, memo, corrupt, match):
         key = memo_key(partition_A(1, Params(12, 3), 4))
         corrupt(memo.entries[key], key[0])
+        if corrupt is spread_two:
+            # Block 0 of the hit (ground [3, 13], anchor 2) would cover 8 labels, below
+            # its floor of min(12, 9): the spread check is what stops such a block.
+            block = [1 << 1 | m << 2 for m in memo.entries[key][:4]]
+            assert len(covered_labels(block)) == 8 < min(key[0] + 1, 4 * 2 + 1)
         with pytest.raises(ConstructionError, match=match):
             partition_A(2, Params(13, 3), 4)
 

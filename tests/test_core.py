@@ -20,6 +20,7 @@ from kneser_minors import (
     kset_mask,
     kset_text,
     params_grid,
+    union_mask,
     verify_coloring,
 )
 from kneser_minors.core import label_degrees, pairwise_disjoint, spread_detail
@@ -185,6 +186,21 @@ class TestSpreadDetail:
         classes = ((kset_mask([3, 4, 5]),), (kset_mask([3, 4, 5]), kset_mask([3, 6, 7])))
         detail = "class 1 has degree spread 2: label 3 has degree 2, label 8 has degree 0"
         assert spread_detail(classes, 3, 8) == spread_detail_reference(classes, 3, 8) == detail
+
+
+def test_a_class_of_spread_at_most_one_covers_its_floor():
+    # The coverage floors of partition_A and partition_C rest on this: l distinct
+    # k-subsets of [1, g] with degree spread <= 1 cover exactly min(g, l k) labels.
+    checked = 0
+    for g in range(1, 8):
+        for k in range(1, min(4, g) + 1):
+            family = enumerate_family(1, g, k)
+            for l in range(1, 5):
+                for cls in itertools.combinations(family, l):
+                    if spread_detail((cls,), 1, g) is None:
+                        assert union_mask(cls).bit_count() == min(g, l * k), (g, k, cls)
+                        checked += 1
+    assert checked == 11630
 
 
 class TestEnumerateFamily:
