@@ -60,6 +60,14 @@ exactly min(g, l(k-1)) labels, and the anchor lies outside the ground.
 for that body, ``build_coloring`` and the ``partition`` command alike, with
 the cap check before the size vector.
 
+For k = 3 the anchored body runs no engine: it lists the pairs of K_g in the
+circle (Walecki) order -- residues mod m = (g - 1) | 1, and for even g a point
+at infinity; round r is {inf, r}, then {r - i, r + i} for i = 1 .. (m - 1) / 2
+-- and cuts the list into consecutive classes.  Up to (g - 1) / 2 pairs a
+class, each is a matching.  The 281 local plans of the k = 3 builds (15 with
+more pairs a class) all pass ``_self_check``, which guards every cut; a cut
+that fails it raises ``ConstructionError``, with no fallback to the engine.
+
 The engine's output depends only on ``(g, k, sizes)``: it works on local
 labels 1..g and shifts onto the plan's ground at the end.  The family
 anchored at label i in K(n, k) is the one anchored at i + 1 in K(n + 1, k),
@@ -490,13 +498,25 @@ class _PlanMemo:
 _MEMO = _PlanMemo(MEMO_EDGE_BOUND)
 
 
+def _circle_partition(plan: PartitionPlan) -> AlmostRegularPartition:
+    """The pairs of the plan's ground in circle order (see above), cut into classes of its sizes."""
+    g, shift, edges = plan.ground_size, plan.ground[0] - 1, []
+    m = (g - 1) | 1  # residue x mod m is local label x + 1; for even g, label g is the point at infinity
+    for r in range(m):
+        edges += [1 << m | 1 << r] if m < g else []
+        edges += [1 << (r - i) % m | 1 << (r + i) % m for i in range(1, (m + 1) // 2)]
+    classes = tuple(tuple(sorted(e << shift for e in edges[end - a:end])) for a, end in zip(plan.sizes, accumulate(plan.sizes)))
+    _self_check(plan, classes)
+    return AlmostRegularPartition(plan=plan, classes=classes)
+
+
 def _anchored(anchor: int, ground: tuple[int, int], k: int, l: int, cap: int | None) -> CoveredPartition:
     """The k-sets made of ``anchor`` and k - 1 labels of ``ground``, in blocks of l."""
     plan = _uniform_plan(ground, k - 1, l, cap)
     key, shift = (plan.ground_size, plan.k, plan.sizes), ground[0] - 1
     flat = _MEMO.get(key)
     if flat is None:
-        base = almost_regular_partition(plan, cap=cap)
+        base = _circle_partition(plan) if plan.k == 2 else almost_regular_partition(plan, cap=cap)
         _MEMO.put(key, array("Q", [m >> shift for cls in base.classes for m in cls]))
     else:
         masks = [m << shift for m in flat]

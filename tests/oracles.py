@@ -17,7 +17,9 @@ per class; it calls the package's max-flow solver, so both engines solve
 their label steps alike), the max-flow solver as it was before push-relabel
 (Dinic), and the writer as it was before documents became flat JSON (the
 stdlib's indented encoder; such files must still read and verify alike).
-The small helpers at the end are used only by tests.
+A minor verifier built from the definitions alone, for tiny instances,
+answers the package verifier's checks by name.  The small helpers at the
+end are used only by tests.
 """
 
 import io
@@ -361,6 +363,33 @@ def unjoined_blocks_pairwise(blocks: Sequence[Sequence[int]]) -> str | None:
             if not any(intersects(a, b) for a in block for b in them):
                 return f"blocks {bi} and {other} are joined by no edge"
     return None
+
+
+def verify_minor_by_definition(n: int, k: int, blocks: Sequence[Sequence[int]]) -> dict[str, str | None]:
+    """Each minor check from the definitions, by name: None where it holds, else why not.
+
+    The vertices are the k-subsets of [n], two adjacent when they meet.  The
+    blocks must be vertices, pairwise disjoint, each connected (a search over
+    member pairs) and every two joined by a member pair, and there must be at
+    least ceil(C(n, k) / alpha) of them, alpha from the exhaustive search
+    (tiny instances only).
+    """
+    vertices = {sum(1 << (x - 1) for x in c) for c in itertools.combinations(range(1, n + 1), k)}
+    members = [m for block in blocks for m in block]
+    alpha = alpha_oracle(Params(n, k))
+    stray = next((m for m in members if m not in vertices), None)
+    twice = next((m for i, m in enumerate(members) if m in members[:i]), None)
+    loose = next(
+        (bi for bi, block in enumerate(blocks) if not block or unreachable_member_pairwise(list(block)) is not None), None
+    )
+    least = -(-binomial(n, k) // alpha)
+    return {
+        "vertices": None if stray is None else f"member {stray} is not a {k}-subset of [{n}]",
+        "disjoint-blocks": None if twice is None else f"member {twice} lies in two blocks",
+        "block-connectivity": None if loose is None else f"block {loose} is not connected",
+        "cross-edges": unjoined_blocks_pairwise(blocks),
+        "order": None if len(blocks) >= least else f"{len(blocks)} blocks, below C({n}, {k}) / {alpha}",
+    }
 
 
 def unjoined_blocks_reference(n: int, blocks: Sequence[Sequence[int]]) -> str | None:

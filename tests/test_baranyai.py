@@ -22,6 +22,7 @@ from kneser_minors import (
     partition_A,
     partition_C,
     uniform_sizes,
+    union_mask,
     verify_partition,
 )
 from kneser_minors import baranyai
@@ -649,6 +650,16 @@ class TestClosingSteps:
             baranyai._absorption_step(state, [[] for _ in range(state[1][-1])], 3, v, unplaced)
 
 
+def test_circle_cut_classes_are_matchings():
+    # Up to (g - 1) / 2 pairs a class, every class of the circle cut, the
+    # remainder too, is a matching, so its degree spread is at most one.
+    for g in range(4, 41):
+        for l in range(1, (g - 1) // 2 + 1):
+            plan = PartitionPlan((1, g), 2, uniform_sizes(binomial(g, 2), l))
+            for cls in baranyai._circle_partition(plan).classes:
+                assert union_mask(cls).bit_count() == 2 * len(cls), (g, l, cls)
+
+
 @pytest.fixture
 def memo(monkeypatch):
     """A fresh plan memo with the module's bound, in place of the shared one."""
@@ -668,6 +679,21 @@ def solved(monkeypatch):
 
     monkeypatch.setattr(baranyai, "almost_regular_partition", counting)
     return plans
+
+
+@pytest.fixture
+def misses(memo, monkeypatch):
+    """The keys looked up in the fresh memo and not found, in order."""
+    keys, get = [], memo.get
+
+    def counting(key):
+        flat = get(key)
+        if flat is None:
+            keys.append(key)
+        return flat
+
+    monkeypatch.setattr(memo, "get", counting)
+    return keys
 
 
 def memo_key(cov):
@@ -698,11 +724,12 @@ def spread_two(flat, g):
 
 class TestPlanMemo:
     def test_hit_equals_a_cold_engine_run(self, memo, solved, monkeypatch):
-        # The family of (13, 3) anchored at 13, the one anchored at 1 and the
-        # one of (14, 3) anchored at 2 share the local plan: the 66 pairs of
-        # 12 labels in blocks of 4, on grounds [1, 12], [2, 13] and [3, 14].
-        first = partition_C(Params(13, 3), 4)
-        hits = [partition_A(1, Params(13, 3), 4), partition_A(2, Params(14, 3), 4)]
+        # A k = 4 family splits its triples with the engine.  The family of
+        # (10, 4) anchored at 10, the one anchored at 1 and the one of (11, 4)
+        # anchored at 2 share the local plan: the 84 triples of 9 labels in
+        # blocks of 4, on grounds [1, 9], [2, 10] and [3, 11].
+        first = partition_C(Params(10, 4), 4)
+        hits = [partition_A(1, Params(10, 4), 4), partition_A(2, Params(11, 4), 4)]
         assert solved == [first.base.plan] and list(memo.entries) == [memo_key(first)]
         for cov in hits:
             cold = almost_regular_partition(cov.base.plan)
@@ -710,15 +737,34 @@ class TestPlanMemo:
             anchor = 1 << (cov.anchor - 1)
             assert cov.blocks == tuple(tuple(anchor | m for m in cls) for cls in cold.classes)
         monkeypatch.setattr(baranyai, "_MEMO", baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND))
-        again = partition_A(2, Params(14, 3), 4)
+        again = partition_A(2, Params(11, 4), 4)
         assert solved[-1] == again.base.plan and again == hits[-1]
 
-    def test_cap_is_checked_on_a_hit(self, memo, solved):
+    def test_a_circle_hit_equals_a_cold_miss(self, memo, misses, solved, monkeypatch):
+        # A k = 3 family takes its pairs in circle order, with no engine run.
+        # The family of (13, 3) anchored at 13, the one anchored at 1 and the
+        # one of (14, 3) anchored at 2 share the local plan: the 66 pairs of
+        # 12 labels in blocks of 4, on grounds [1, 12], [2, 13] and [3, 14].
+        first = partition_C(Params(13, 3), 4)
+        calls = [(1, Params(13, 3)), (2, Params(14, 3))]
+        hits = [partition_A(i, p, 4) for i, p in calls]
+        assert misses == [memo_key(first)] and list(memo.entries) == [memo_key(first)]
+        for (i, p), cov in zip(calls, hits):
+            fresh = baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND)
+            monkeypatch.setattr(baranyai, "_MEMO", fresh)
+            cold = partition_A(i, p, 4)
+            assert list(fresh.entries) == [memo_key(cov)] and cov == cold
+            anchor = 1 << (cov.anchor - 1)
+            assert cov.blocks == tuple(tuple(anchor | m for m in cls) for cls in cold.base.classes)
+        assert solved == []
+
+    def test_cap_is_checked_on_a_hit(self, memo, misses):
         partition_A(1, Params(12, 3), 4)  # 55 pairs, cached under the default cap
         for i, n in ((1, 12), (2, 13)):
             with pytest.raises(ResourceCapError):
                 partition_A(i, Params(n, 3), 4, cap=54)
-        assert len(solved) == 1 and partition_A(2, Params(13, 3), 4, cap=55).guaranteed_blocks == 13
+        assert len(misses) == 1 and partition_A(2, Params(13, 3), 4, cap=55).guaranteed_blocks == 13
+        assert len(misses) == 1
 
     @pytest.mark.parametrize(
         "corrupt,match",

@@ -25,15 +25,15 @@ def digest(text: str) -> str:
 
 # The smallest instance (by C(n, k)) routed to each construction regime.
 MINOR_DIGESTS = {
-    (7, 3): (CaseTag.S2_CASE1, "82ca879efabf0ba3b1f0695703308965ce44f6eaeed23148d6af009f4760bb5d"),
-    (8, 3): (CaseTag.S2_CASE2, "b06ea5d2a58daeacbcdeeb57f53060b99f9ac088fa5a299e0d92d3eb766f8ee8"),
-    (9, 3): (CaseTag.S3_CASE1, "01e8523839c5e6788357e087e275cc34a0f82fce5e90ce89bf6adeb9a4eb83c4"),
-    (10, 3): (CaseTag.S3_CASE2, "52996c868b9bd5078a3e2d67cbb04c9f4675734bcfaac972230aec48ab28f2c5"),
-    (11, 3): (CaseTag.S3_CASE3, "fe86ff5550f2d30c5f06f4bd213f23a74802a525dbfb4554db1d181b3fca288d"),
-    (12, 3): (CaseTag.S4_K3, "fd4c587da4144bf62d1499043a46238c09a943cda74407f0d42c3d30f7e30a6f"),
-    (18, 3): (CaseTag.S4_K3_SHIFT, "44b7a529a8cef63d01cc2c4b1e9712db1f927c8ea042956c05f9e75da99f765c"),
+    (7, 3): (CaseTag.S2_CASE1, "10718f4e00669e6003fd7a2c94cb3cbfad0fcf4c1f947a3b8733fc62bb439772"),
+    (8, 3): (CaseTag.S2_CASE2, "8369e2e141a22e1488a2e63700838126f8acf146b28a2202f207d9a275d47c46"),
+    (9, 3): (CaseTag.S3_CASE1, "627fadb400f0c4a74721cbba05b3621593f04c6921e23a4eadc677ce93fba94d"),
+    (10, 3): (CaseTag.S3_CASE2, "d10a54dbd6f149ebf9b4b63d1f0522e008eb531e9492c7b275ab14fa5ab58f90"),
+    (11, 3): (CaseTag.S3_CASE3, "539394461e58f9d89b379caef879840202a7d58ad5d19924b7a13fa1329b14ef"),
+    (12, 3): (CaseTag.S4_K3, "ce0747225be957dfb189e00434d022030d7e44f7e46e3a1a5a6002173e346373"),
+    (18, 3): (CaseTag.S4_K3_SHIFT, "ac52bc49724468b634f40dd303f5b769d2034277c14c448d2687c71a35dc3d61"),
     (16, 4): (CaseTag.S4_KGE4, "3398b95e7b0b30c9a56458fbabae872d914cb578af0b5c0fdb80434bee385cbb"),
-    (14, 3): (CaseTag.SPECIAL_14_3, "29a1a6f0969c33c936e98de592ac33de3dfd884909fa65058241f489c8b1a758"),
+    (14, 3): (CaseTag.SPECIAL_14_3, "52595490fb79fc522a82cde57d124626595b0fe972201fd6b60291c0c85f912e"),
 }
 
 

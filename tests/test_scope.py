@@ -6,7 +6,9 @@ without a build: the trace ``build_minor`` would record derives (so every
 ``S4Params``/``K3Params`` preflight holds), its closed-form block counts
 reach chi, and the preflight inequalities hold in exact rationals.  The three
 k = 7 instances the default cap admits, which no sweep covers, are built and
-verified.
+verified.  Every anchored family those k = 3 builds split takes its pairs
+in circle order, and each of its 281 distinct local plans passes the
+engine's self-check.
 """
 
 from fractions import Fraction
@@ -17,16 +19,19 @@ from kneser_minors import (
     K3Params,
     MAX_LABELS,
     Params,
+    PartitionPlan,
     S4Params,
     binomial,
     build_coloring,
     build_minor,
     chi,
     chi_of,
+    uniform_sizes,
     verify_coloring,
     verify_minor,
 )
-from kneser_minors.minors import _recorded_trace
+from kneser_minors import baranyai
+from kneser_minors.minors import _layout, _recorded_trace
 from oracles import bound_check_s4
 
 SCOPE = [(n, k) for k in range(3, MAX_LABELS) for n in range(2 * k + 1, MAX_LABELS + 1)]
@@ -79,3 +84,22 @@ def test_k7_instances_inside_the_default_cap(n):
     report = verify_coloring(coloring)
     assert report.passed, report.summary_lines()
     assert len(coloring.classes) == chi(p)
+
+
+def test_every_k3_anchored_plan_passes_the_circle_cut():
+    # The (g, l) of each anchored family a k = 3 build splits, read off the
+    # layout as the executor reads it: g labels beside the anchor, blocks of l.
+    plans = set()
+    for n in range(2 * 3 + 1, MAX_LABELS + 1):
+        for entry in _recorded_trace(n, 3):
+            p = Params(entry.n, 3)
+            _, l, _, anchors, stacked = _layout(p)
+            plans |= {(p.n - i, l) for i in anchors}
+            if stacked and l is not None:
+                plans.add((p.n - 1, l))
+    assert len(plans) == 281 and {g % 2 for g, _ in plans} == {0, 1} and max(plans)[0] == 63
+    # Above (g - 1) / 2 pairs a class need not be a matching; these cuts are checked as any other.
+    assert sum(l > (g - 1) // 2 for g, l in plans) == 15
+    for g, l in sorted(plans):
+        plan = PartitionPlan((1, g), 2, uniform_sizes(binomial(g, 2), l))
+        assert baranyai._circle_partition(plan).plan == plan  # _self_check raises on a bad cut

@@ -1,5 +1,6 @@
 import copy
 import functools
+import itertools
 import json
 import math
 
@@ -20,9 +21,11 @@ from kneser_minors import (
     almost_regular_partition,
     build_coloring,
     build_minor,
+    chi,
     kset_mask,
     kset_text,
     uniform_sizes,
+    union_mask,
     verify_coloring,
     verify_minor,
     verify_partition,
@@ -44,6 +47,7 @@ from oracles import (
     unjoined_blocks_pairwise,
     unjoined_blocks_reference,
     unreachable_member_pairwise,
+    verify_minor_by_definition,
 )
 
 
@@ -142,6 +146,41 @@ class TestVerifyMinor:
             for c in report.checks
         ))
         assert report == expected
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_k3_minors_agree_with_the_definitions(self, n):
+        # Each built k = 3 minor of n <= 12 passes every definition-level check,
+        # and so does every edit of it that keeps its blocks well formed, just
+        # where the package verifier passes the matching check.
+        package = {"disjoint-blocks": "disjoint-blocks", "block-connectivity": "block-connectivity",
+                   "cross-edges": "cross-edges", "order": "witnesses-chi"}
+        cert = build_minor(Params(n, 3))
+        blocks = [list(block) for block in cert.blocks]
+        assert verify_minor_by_definition(n, 3, cert.blocks) == dict.fromkeys(["vertices", *package])
+        assert verify_minor(cert).passed
+        vertices = list(map(kset_mask, itertools.combinations(range(1, n + 1), 3)))
+        spare = next(m for m in vertices if m not in set().union(*blocks))
+        far = next(m for m in vertices if not m & union_mask(blocks[0]))
+        edits = [
+            blocks[: chi(Params(n, 3)) - 1],  # too few blocks
+            [blocks[0] + blocks[1][:1], *blocks[1:]],  # a member in two blocks
+            [blocks[0] + blocks[1][-1:], blocks[1][:-1], *blocks[2:]],  # a member moved
+            [blocks[0] + blocks[1], *blocks[2:]],  # two blocks merged
+            [*[[m] for m in blocks[0]], *blocks[1:]],  # a block split into singletons
+            [[spare, *blocks[0][1:]], *blocks[1:]],  # a member replaced by an unused vertex
+            [[blocks[0][0], far], *blocks[1:]],  # a block of two members that do not meet
+        ]
+        failed = set()
+        for edit in edits:
+            edit = tuple(map(tuple, filter(None, edit)))
+            want = verify_minor_by_definition(n, 3, edit)
+            checks = check_map(verify_minor(replaced(cert, blocks=edit, claimed_order=len(edit))))
+            assert want["vertices"] is None and checks["structure"].passed
+            assert {name: want[name] is None for name in package} == {
+                name: checks[check].passed for name, check in package.items()
+            }
+            failed |= {name for name in package if want[name] is not None}
+        assert failed == set(package)
 
     def test_shared_vertex_named(self):
         shared = kset_mask([1, 2, 3])
