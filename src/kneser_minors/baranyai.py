@@ -60,13 +60,12 @@ exactly min(g, l(k-1)) labels, and the anchor lies outside the ground.
 for that body, ``build_coloring`` and the ``partition`` command alike, with
 the cap check before the size vector.
 
-For k = 3 the anchored body runs no engine: it lists the pairs of K_g in the
-circle (Walecki) order -- residues mod m = (g - 1) | 1, and for even g a point
-at infinity; round r is {inf, r}, then {r - i, r + i} for i = 1 .. (m - 1) / 2
--- and cuts the list into consecutive classes.  Up to (g - 1) / 2 pairs a
-class, each is a matching.  The 281 local plans of the k = 3 builds (15 with
-more pairs a class) all pass ``_self_check``, which guards every cut; a cut
-that fails it raises ``ConstructionError``, with no fallback to the engine.
+For k = 3 and blocks of l <= g / 2 the anchored body runs no engine: it lists
+the pairs of K_g in circle (Walecki) order -- residues mod m = (g - 1) | 1, for
+even g a point at infinity; round r is {inf, r}, then {r - i, r + i} for i = 1
+.. (m - 1) / 2 -- and cuts the list into consecutive classes.  Each is a
+matching: below g / 2 pairs by the order (a test checks every g <= 64), at g / 2
+one whole round.  Larger l, which no k = 3 build asks for, take the engine.
 
 The engine's output depends only on ``(g, k, sizes)``: it works on local
 labels 1..g and shifts onto the plan's ground at the end.  The family
@@ -516,7 +515,8 @@ def _anchored(anchor: int, ground: tuple[int, int], k: int, l: int, cap: int | N
     key, shift = (plan.ground_size, plan.k, plan.sizes), ground[0] - 1
     flat = _MEMO.get(key)
     if flat is None:
-        base = _circle_partition(plan) if plan.k == 2 else almost_regular_partition(plan, cap=cap)
+        circle = plan.k == 2 and 2 * l <= plan.ground_size  # every class a matching, see above
+        base = _circle_partition(plan) if circle else almost_regular_partition(plan, cap=cap)
         _MEMO.put(key, array("Q", [m >> shift for cls in base.classes for m in cls]))
     else:
         masks = [m << shift for m in flat]

@@ -651,10 +651,12 @@ class TestClosingSteps:
 
 
 def test_circle_cut_classes_are_matchings():
-    # Up to (g - 1) / 2 pairs a class, every class of the circle cut, the
-    # remainder too, is a matching, so its degree spread is at most one.
-    for g in range(4, 41):
-        for l in range(1, (g - 1) // 2 + 1):
+    # Up to g / 2 pairs a class, every class of the circle cut, the remainder
+    # too, is a matching, so its degree spread is at most one: below g / 2 by
+    # the order, at g / 2 (even g) as one whole round.  Every ground a plan
+    # admits, g <= 64, is checked.
+    for g in range(2, 65):
+        for l in range(1, g // 2 + 1):
             plan = PartitionPlan((1, g), 2, uniform_sizes(binomial(g, 2), l))
             for cls in baranyai._circle_partition(plan).classes:
                 assert union_mask(cls).bit_count() == 2 * len(cls), (g, l, cls)
@@ -757,6 +759,28 @@ class TestPlanMemo:
             anchor = 1 << (cov.anchor - 1)
             assert cov.blocks == tuple(tuple(anchor | m for m in cls) for cls in cold.base.classes)
         assert solved == []
+
+    def test_blocks_above_half_the_ground_take_the_engine(self, memo, solved):
+        # (7, 3) anchored at 2: 5 labels in blocks of 5 pairs.  The circle
+        # cut's first class has degrees 1, 2, 2, 3, 2, so the engine splits it.
+        plan = PartitionPlan((3, 7), 2, (5, 5))
+        with pytest.raises(ConstructionError, match="degree spread"):
+            baranyai._circle_partition(plan)
+        cov = partition_A(2, Params(7, 3), 5)
+        assert solved == [plan] and cov.base == almost_regular_partition(plan)
+
+    def test_every_k3_block_size_is_split(self, memo, solved):
+        # Each anchor and block size partition_A and partition_C accept for
+        # (9, 3) gives an almost-regular split; the engine runs just for 2l > g.
+        p, asked = Params(9, 3), []
+        for i in range(1, 8):
+            asked += [(partition_A(i, p, l), 9 - i, l) for l in range(1, binomial(9 - i, 2) + 1)]
+        asked += [(partition_C(p, l), 8, l) for l in range(2, 29)]
+        for cov, g, l in asked:
+            assert verify_partition(cov.base).passed and cov.base.plan.ground_size == g
+            assert all(len(covered_labels(b)) >= cov.coverage_floor for b in cov.blocks[: cov.guaranteed_blocks])
+        engine_keys = {(plan.ground_size, plan.k, plan.sizes) for plan in solved}
+        assert engine_keys == {memo_key(cov) for cov, g, l in asked if 2 * l > g}
 
     def test_cap_is_checked_on_a_hit(self, memo, misses):
         partition_A(1, Params(12, 3), 4)  # 55 pairs, cached under the default cap

@@ -6,8 +6,8 @@ without a build: the trace ``build_minor`` would record derives (so every
 ``S4Params``/``K3Params`` preflight holds), its closed-form block counts
 reach chi, and the preflight inequalities hold in exact rationals.  The three
 k = 7 instances the default cap admits, which no sweep covers, are built and
-verified.  Every anchored family those k = 3 builds split takes its pairs
-in circle order, and each of its 281 distinct local plans passes the
+verified.  Every anchored family the k = 3 builds split takes its pairs in
+circle order, and each of their 281 distinct local plans passes the
 engine's self-check.
 """
 
@@ -19,19 +19,17 @@ from kneser_minors import (
     K3Params,
     MAX_LABELS,
     Params,
-    PartitionPlan,
     S4Params,
     binomial,
     build_coloring,
     build_minor,
     chi,
     chi_of,
-    uniform_sizes,
     verify_coloring,
     verify_minor,
 )
 from kneser_minors import baranyai
-from kneser_minors.minors import _layout, _recorded_trace
+from kneser_minors.minors import _execute, _recorded_trace
 from oracles import bound_check_s4
 
 SCOPE = [(n, k) for k in range(3, MAX_LABELS) for n in range(2 * k + 1, MAX_LABELS + 1)]
@@ -86,20 +84,23 @@ def test_k7_instances_inside_the_default_cap(n):
     assert len(coloring.classes) == chi(p)
 
 
-def test_every_k3_anchored_plan_passes_the_circle_cut():
-    # The (g, l) of each anchored family a k = 3 build splits, read off the
-    # layout as the executor reads it: g labels beside the anchor, blocks of l.
-    plans = set()
+def test_every_k3_anchored_plan_passes_the_circle_cut(monkeypatch):
+    # Record the local plans the k = 3 builds hand to the circle cut, on a
+    # fresh memo so each distinct plan is cut at least once; none reaches the
+    # engine.  The cut runs ``_self_check`` on each, which raises on a bad one.
+    plans, engine, cut = [], [], baranyai._circle_partition
+
+    def recording(plan):
+        plans.append(plan)
+        return cut(plan)
+
+    monkeypatch.setattr(baranyai, "_MEMO", baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND))
+    monkeypatch.setattr(baranyai, "_circle_partition", recording)
+    monkeypatch.setattr(baranyai, "almost_regular_partition", lambda plan, cap=None: engine.append(plan))
     for n in range(2 * 3 + 1, MAX_LABELS + 1):
-        for entry in _recorded_trace(n, 3):
-            p = Params(entry.n, 3)
-            _, l, _, anchors, stacked = _layout(p)
-            plans |= {(p.n - i, l) for i in anchors}
-            if stacked and l is not None:
-                plans.add((p.n - 1, l))
-    assert len(plans) == 281 and {g % 2 for g, _ in plans} == {0, 1} and max(plans)[0] == 63
-    # Above (g - 1) / 2 pairs a class need not be a matching; these cuts are checked as any other.
-    assert sum(l > (g - 1) // 2 for g, l in plans) == 15
-    for g, l in sorted(plans):
-        plan = PartitionPlan((1, g), 2, uniform_sizes(binomial(g, 2), l))
-        assert baranyai._circle_partition(plan).plan == plan  # _self_check raises on a bad cut
+        _execute(_recorded_trace(n, 3), cap=10**6)
+    local = {(plan.ground_size, max(plan.sizes)) for plan in plans}
+    assert engine == [] and len(local) == 281
+    assert {g % 2 for g, _ in local} == {0, 1} and max(local)[0] == 63
+    # The largest blocks are whole rounds of an even ground: g / 2 pairs.
+    assert sum(2 * l == g for g, l in local) == 15
