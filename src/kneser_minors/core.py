@@ -129,7 +129,7 @@ def kset_mask(labels: Iterable[int]) -> int:
 
 
 def label_list(mask: int) -> list[int]:
-    """Labels of a mask in increasing order, as a new list."""
+    """Labels of a mask in increasing order, as a new list: the reference and fallback of ``serialize._label_lists``."""
     if mask < 0:
         raise ParameterError(f"negative mask {mask}")
     labels = []

@@ -1,9 +1,10 @@
 """Versioned JSON wire formats for certificates, partitions and reports.
 
 All documents are UTF-8 JSON with sorted keys, so identical objects
-serialize to identical bytes.  k-subsets appear as strictly increasing
-label arrays, each written by ``core.label_list`` straight into a new list
-(a negative mask raises ParameterError).
+serialize to identical bytes.  k-subsets appear as strictly increasing label
+arrays, two lookups a member in tables of the subsets of at most k labels of
+each half of [1, n], built per call by ``_label_lists``; ``core.label_list``
+stays the reference and writes every member of a call the tables do not serve.
 
 A minor document's ``trace`` must be exactly the trace ``build_minor``
 records for its (n, k), as ``minor_to_dict`` writes it; ``minor_from_dict``
@@ -17,16 +18,20 @@ the ParameterError naming it, so inputs and messages are that reader's.
 
 ``dumps_canonical`` writes one line of JSON with sorted keys and no
 insignificant whitespace, plus a final newline: one call to the stdlib's
-C-accelerated encoder.  For these documents, which hold only integers and
-ASCII strings, that is close to the JSON Canonicalization Scheme (RFC 8785).
-The readers accept any whitespace, so files written with an indent still read.
+C-accelerated encoder, without its per-container cycle check (a circular value
+hits RecursionError, and the checked call then raises the stdlib's ValueError).
+For these documents, which hold only integers and ASCII strings, that is close
+to the JSON Canonicalization Scheme (RFC 8785).  The readers accept any
+whitespace, so files written with an indent still read.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import combinations
+from math import comb
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .baranyai import AlmostRegularPartition, PartitionPlan
 from .chromatic import ColoringCertificate
@@ -40,7 +45,26 @@ FORMAT_VERSION = 1
 
 def dumps_canonical(document: Any) -> str:
     """Canonical text of a JSON value: sorted keys, no insignificant whitespace, final newline."""
-    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        return json.dumps(document, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    except RecursionError:  # circular, or too deep: the checked call raises as the stdlib does
+        return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _label_lists(rows: Sequence[Sequence[int]], n: int, k: int) -> list[list[list[int]]]:
+    """``[[label_list(m) for m in row] for row in rows]``, from tables of each half's subsets."""
+    h = (n + 1) // 2
+    if 1 <= k <= n <= MAX_LABELS and sum(comb(h, i) + comb(n - h, i) for i in range(k + 1)) <= sum(map(len, rows)):
+        low, high, cut = {}, {}, (1 << h) - 1
+        for table, labels in ((low, range(1, h + 1)), (high, range(h + 1, n + 1))):
+            bits = [1 << i for i in range(len(labels))]  # keys: masks shifted down to the half's start
+            for i in range(k + 1):
+                table.update(zip(map(sum, combinations(bits, i)), combinations(labels, i)))
+        try:
+            return [[list(low[m & cut] + high[m >> h]) for m in row] for row in rows]
+        except (KeyError, TypeError):  # a negative mask, a label above n, over k labels in a half, a non-int
+            pass
+    return [[label_list(m) for m in row] for row in rows]
 
 
 def _mask_from_labels(raw: Any, where: str) -> int:
@@ -119,7 +143,7 @@ def minor_to_dict(cert: MinorCertificate) -> dict[str, Any]:
         "kind": "minor",
         "n": cert.n,
         "k": cert.k,
-        "blocks": [[label_list(m) for m in block] for block in cert.blocks],
+        "blocks": _label_lists(cert.blocks, cert.n, cert.k),
         "trace": _trace_list(cert.trace),
         "claimed_order": cert.claimed_order,
     }
@@ -144,7 +168,7 @@ def coloring_to_dict(cert: ColoringCertificate) -> dict[str, Any]:
         "kind": "coloring",
         "n": cert.n,
         "k": cert.k,
-        "classes": [[label_list(m) for m in cls] for cls in cert.classes],
+        "classes": _label_lists(cert.classes, cert.n, cert.k),
     }
 
 
@@ -163,7 +187,7 @@ def partition_to_dict(part: AlmostRegularPartition) -> dict[str, Any]:
         "ground": list(part.plan.ground),
         "k": part.plan.k,
         "sizes": list(part.plan.sizes),
-        "classes": [[label_list(m) for m in cls] for cls in part.classes],
+        "classes": _label_lists(part.classes, part.plan.ground[1], part.plan.k),
     }
 
 

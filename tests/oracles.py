@@ -17,9 +17,9 @@ per class; it calls the package's max-flow solver, so both engines solve
 their label steps alike), the max-flow solver as it was before push-relabel
 (Dinic), and the writer as it was before documents became flat JSON (the
 stdlib's indented encoder; such files must still read and verify alike).
-A minor verifier built from the definitions alone, for tiny instances,
-answers the package verifier's checks by name.  The small helpers at the
-end are used only by tests.
+A minor verifier and a coloring verifier built from the definitions alone,
+for tiny instances, answer the package verifiers' checks by name.  The small
+helpers at the end are used only by tests.
 """
 
 import io
@@ -389,6 +389,31 @@ def verify_minor_by_definition(n: int, k: int, blocks: Sequence[Sequence[int]]) 
         "block-connectivity": None if loose is None else f"block {loose} is not connected",
         "cross-edges": unjoined_blocks_pairwise(blocks),
         "order": None if len(blocks) >= least else f"{len(blocks)} blocks, below C({n}, {k}) / {alpha}",
+    }
+
+
+def verify_coloring_by_definition(n: int, k: int, classes: Sequence[Sequence[int]]) -> dict[str, str | None]:
+    """Each coloring check from the definitions, by name: None where it holds, else why not.
+
+    The vertices are the k-subsets of [n], two adjacent when they meet.  The
+    classes must partition them (the family ``enumerate_family`` lists, here
+    enumerated afresh), each class must be independent (a search over member
+    pairs), and there must be exactly chi = ceil(C(n, k) / alpha) classes,
+    alpha from the exhaustive search: no coloring has fewer, since a class
+    holds at most alpha vertices (tiny instances only).
+    """
+    vertices = sorted(sum(1 << (x - 1) for x in c) for c in itertools.combinations(range(1, n + 1), k))
+    members = [m for cls in classes for m in cls]
+    stray = min(set(members) - set(vertices), default=None)
+    clash = next(
+        (ci for ci, cls in enumerate(classes) if any(intersects(a, b) for a, b in itertools.combinations(cls, 2))), None
+    )
+    chi = -(-binomial(n, k) // alpha_oracle(Params(n, k)))
+    return {
+        "vertices": None if stray is None else f"member {stray} is not a {k}-subset of [{n}]",
+        "partition": None if sorted(members) == vertices else "the classes do not hold each vertex exactly once",
+        "independent-classes": None if clash is None else f"class {clash} holds two members that meet",
+        "class-count": None if len(classes) == chi else f"{len(classes)} classes, not chi = {chi}",
     }
 
 

@@ -23,7 +23,8 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# The smallest instance (by C(n, k)) routed to each construction regime.
+# The smallest instance (by C(n, k)) routed to each construction regime, and
+# (50, 3): two-digit labels, written from label tables of 25-label halves.
 MINOR_DIGESTS = {
     (7, 3): (CaseTag.S2_CASE1, "10718f4e00669e6003fd7a2c94cb3cbfad0fcf4c1f947a3b8733fc62bb439772"),
     (8, 3): (CaseTag.S2_CASE2, "8369e2e141a22e1488a2e63700838126f8acf146b28a2202f207d9a275d47c46"),
@@ -34,6 +35,7 @@ MINOR_DIGESTS = {
     (18, 3): (CaseTag.S4_K3_SHIFT, "ac52bc49724468b634f40dd303f5b769d2034277c14c448d2687c71a35dc3d61"),
     (16, 4): (CaseTag.S4_KGE4, "3398b95e7b0b30c9a56458fbabae872d914cb578af0b5c0fdb80434bee385cbb"),
     (14, 3): (CaseTag.SPECIAL_14_3, "52595490fb79fc522a82cde57d124626595b0fe972201fd6b60291c0c85f912e"),
+    (50, 3): (CaseTag.S4_K3, "464702521057963c55bbb7812936ede09a9d22b9a69e20988df99a7e885371be"),
 }
 
 

@@ -1,13 +1,14 @@
 """``serialize.dumps_canonical`` against its one-call contract, and the
-certificate block reader against its reference.
+label-array writer and the certificate block reader against their references.
 
 The writer must give exactly the text of ``json.dumps(value, sort_keys=True,
 separators=(",", ":")) + "\n"`` on any value, and raise the same exception
-type where that raises.  Every built document must keep the JSON value it
-had when documents were written with a two-space indent
-(``oracles.dumps_canonical_reference``).  The reader must return the masks
-``oracles.block_lists_reference`` returns, or raise ParameterError with the
-same message.
+type where that raises.  The label-array writer must return what
+``core.label_list`` gives member by member, or raise what it raises.  Every
+built document must keep the JSON value it had when documents were written
+with a two-space indent (``oracles.dumps_canonical_reference``).  The reader
+must return the masks ``oracles.block_lists_reference`` returns, or raise
+ParameterError with the same message.
 """
 
 import enum
@@ -33,9 +34,11 @@ from kneser_minors import (
     verify_minor,
     verify_partition,
 )
+from kneser_minors.core import label_list
 from kneser_minors.minors import CaseTag
 from kneser_minors.serialize import (
     _block_lists,
+    _label_lists,
     coloring_to_dict,
     dumps_canonical,
     minor_to_dict,
@@ -255,15 +258,104 @@ def test_block_reader_matches_the_reference(blocks):
     [
         ("minor_to_dict", "MinorCertificate(n=7, k=3, blocks=((7, -7),), trace=(), claimed_order=1)"),
         ("coloring_to_dict", "ColoringCertificate(n=7, k=3, classes=((7,), (-7,)))"),
+        (
+            "partition_to_dict",
+            "AlmostRegularPartition(plan=PartitionPlan((1, 7), 3, (34, 1)), classes=((7,), (-7,)))",
+        ),
     ],
 )
 def test_writers_refuse_a_negative_mask(writer, cert):
     # The low-bit walk never ends on a negative int, so a regression hangs:
     # run it in a child with a timeout.
     code = (
-        "from kneser_minors import ColoringCertificate, MinorCertificate, ParameterError\n"
+        "from kneser_minors import AlmostRegularPartition, ColoringCertificate, MinorCertificate, ParameterError,"
+        " PartitionPlan\n"
         f"from kneser_minors.serialize import {writer}\n"
         f"try:\n    {writer}({cert})\nexcept ParameterError as exc:\n    print(exc)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
     assert (proc.returncode, proc.stdout) == (0, "negative mask -7\n")
+
+
+# The label-array writer: k-sets of [1, n], with now and then a member off
+# the tables (a label above n, over k labels, a negative or huge int, a bool,
+# a non-int), under any (n, k), cut into rows.
+def label_lists_reference(rows, n, k):
+    return [[label_list(m) for m in row] for row in rows]
+
+
+def written(write, rows, n, k):
+    try:
+        return "lists", write(rows, n, k)
+    except (ParameterError, TypeError) as exc:
+        return "raises", type(exc), str(exc)
+
+
+def mask_of(labels):
+    return sum(1 << (x - 1) for x in labels)
+
+
+ODD_MASKS = (
+    st.sets(st.integers(1, 66), min_size=1, max_size=8).map(mask_of)
+    | st.integers()
+    | st.integers(2**64, 2**70)
+    | st.integers(-(2**70), 0)
+    | st.sampled_from([0, -7, True, False, 1.5, "3", None])
+)
+
+
+@st.composite
+def label_rows(draw):
+    n = draw(st.integers(1, 8) | st.integers(-3, 70))
+    k = draw(st.integers(1, 3) | st.integers(-2, 12))
+    kset = st.sets(st.integers(1, min(max(n, 1), 64)), min_size=1, max_size=max(k, 1)).map(mask_of)
+    size = draw(st.integers(0, 40))  # as many members as the tables hold entries, often
+    members = draw(st.lists(kset, min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 2))):
+        members.insert(draw(st.integers(0, len(members))), draw(ODD_MASKS))
+    cuts = sorted({0, len(members), *draw(st.lists(st.integers(0, len(members)), max_size=4))})
+    return [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])], n, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_rows())
+def test_label_lists_match_the_reference(case):
+    assert written(_label_lists, *case) == written(label_lists_reference, *case)
+
+
+def test_built_certificates_take_the_tables(monkeypatch):
+    # Every member of these certificates is two table lookups: the reference
+    # is never called.
+    cert_minor, cert_coloring = build_minor(Params(50, 3)), build_coloring(Params(12, 4))
+    part = almost_regular_partition(PartitionPlan((1, 9), 3, (10, 20, 30, 24)))
+    want = [minor_to_dict(cert_minor), coloring_to_dict(cert_coloring), partition_to_dict(part)]
+
+    def refuse(mask):
+        raise AssertionError(f"label_list({mask}) called")
+
+    monkeypatch.setattr("kneser_minors.serialize.label_list", refuse)
+    assert [minor_to_dict(cert_minor), coloring_to_dict(cert_coloring), partition_to_dict(part)] == want
+    assert want[0]["blocks"] == label_lists_reference(cert_minor.blocks, 50, 3)
+
+
+def test_a_wide_certificate_builds_no_tables():
+    # n = 64, k = 32: the two tables would hold about 2^33 entries, far more
+    # than the block's 33 members, so each member takes label_list.  The child
+    # runs under a 1 GiB address-space limit: a regression fails, it does not
+    # fill the host's memory.
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from kneser_minors import MinorCertificate\n"
+        "from kneser_minors.core import label_list\n"
+        "from kneser_minors.serialize import dumps_canonical, minor_to_dict\n"
+        "block = tuple(((1 << 32) - 1) << i for i in range(33))\n"
+        "cert = MinorCertificate(n=64, k=32, blocks=(block,), trace=(), claimed_order=1)\n"
+        "start = time.perf_counter()\n"
+        "document = minor_to_dict(cert)\n"
+        "dumps_canonical(document)\n"
+        "elapsed = time.perf_counter() - start\n"
+        "print(document['blocks'] == [[label_list(m) for m in block]], elapsed < 1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True\n", "")

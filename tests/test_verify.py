@@ -47,6 +47,7 @@ from oracles import (
     unjoined_blocks_pairwise,
     unjoined_blocks_reference,
     unreachable_member_pairwise,
+    verify_coloring_by_definition,
     verify_minor_by_definition,
 )
 
@@ -243,6 +244,41 @@ class TestVerifyColoring:
         merged = (cert.classes[0] + cert.classes[1],) + cert.classes[2:]
         checks = check_map(verify_coloring(replaced(cert, classes=merged)))
         assert not checks["class-count"].passed
+
+    @pytest.mark.parametrize("n,k", [(n, k) for k in (3, 4, 5) for n in range(2 * k + 1, 13) if math.comb(n, k) <= 500])
+    def test_colorings_agree_with_the_definitions(self, n, k):
+        # Each built coloring of n <= 12 passes every definition-level check,
+        # and every drop, duplicate, move, merge or split edit of it fails just
+        # the checks verify_coloring fails.
+        names = ("partition", "independent-classes", "class-count")
+        cert = build_coloring(Params(n, k))
+        classes = [list(cls) for cls in cert.classes]
+        assert verify_coloring_by_definition(n, k, cert.classes) == dict.fromkeys(["vertices", *names])
+        assert verify_coloring(cert).passed
+        t = len(classes)
+        fits = next(
+            ((i, j) for i in range(t) for j in range(t) if i != j and not classes[i][0] & union_mask(classes[j])), None
+        )
+        edits = []
+        for i, j in {(0, 1), (1, t - 1), (t - 1, 0), (t // 2, 0), *([fits] if fits else [])}:
+            edit = [list(cls) for cls in classes]
+            edits.append([*edit[:i], edit[i][1:], *edit[i + 1:]])  # a member dropped
+            edit[j] = edit[j] + edit[i][:1]
+            edits.append(list(edit))  # a member in two classes
+            edit[i] = edit[i][1:]
+            edits.append(edit)  # a member moved
+            rest = [cls for ci, cls in enumerate(classes) if ci not in (i, j)]
+            edits.append([classes[i] + classes[j], *rest])  # two classes merged
+            edits.append([classes[i][:1], classes[i][1:], classes[j], *rest])  # a class split
+        failed = set()
+        for edit in edits:
+            edit = tuple(map(tuple, filter(None, edit)))
+            want = verify_coloring_by_definition(n, k, edit)
+            checks = check_map(verify_coloring(replaced(cert, classes=edit)))
+            assert want["vertices"] is None and checks["structure"].passed
+            assert {name: want[name] is None for name in names} == {name: checks[name].passed for name in names}
+            failed |= {name for name in names if want[name] is not None}
+        assert failed == set(names)
 
     def test_explicit_intersecting_pair(self):
         cls = (kset_mask([1, 2, 3]), kset_mask([3, 4, 5]))
