@@ -513,6 +513,7 @@ def _anchored(anchor: int, ground: tuple[int, int], k: int, l: int, cap: int | N
     """The k-sets made of ``anchor`` and k - 1 labels of ``ground``, in blocks of l."""
     plan = _uniform_plan(ground, k - 1, l, cap)
     key, shift = (plan.ground_size, plan.k, plan.sizes), ground[0] - 1
+    cuts = tuple(zip(plan.sizes, accumulate(plan.sizes)))  # (size, end) of each class, or block, in a flat list
     flat = _MEMO.get(key)
     if flat is None:
         circle = plan.k == 2 and 2 * l <= plan.ground_size  # every class a matching, see above
@@ -520,11 +521,12 @@ def _anchored(anchor: int, ground: tuple[int, int], k: int, l: int, cap: int | N
         _MEMO.put(key, array("Q", [m >> shift for cls in base.classes for m in cls]))
     else:
         masks = [m << shift for m in flat]
-        classes = tuple(tuple(masks[end - a:end]) for a, end in zip(plan.sizes, accumulate(plan.sizes)))
+        classes = tuple(tuple(masks[end - a:end]) for a, end in cuts)
         _self_check(plan, classes)
         base = AlmostRegularPartition(plan=plan, classes=classes)
-    bit = 1 << (anchor - 1)
-    blocks = tuple(tuple(bit | m for m in cls) for cls in base.classes)
+    bit = 1 << (anchor - 1)  # blocks are cut from one flat list of anchored members, as a hit's classes are
+    anchored = [bit | m for cls in base.classes for m in cls]
+    blocks = tuple(tuple(anchored[end - a:end]) for a, end in cuts)
     guaranteed, floor = plan.sizes.count(l), min(plan.ground_size + 1, l * (k - 1) + 1)
     return CoveredPartition(
         base=base, anchor=anchor, blocks=blocks, guaranteed_blocks=guaranteed, coverage_floor=floor

@@ -16,13 +16,15 @@ The facts of an almost-regular partition are checked once, here, for the
 engine's self-check and the verifiers alike (the ``*_detail`` functions).
 ``family_detail`` and ``spread_detail`` judge the whole family with C-level
 set, map and bit operations first and walk the members only to name a fault;
-``spread_detail`` passes a class of pairwise-disjoint members at once.
+``spread_detail`` passes at once when the class unions' popcounts sum to the
+members' (every class is then pairwise disjoint), else each such class at once.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
+from itertools import chain, repeat
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -210,6 +212,9 @@ def spread_detail(classes: Sequence[Sequence[int]], lo: int, hi: int) -> str | N
     of pairwise-disjoint members has every degree 0 or 1, so it passes at once;
     only the other classes count their degrees.
     """
+    unions = map(reduce, repeat(or_), classes, repeat(0))  # each at most its members' popcount sum
+    if sum(map(int.bit_count, unions)) == sum(map(int.bit_count, chain.from_iterable(classes))):
+        return None
     for ci, cls in enumerate(classes):
         if pairwise_disjoint(cls):
             continue

@@ -2,9 +2,10 @@
 
 All documents are UTF-8 JSON with sorted keys, so identical objects
 serialize to identical bytes.  k-subsets appear as strictly increasing label
-arrays, two lookups a member in tables of the subsets of at most k labels of
-each half of [1, n], built per call by ``_label_lists``; ``core.label_list``
-stays the reference and writes every member of a call the tables do not serve.
+arrays, built per call by ``_label_lists`` from tables that list the subsets
+of at most k labels of each half of [1, n]: a member is one concatenation of
+two looked-up lists, a fresh list of exact size.  ``core.label_list`` stays
+the reference and writes every member of a call the tables do not serve.
 
 A minor document's ``trace`` must be exactly the trace ``build_minor``
 records for its (n, k), as ``minor_to_dict`` writes it; ``minor_from_dict``
@@ -59,9 +60,9 @@ def _label_lists(rows: Sequence[Sequence[int]], n: int, k: int) -> list[list[lis
         for table, labels in ((low, range(1, h + 1)), (high, range(h + 1, n + 1))):
             bits = [1 << i for i in range(len(labels))]  # keys: masks shifted down to the half's start
             for i in range(k + 1):
-                table.update(zip(map(sum, combinations(bits, i)), combinations(labels, i)))
+                table.update(zip(map(sum, combinations(bits, i)), map(list, combinations(labels, i))))
         try:
-            return [[list(low[m & cut] + high[m >> h]) for m in row] for row in rows]
+            return [[low[m & cut] + high[m >> h] for m in row] for row in rows]
         except (KeyError, TypeError):  # a negative mask, a label above n, over k labels in a half, a non-int
             pass
     return [[label_list(m) for m in row] for row in rows]

@@ -9,9 +9,10 @@ set per block), and walk the members only to name a fault.  A block whose
 members all share a label (a nonzero AND, as in every anchored block
 ``build_minor`` makes) is connected, since any two members meet; any other
 block gets the label-closure search.  Two blocks are joined exactly when
-their covered-label sets meet, so the cross-edge check cuts one bit-vector
-of blocks per label from the blocks' covers written as binary rows, and
-reads a block's reach from per-8-label OR tables: one OR per 8 labels.
+their covered-label sets meet, so the cross-edge check works on the distinct
+covers in first-appearance order: it cuts one bit-vector of covers per label
+from the covers written as binary rows, reads a cover's reach from per-8-label
+OR tables (one OR per 8 labels), and names the first blocks of two covers.
 
 Each verifier is an ordered table of named checks, each name declared once,
 run by ``_run_checks``.  The structure check runs first; if it fails, every
@@ -154,13 +155,14 @@ def _disconnected_block(blocks: Sequence[Sequence[int]]) -> str | None:
 
 
 def _unjoined_blocks(n: int, blocks: Sequence[Sequence[int]]) -> str | None:
-    # Blocks are joined by an edge iff their covered-label sets intersect.
-    t = len(blocks)
+    # Blocks are joined iff their covers meet, so blocks of one cover are joined alike.
     covered = list(map(union_mask, blocks))
-    # Bit bi of per_label[x] is set iff block bi covers label x + 1.  Each
-    # cover is a binary row of n digits, last block first, so label x + 1's
-    # digits of all blocks, read every n-th from n - 1 - x, form one numeral.
-    rows = "".join(map(f"{{:0{n}b}}".format, reversed(covered)))
+    distinct = list(dict.fromkeys(covered))
+    t = len(distinct)
+    # Bit d of per_label[x] is set iff distinct cover d holds label x + 1.  Each
+    # cover is a binary row of n digits, last cover first, so label x + 1's
+    # digits of all covers, read every n-th from n - 1 - x, form one numeral.
+    rows = "".join(map(f"{{:0{n}b}}".format, reversed(distinct)))
     per_label = [int(rows[n - 1 - x::n], 2) for x in range(n)]
     # tables[c][b] is the OR of per_label over the labels of chunk c
     # (8c + 1 .. 8c + 8) whose bits are set in byte b; labels past n read 0.
@@ -173,14 +175,14 @@ def _unjoined_blocks(n: int, blocks: Sequence[Sequence[int]]) -> str | None:
             table.append(table[b ^ low] | per_label[c + low.bit_length() - 1])
         tables.append(table)
     want = (1 << t) - 1
-    for bi, cover in enumerate(covered):
+    for d, cover in enumerate(distinct):
         reach = 0
         for table in tables:
             reach |= table[cover & 255]
             cover >>= 8
-        if reach != want:
+        if reach != want:  # the first blocks of the two covers, as a walk over all blocks would name
             other = next(j for j in range(t) if not reach >> j & 1)
-            return f"blocks {bi} and {other} are joined by no edge"
+            return f"blocks {covered.index(distinct[d])} and {covered.index(distinct[other])} are joined by no edge"
     return None
 
 

@@ -187,6 +187,23 @@ class TestSpreadDetail:
         detail = "class 1 has degree spread 2: label 3 has degree 2, label 8 has degree 0"
         assert spread_detail(classes, 3, 8) == spread_detail_reference(classes, 3, 8) == detail
 
+    # Labels 3..8.  Three pairwise-disjoint classes; a class that is not
+    # pairwise disjoint but has degree spread 1 (labels 3 and 5 twice); and one
+    # of spread 2 (label 3 twice, label 6 never).
+    DISJOINT = ((kset_mask([3, 4]), kset_mask([5, 6])), (kset_mask([3, 5]), kset_mask([4, 6])), (kset_mask([7, 8]),))
+    SPREAD_ONE = (kset_mask([3, 4]), kset_mask([5, 6]), kset_mask([7, 8]), kset_mask([3, 5]))
+    SPREAD_TWO = (kset_mask([3, 4]), kset_mask([3, 5]))
+
+    @pytest.mark.parametrize("classes, detail", [
+        (DISJOINT, None),  # every class disjoint: the whole-family test passes
+        (DISJOINT + (SPREAD_ONE,), None),  # the per-class loop passes
+        (DISJOINT[:1] + ((),) + DISJOINT[1:], None),  # an empty class has no union to reduce but 0
+        (((),) + DISJOINT + (SPREAD_TWO,), "class 4 has degree spread 2: label 3 has degree 2, label 6 has degree 0"),
+        (DISJOINT + (SPREAD_TWO,), "class 3 has degree spread 2: label 3 has degree 2, label 6 has degree 0"),
+    ])
+    def test_each_outcome_matches_the_reference(self, classes, detail):
+        assert spread_detail(classes, 3, 8) == spread_detail_reference(classes, 3, 8) == detail
+
 
 def test_a_class_of_spread_at_most_one_covers_its_floor():
     # The coverage floors of partition_A and partition_C rest on this: l distinct

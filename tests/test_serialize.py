@@ -12,6 +12,7 @@ ParameterError with the same message.
 """
 
 import enum
+import itertools
 import json
 import subprocess
 import sys
@@ -336,6 +337,25 @@ def test_built_certificates_take_the_tables(monkeypatch):
     monkeypatch.setattr("kneser_minors.serialize.label_list", refuse)
     assert [minor_to_dict(cert_minor), coloring_to_dict(cert_coloring), partition_to_dict(part)] == want
     assert want[0]["blocks"] == label_lists_reference(cert_minor.blocks, 50, 3)
+
+
+def test_table_label_arrays_are_fresh_lists(monkeypatch):
+    # n = 8 splits at h = 4.  Rows hold one mask twice, masks with an empty
+    # high half ([1,2,3], [2,4]) and with an empty low half ([5,6,8], [7]),
+    # among all 3-sets of [8] so that the tables serve every member.
+    rows = [(mask_of([1, 2, 3]), mask_of([1, 2, 3])), (mask_of([5, 6, 8]), mask_of([2, 4]), mask_of([7])),
+            tuple(mask_of(c) for c in itertools.combinations(range(1, 9), 3))]
+    monkeypatch.setattr("kneser_minors.serialize.label_list", lambda mask: pytest.fail(f"label_list({mask}) called"))
+    out = _label_lists(rows, 8, 3)
+    arrays = [labels for row in out for labels in row]
+    assert all(type(labels) is list for labels in arrays)
+    assert len(set(map(id, arrays))) == len(arrays)  # each its own object while all are alive
+    before = [list(labels) for labels in arrays]
+    for i, labels in enumerate(arrays):
+        labels.append(0)
+        assert arrays[:i] + arrays[i + 1:] == before[:i] + before[i + 1:]
+        labels.pop()
+    assert out == label_lists_reference(rows, 8, 3)
 
 
 def test_a_wide_certificate_builds_no_tables():

@@ -22,6 +22,7 @@ from kneser_minors import (
     build_coloring,
     build_minor,
     chi,
+    kset_labels,
     kset_mask,
     kset_text,
     uniform_sizes,
@@ -470,6 +471,18 @@ def edge_label_families(draw):
     label = st.sampled_from([1, n]) | st.integers(1, n)
     member = st.frozensets(label, min_size=k, max_size=k).map(kset_mask)
     blocks = draw(st.lists(st.lists(member, min_size=1, max_size=4, unique=True), min_size=1, max_size=8))
+    source = draw(st.integers(0, len(blocks) - 1))
+    cover = union_mask(blocks[source])
+    if cover.bit_count() > k and draw(st.booleans()):
+        # A later block with the same cover from other members, chosen greedily
+        # among the cover's k-subsets until they cover it.
+        twin, reached = [], 0
+        for labels in itertools.combinations(kset_labels(cover), k):
+            if (m := kset_mask(labels)) not in blocks[source] and m & ~reached:
+                twin.append(m)
+                reached |= m
+        if reached == cover:
+            blocks.insert(draw(st.integers(source + 1, len(blocks))), twin)
     return n, k, tuple(map(tuple, blocks))
 
 
@@ -493,6 +506,17 @@ def test_cross_edges_read_labels_1_and_64():
         detail = f"{want} are joined by no edge"
         assert unjoined_blocks_reference(64, family) == detail
         assert check_map(verify_minor(bare_minor(64, 2, family)))["cross-edges"].detail == detail
+
+
+def test_cross_edges_name_blocks_not_distinct_covers():
+    # Blocks 0 and 1 share the cover {1, 2, 3, 4}, so block 2 is the second
+    # distinct cover: block 2 ({1, 5, 6}) and block 3 ({4, 7, 8}) do not meet.
+    blocks = tuple(tuple(map(kset_mask, block)) for block in (
+        [[1, 2, 3], [2, 3, 4]], [[1, 2, 4], [1, 3, 4]], [[1, 5, 6]], [[4, 7, 8]],
+    ))
+    detail = "blocks 2 and 3 are joined by no edge"
+    assert unjoined_blocks_pairwise(blocks) == unjoined_blocks_reference(8, blocks) == detail
+    assert check_map(verify_minor(bare_minor(8, 3, blocks)))["cross-edges"] == CheckResult("cross-edges", False, detail)
 
 
 class TestSerialization:
