@@ -71,13 +71,15 @@ The engine's output depends only on ``(g, k, sizes)``: it works on local
 labels 1..g and shifts onto the plan's ground at the end.  The family
 anchored at label i in K(n, k) is the one anchored at i + 1 in K(n + 1, k),
 shifted by one label, so a sweep over n asks for the same local partition
-many times.  The anchored body therefore takes its base partition from a
-plan memo keyed on ``(g, k, sizes)``.  Each entry is one flat ``array('Q')``
-of local masks, class after class (the boundaries are ``sizes``); the memo
-holds at most ``MEMO_EDGE_BOUND`` edges in all and evicts the least
-recently used entry first.  A hit is shifted onto the plan's ground and
-guarded like a fresh run: the cap check comes before the lookup, and
-``_self_check`` runs on the shifted classes, so the floors hold for a hit too.
+many times.  The anchored body therefore takes its partition from a plan
+memo keyed on ``(g, k, sizes)``: a read-only flat view of local masks, class
+after class (the boundaries are ``sizes``), made by the engine run or circle
+cut whose ``_self_check`` passed.  The memo holds at most ``MEMO_EDGE_BOUND``
+edges and evicts the least recently used entry first.  After the cap check
+and the lookup, a hit and a miss run the same lines: one shift onto the
+ground with the anchor bit OR'd in, and one cut into blocks.  The shift maps
+the k-subsets of [1, g] one to one onto the ground's and keeps each label's
+degree, so sizes, family and spread carry over and are not checked again.
 ``almost_regular_partition`` itself, which ``build_coloring`` and the
 ``partition`` command call, never consults the memo.
 """
@@ -138,13 +140,13 @@ class AlmostRegularPartition(Record):
 class CoveredPartition(Record):
     """Partition of an anchored family with a coverage floor on leading blocks.
 
-    ``base`` is the anchor-free almost-regular partition on the reduced
-    ground; ``blocks`` re-attach the anchor label to every member.  Only the
+    ``blocks`` are the almost-regular classes of ``plan`` (anchor-free, on the
+    reduced ground), each member with the anchor label re-attached.  Only the
     first ``guaranteed_blocks`` blocks, of l members and degree spread <= 1,
     carry the floor; a trailing remainder block, with fewer members, need not.
     """
 
-    base: AlmostRegularPartition
+    plan: PartitionPlan
     anchor: int
     blocks: tuple[tuple[int, ...], ...]
     guaranteed_blocks: int
@@ -463,26 +465,28 @@ def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> Alm
 class _PlanMemo:
     """Local partitions by ``(g, k, sizes)``, least recently used evicted first.
 
-    ``edges`` counts the masks held and never exceeds ``bound``; an entry
-    larger than the bound is not stored.  The lock makes each lookup and
-    insertion atomic; the engine runs outside it, so two threads may both
-    solve a plan and the second one's store is dropped.
+    An entry is a read-only ``memoryview`` of 8-byte local masks, written by
+    the engine run or circle cut whose ``_self_check`` passed; a write into it
+    raises ``TypeError``.  ``edges`` counts the masks held and never exceeds
+    ``bound``; an entry larger than the bound is not stored.  The lock makes
+    each lookup and insertion atomic; the engine runs outside it, so two
+    threads may both solve a plan and the second one's store is dropped.
     """
 
     def __init__(self, bound: int) -> None:
         self.bound = bound
-        self.entries: OrderedDict[tuple, array] = OrderedDict()
+        self.entries: OrderedDict[tuple, memoryview] = OrderedDict()
         self.edges = 0
         self._lock = threading.Lock()
 
-    def get(self, key: tuple) -> array | None:
+    def get(self, key: tuple) -> memoryview | None:
         with self._lock:
             flat = self.entries.get(key)
             if flat is not None:
                 self.entries.move_to_end(key)
             return flat
 
-    def put(self, key: tuple, flat: array) -> None:
+    def put(self, key: tuple, flat: memoryview) -> None:
         if len(flat) > self.bound:
             return
         with self._lock:
@@ -513,23 +517,17 @@ def _anchored(anchor: int, ground: tuple[int, int], k: int, l: int, cap: int | N
     """The k-sets made of ``anchor`` and k - 1 labels of ``ground``, in blocks of l."""
     plan = _uniform_plan(ground, k - 1, l, cap)
     key, shift = (plan.ground_size, plan.k, plan.sizes), ground[0] - 1
-    cuts = tuple(zip(plan.sizes, accumulate(plan.sizes)))  # (size, end) of each class, or block, in a flat list
-    flat = _MEMO.get(key)
-    if flat is None:
+    if (flat := _MEMO.get(key)) is None:
         circle = plan.k == 2 and 2 * l <= plan.ground_size  # every class a matching, see above
-        base = _circle_partition(plan) if circle else almost_regular_partition(plan, cap=cap)
-        _MEMO.put(key, array("Q", [m >> shift for cls in base.classes for m in cls]))
-    else:
-        masks = [m << shift for m in flat]
-        classes = tuple(tuple(masks[end - a:end]) for a, end in cuts)
-        _self_check(plan, classes)
-        base = AlmostRegularPartition(plan=plan, classes=classes)
-    bit = 1 << (anchor - 1)  # blocks are cut from one flat list of anchored members, as a hit's classes are
-    anchored = [bit | m for cls in base.classes for m in cls]
-    blocks = tuple(tuple(anchored[end - a:end]) for a, end in cuts)
+        part = _circle_partition(plan) if circle else almost_regular_partition(plan, cap=cap)
+        flat = memoryview(array("Q", [m >> shift for cls in part.classes for m in cls]).tobytes()).cast("Q")
+        _MEMO.put(key, flat)
+    bit = 1 << (anchor - 1)  # a hit and a miss alike: one shift, then one cut into blocks
+    anchored = [bit | m << shift for m in flat]
+    blocks = tuple(tuple(anchored[end - a:end]) for a, end in zip(plan.sizes, accumulate(plan.sizes)))
     guaranteed, floor = plan.sizes.count(l), min(plan.ground_size + 1, l * (k - 1) + 1)
     return CoveredPartition(
-        base=base, anchor=anchor, blocks=blocks, guaranteed_blocks=guaranteed, coverage_floor=floor
+        plan=plan, anchor=anchor, blocks=blocks, guaranteed_blocks=guaranteed, coverage_floor=floor
     )
 
 

@@ -9,17 +9,15 @@ exact rationals, the pairwise connectivity search the minor verifier used
 before it searched over labels, a pairwise block-join search and the
 cross-edge check as it was before it read per-chunk tables, the degree-spread
 and structure checks as they were before they took whole-family verdicts
-first, the parser's block reader as it was before it read members inline, the engine's
-self-check as it was before it shared the verifier's partition checks (it
-compares against the enumerated family), the partition engine as it was
-before it solved label steps on groups of identical classes (one flow node
-per class; it calls the package's max-flow solver, so both engines solve
-their label steps alike), the max-flow solver as it was before push-relabel
-(Dinic), and the writer as it was before documents became flat JSON (the
+first, the parser's block reader as it was before it read members inline,
+the partition engine as it was before it solved label steps on groups of
+identical classes (one flow node per class; it calls the package's max-flow
+solver, so both engines solve their label steps alike), the max-flow solver
+as it was before push-relabel (Dinic), and the writer as it was before documents became flat JSON (the
 stdlib's indented encoder; such files must still read and verify alike).
-A minor verifier and a coloring verifier built from the definitions alone,
-for tiny instances, answer the package verifiers' checks by name.  The small
-helpers at the end are used only by tests.
+A minor, a coloring and a partition verifier built from the definitions
+alone, for tiny instances, answer the package verifiers' checks by name.  The
+small helpers at the end are used only by tests.
 """
 
 import io
@@ -491,21 +489,45 @@ def block_lists_reference(blocks: list, where: str) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-def self_check_reference(plan: PartitionPlan, classes: Sequence[Sequence[int]]) -> None:
-    """Raise ConstructionError unless the classes are an almost-regular partition for the plan.
+def verify_partition_by_definition(plan: PartitionPlan, classes: Sequence[Sequence[int]]) -> dict[str, str | None]:
+    """Each partition check from the definitions, by name: None where it holds, else why not.
 
-    Sizes, then a sort of all members against the enumerated family, then
-    each class's degree spread on the ground labels.
+    The family is the k-subsets of the plan's ground, enumerated afresh.  The
+    classes must be nonempty runs of distinct family members (structure), of
+    the plan's sizes, and hold each family member exactly once between them
+    (disjoint-union); in each class the number of members holding a ground
+    label, counted label by label, may differ by at most one (degree-spread).
     """
     lo, hi = plan.ground
-    if tuple(len(c) for c in classes) != plan.sizes:
-        raise ConstructionError("class sizes drifted from the plan")
-    if sorted(m for c in classes for m in c) != enumerate_family(lo, hi, plan.k):
-        raise ConstructionError("classes do not partition the full family")
-    for idx, cls in enumerate(classes):
-        degrees = label_degrees(cls, hi)[lo - 1:]
+    family = sorted(sum(1 << (x - 1) for x in c) for c in itertools.combinations(range(lo, hi + 1), plan.k))
+    known = set(family)
+    malformed = next(
+        (ci for ci, cls in enumerate(classes) if not cls or len(set(cls)) < len(cls) or not known.issuperset(cls)), None
+    )
+    uneven = None
+    for ci, cls in enumerate(classes):
+        # Members as rows of hi binary digits: label x's degree is the ones in digit column hi - x.
+        rows = "".join([f"{m & (1 << hi) - 1:0{hi}b}" for m in cls])
+        degrees = [rows[hi - x::hi].count("1") for x in range(lo, hi + 1)]
         if max(degrees) - min(degrees) > 1:
-            raise ConstructionError(f"class {idx} has degree spread > 1")
+            uneven = ci
+            break
+    sizes = tuple(map(len, classes))
+    return {
+        "structure": "no classes" if not classes else None if malformed is None else f"class {malformed} is malformed",
+        "sizes": None if sizes == plan.sizes else f"class sizes {sizes}, not the plan's {plan.sizes}",
+        "disjoint-union": None if sorted(m for cls in classes for m in cls) == family else (
+            f"the classes do not hold each {plan.k}-subset of [{lo}, {hi}] exactly once"
+        ),
+        "degree-spread": None if uneven is None else f"class {uneven} has degree spread above one",
+    }
+
+
+def base_partition(cov: CoveredPartition) -> AlmostRegularPartition:
+    """The anchor-free partition a covered partition's blocks carry: its plan, and
+    each block with the anchor label taken out of every member."""
+    bit = 1 << (cov.anchor - 1)
+    return AlmostRegularPartition(cov.plan, tuple(tuple(m & ~bit for m in block) for block in cov.blocks))
 
 
 def max_flow_reference(

@@ -31,10 +31,17 @@ from kneser_minors import (
     verify_minor,
     verify_partition,
 )
-from kneser_minors import minors
+from kneser_minors import baranyai, minors
 from kneser_minors.cli import main as cli_main
 from kneser_minors.minors import K3_TABLE_REFERENCE, k3_table_rows
-from oracles import alpha_oracle, bound_check_s4, closed_form_lower_bound, exhaustive_partition_feasible
+from oracles import (
+    alpha_oracle,
+    base_partition,
+    bound_check_s4,
+    closed_form_lower_bound,
+    exhaustive_partition_feasible,
+    verify_partition_by_definition,
+)
 
 SWEEP_CAP = 20000
 COLORING_CAP = 5000
@@ -159,7 +166,7 @@ def test_criterion_5_coverage_floors(full_sweep):
     with criterion(5, "coverage floors"):
         assert coverage_log, "builders made no partition calls"
         for cov in coverage_log:
-            plan = cov.base.plan
+            plan = cov.plan
             k = plan.k + 1
             l = plan.sizes[0]
             if cov.anchor > plan.ground[1]:  # family anchored at label n
@@ -172,6 +179,24 @@ def test_criterion_5_coverage_floors(full_sweep):
             for block in cov.blocks[: cov.guaranteed_blocks]:
                 assert len(block) == l
                 assert union_mask(block).bit_count() >= floor
+
+
+def test_sweep_partitions_equal_their_cold_misses(full_sweep, monkeypatch):
+    # Every partition the sweep's builders got, memo hit or miss, equals the
+    # cold miss of its plan key, solved once per key with a fresh memo and
+    # shifted onto its own ground, and passes the partition reference.
+    _, coverage_log = full_sweep
+    local = {}
+    for cov in coverage_log:
+        plan, bit = cov.plan, 1 << (cov.anchor - 1)
+        key = (plan.ground_size, plan.k, plan.sizes)
+        if key not in local:
+            monkeypatch.setattr(baranyai, "_MEMO", baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND))
+            cold = baranyai._anchored(cov.anchor, plan.ground, plan.k + 1, plan.sizes[0], SWEEP_CAP)
+            local[key] = tuple(tuple((m & ~bit) >> (plan.ground[0] - 1) for m in block) for block in cold.blocks)
+        assert cov.blocks == tuple(tuple(bit | m << (plan.ground[0] - 1) for m in cls) for cls in local[key]), key
+        assert not any(verify_partition_by_definition(plan, base_partition(cov).classes).values()), key
+    assert (len(coverage_log), len(local)) == (835, 256)
 
 
 def test_criterion_6_coloring_suite():

@@ -30,11 +30,12 @@ from kneser_minors.cli import main
 from kneser_minors.serialize import dumps_canonical, partition_to_dict
 from oracles import (
     almost_regular_partition_reference,
+    base_partition,
     covered_labels,
     exhaustive_partition_feasible,
     max_flow_reference,
     remainder_block,
-    self_check_reference,
+    verify_partition_by_definition,
 )
 
 
@@ -172,9 +173,8 @@ class TestPartitionA:
         p = Params(11, 3)
         cov = partition_A(3, p, 4)
         bit = 1 << 2
-        stripped = tuple(tuple(m & ~bit for m in block) for block in cov.blocks)
-        assert stripped == cov.base.classes
-        assert verify_partition(cov.base).passed
+        assert all(m & bit for block in cov.blocks for m in block)
+        assert verify_partition(base_partition(cov)).passed
 
     def test_bad_arguments(self):
         p = Params(9, 3)
@@ -283,11 +283,7 @@ class TestSharedPartitionCheck:
             else:
                 del classes[ci][mi]
         classes = tuple(map(tuple, classes))
-        try:
-            self_check_reference(part.plan, classes)
-            accepted = True
-        except ConstructionError:
-            accepted = False
+        accepted = not any(verify_partition_by_definition(part.plan, classes).values())
         if accepted:
             baranyai._self_check(part.plan, classes)
         else:
@@ -335,7 +331,7 @@ class TestPerClassReference:
     @given(repeated_size_plans())
     def test_both_engines_are_valid_on_repeated_sizes(self, plan):
         for part in (almost_regular_partition(plan), almost_regular_partition_reference(plan)):
-            self_check_reference(plan, part.classes)
+            assert not any(verify_partition_by_definition(plan, part.classes).values())
             assert verify_partition(part).passed
 
     @settings(max_examples=200, deadline=None)
@@ -699,8 +695,7 @@ def misses(memo, monkeypatch):
 
 
 def memo_key(cov):
-    plan = cov.base.plan
-    return (plan.ground_size, plan.k, plan.sizes)
+    return (cov.plan.ground_size, cov.plan.k, cov.plan.sizes)
 
 
 # Corruptions of a stored entry: local pairs of [1, g], class 0 first.
@@ -730,17 +725,19 @@ class TestPlanMemo:
         # (10, 4) anchored at 10, the one anchored at 1 and the one of (11, 4)
         # anchored at 2 share the local plan: the 84 triples of 9 labels in
         # blocks of 4, on grounds [1, 9], [2, 10] and [3, 11].
+        checked, check = [], baranyai._self_check
+        monkeypatch.setattr(baranyai, "_self_check", lambda plan, classes: checked.append(plan) or check(plan, classes))
         first = partition_C(Params(10, 4), 4)
         hits = [partition_A(1, Params(10, 4), 4), partition_A(2, Params(11, 4), 4)]
-        assert solved == [first.base.plan] and list(memo.entries) == [memo_key(first)]
+        assert solved == checked == [first.plan] and list(memo.entries) == [memo_key(first)]  # no check on a hit
         for cov in hits:
-            cold = almost_regular_partition(cov.base.plan)
-            assert cov.base == cold
+            cold = almost_regular_partition(cov.plan)
+            assert base_partition(cov) == cold
             anchor = 1 << (cov.anchor - 1)
             assert cov.blocks == tuple(tuple(anchor | m for m in cls) for cls in cold.classes)
         monkeypatch.setattr(baranyai, "_MEMO", baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND))
         again = partition_A(2, Params(11, 4), 4)
-        assert solved[-1] == again.base.plan and again == hits[-1]
+        assert solved[-1] == again.plan and again == hits[-1]
 
     def test_a_circle_hit_equals_a_cold_miss(self, memo, misses, solved, monkeypatch):
         # A k = 3 family takes its pairs in circle order, with no engine run.
@@ -756,8 +753,8 @@ class TestPlanMemo:
             monkeypatch.setattr(baranyai, "_MEMO", fresh)
             cold = partition_A(i, p, 4)
             assert list(fresh.entries) == [memo_key(cov)] and cov == cold
-            anchor = 1 << (cov.anchor - 1)
-            assert cov.blocks == tuple(tuple(anchor | m for m in cls) for cls in cold.base.classes)
+            anchor, circle = 1 << (cov.anchor - 1), baranyai._circle_partition(cov.plan)
+            assert cov.blocks == tuple(tuple(anchor | m for m in cls) for cls in circle.classes)
         assert solved == []
 
     def test_blocks_above_half_the_ground_take_the_engine(self, memo, solved):
@@ -767,7 +764,7 @@ class TestPlanMemo:
         with pytest.raises(ConstructionError, match="degree spread"):
             baranyai._circle_partition(plan)
         cov = partition_A(2, Params(7, 3), 5)
-        assert solved == [plan] and cov.base == almost_regular_partition(plan)
+        assert solved == [plan] and base_partition(cov) == almost_regular_partition(plan)
 
     def test_every_k3_block_size_is_split(self, memo, solved):
         # Each anchor and block size partition_A and partition_C accept for
@@ -777,7 +774,7 @@ class TestPlanMemo:
             asked += [(partition_A(i, p, l), 9 - i, l) for l in range(1, binomial(9 - i, 2) + 1)]
         asked += [(partition_C(p, l), 8, l) for l in range(2, 29)]
         for cov, g, l in asked:
-            assert verify_partition(cov.base).passed and cov.base.plan.ground_size == g
+            assert verify_partition(base_partition(cov)).passed and cov.plan.ground_size == g
             assert all(len(covered_labels(b)) >= cov.coverage_floor for b in cov.blocks[: cov.guaranteed_blocks])
         engine_keys = {(plan.ground_size, plan.k, plan.sizes) for plan in solved}
         assert engine_keys == {memo_key(cov) for cov, g, l in asked if 2 * l > g}
@@ -791,25 +788,19 @@ class TestPlanMemo:
         assert len(misses) == 1
 
     @pytest.mark.parametrize(
-        "corrupt,match",
-        [
-            (pair_twice, "do not partition"),
-            (wrong_popcount, "do not partition"),
-            (outside_ground, "do not partition"),
-            (spread_two, "class 0 has degree spread 2"),
-        ],
+        "corrupt", [pair_twice, wrong_popcount, outside_ground, spread_two],
         ids=["pair-twice", "wrong-popcount", "outside-ground", "spread-two"],
     )
-    def test_hits_are_self_checked(self, memo, corrupt, match):
+    def test_entries_are_read_only(self, memo, corrupt):
+        # A hit is not checked again, so no write may reach a stored entry:
+        # each corruption fails at its first write and leaves the entry whole.
         key = memo_key(partition_A(1, Params(12, 3), 4))
-        corrupt(memo.entries[key], key[0])
-        if corrupt is spread_two:
-            # Block 0 of the hit (ground [3, 13], anchor 2) would cover 8 labels, below
-            # its floor of min(12, 9): the spread check is what stops such a block.
-            block = [1 << 1 | m << 2 for m in memo.entries[key][:4]]
-            assert len(covered_labels(block)) == 8 < min(key[0] + 1, 4 * 2 + 1)
-        with pytest.raises(ConstructionError, match=match):
-            partition_A(2, Params(13, 3), 4)
+        entry = memo.entries[key]
+        before = entry.tobytes()
+        with pytest.raises(TypeError):
+            corrupt(entry, key[0])
+        assert entry.tobytes() == before
+        assert verify_partition(base_partition(partition_A(2, Params(13, 3), 4))).passed
 
     def test_edges_held_stay_within_the_bound(self, monkeypatch):
         memo = baranyai._PlanMemo(100)
@@ -819,7 +810,7 @@ class TestPlanMemo:
             assert memo.edges == sum(len(flat) for flat in memo.entries.values()) <= 100
             # The newest plan is held unless it alone is above the bound.
             newest = list(memo.entries)[-1]
-            assert (newest == memo_key(cov)) is (cov.base.plan.edge_count <= 100)
+            assert (newest == memo_key(cov)) is (cov.plan.edge_count <= 100)
         assert len(memo.entries) == 1 and memo.edges == 91
 
     def test_least_recently_used_goes_first(self, monkeypatch):

@@ -56,7 +56,7 @@ RECORDS = {
     "AlmostRegularPartition": (almost_regular_partition(PartitionPlan((1, 5), 2, (5, 5))), ("plan", "classes")),
     "CoveredPartition": (
         partition_A(1, Params(7, 3), 3),
-        ("base", "anchor", "blocks", "guaranteed_blocks", "coverage_floor"),
+        ("plan", "anchor", "blocks", "guaranteed_blocks", "coverage_floor"),
     ),
     "ColoringCertificate": (build_coloring(Params(7, 3)), ("n", "k", "classes")),
     "TraceEntry": (MINOR.trace[0], ("case", "n", "k", "block_size", "block_count")),

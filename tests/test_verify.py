@@ -25,6 +25,8 @@ from kneser_minors import (
     kset_labels,
     kset_mask,
     kset_text,
+    partition_A,
+    partition_C,
     uniform_sizes,
     union_mask,
     verify_coloring,
@@ -43,6 +45,7 @@ from kneser_minors.serialize import (
     report_to_dict,
 )
 from oracles import (
+    base_partition,
     replaced,
     structure_blocks_reference,
     unjoined_blocks_pairwise,
@@ -50,6 +53,7 @@ from oracles import (
     unreachable_member_pairwise,
     verify_coloring_by_definition,
     verify_minor_by_definition,
+    verify_partition_by_definition,
 )
 
 
@@ -328,6 +332,65 @@ class TestVerifyPartition:
         part = AlmostRegularPartition(plan=plan, classes=classes)
         checks = check_map(verify_partition(part))
         assert not checks["disjoint-union"].passed
+
+    def test_agrees_with_the_definitions_check_by_check(self):
+        # Built partitions on at most 12 labels: engine runs, a circle cut and
+        # anchored families, and edits of each that move, drop, duplicate or
+        # replace a member, or swap two members between classes.
+        built = [
+            almost_regular_partition(PartitionPlan((1, 8), 3, uniform_sizes(56, 5))),
+            almost_regular_partition(PartitionPlan((2, 9), 4, (10, 20, 30, 10))),
+            almost_regular_partition(PartitionPlan((3, 12), 2, uniform_sizes(45, 4))),
+            base_partition(partition_A(1, Params(12, 3), 4)),
+            base_partition(partition_A(2, Params(11, 3), 5)),
+            base_partition(partition_C(Params(12, 4), 5)),
+        ]
+        names = ["structure", "sizes", "disjoint-union", "degree-spread"]
+
+        def failed(plan, classes):
+            classes = tuple(map(tuple, classes))
+            want = verify_partition_by_definition(plan, classes)
+            report = verify_partition(AlmostRegularPartition(plan, classes))
+            checks = check_map(report)
+            assert list(want) == names == [c.name for c in report.checks]
+            assert (want["structure"] is None) is checks["structure"].passed
+            if want["structure"] is None:
+                assert {name: want[name] is None for name in names} == {name: checks[name].passed for name in names}
+            assert report.passed is not any(want.values())
+            return frozenset(name for name in names if want[name] is not None)
+
+        seen = set()
+        for part in built:
+            plan, classes = part.plan, [list(cls) for cls in part.classes]
+            assert failed(plan, classes) == frozenset()
+            outside = classes[0][0] & (classes[0][0] - 1) | 1 << plan.ground[1]  # its lowest label out, hi + 1 in
+            t = len(classes)
+            for i, j in {(0, 1), (1, t - 1), (t - 1, 0), (t // 2, 0)}:
+                # A member dropped, duplicated into class j, repeated in its class, replaced by class j's
+                # first, replaced by a set with a label outside the ground, and moved to class j.
+                edits = [
+                    [*classes[:i], classes[i][1:], *classes[i + 1:]],
+                    [cls + classes[i][:1] if c == j else cls for c, cls in enumerate(classes)],
+                    [cls + cls[:1] if c == i else cls for c, cls in enumerate(classes)],
+                    [classes[j][:1] + cls[1:] if c == i else cls for c, cls in enumerate(classes)],
+                    [[outside, *cls[1:]] if c == i else cls for c, cls in enumerate(classes)],
+                    [cls + classes[i][:1] if c == j else cls[1:] if c == i else cls for c, cls in enumerate(classes)],
+                ]
+                for edit in edits:
+                    seen.add(failed(plan, edit))
+            # Two members swapped between classes keep the sizes and the union;
+            # the first swap that unbalances a class fails the spread check alone.
+            for (i, a), (j, b) in itertools.combinations(
+                [(c, m) for c, cls in enumerate(classes) for m in range(len(cls))], 2
+            ):
+                if i != j:
+                    edit = [list(cls) for cls in classes]
+                    edit[i][a], edit[j][b] = edit[j][b], edit[i][a]
+                    if verify_partition_by_definition(plan, tuple(map(tuple, edit)))["degree-spread"]:
+                        seen.add(failed(plan, edit))
+                        break
+        assert frozenset(["degree-spread"]) in seen
+        assert set().union(*seen) == set(names)
 
 
 MINOR_8_3 = build_minor(Params(8, 3))
