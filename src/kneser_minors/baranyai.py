@@ -64,8 +64,9 @@ For k = 3 and blocks of l <= g / 2 the anchored body runs no engine: it lists
 the pairs of K_g in circle (Walecki) order -- residues mod m = (g - 1) | 1, for
 even g a point at infinity; round r is {inf, r}, then {r - i, r + i} for i = 1
 .. (m - 1) / 2 -- and cuts the list into consecutive classes.  Each is a
-matching: below g / 2 pairs by the order (a test checks every g <= 64), at g / 2
-one whole round.  Larger l, which no k = 3 build asks for, take the engine.
+matching: below g / 2 pairs by the order, at g / 2 one whole round; a test, not
+a run-time check, proves sizes, family and spread for every g <= 64.  Larger l,
+which no k = 3 build asks for, take the engine.
 
 The engine's output depends only on ``(g, k, sizes)``: it works on local
 labels 1..g and shifts onto the plan's ground at the end.  The family
@@ -73,13 +74,14 @@ anchored at label i in K(n, k) is the one anchored at i + 1 in K(n + 1, k),
 shifted by one label, so a sweep over n asks for the same local partition
 many times.  The anchored body therefore takes its partition from a plan
 memo keyed on ``(g, k, sizes)``: a read-only flat view of local masks, class
-after class (the boundaries are ``sizes``), made by the engine run or circle
-cut whose ``_self_check`` passed.  The memo holds at most ``MEMO_EDGE_BOUND``
-edges and evicts the least recently used entry first.  After the cap check
-and the lookup, a hit and a miss run the same lines: one shift onto the
-ground with the anchor bit OR'd in, and one cut into blocks.  The shift maps
-the k-subsets of [1, g] one to one onto the ground's and keeps each label's
-degree, so sizes, family and spread carry over and are not checked again.
+after class (the boundaries are ``sizes``).  A miss solves the plan on [1, g]
+by the circle cut or an engine run, whose ``_self_check`` passed, and stores
+its classes as they come; at most ``MEMO_EDGE_BOUND`` edges are held, the
+least recently used entry evicted first.  After the cap check and the lookup,
+a hit and a miss run the same lines: the one shift onto the ground with the
+anchor bit OR'd in, and one cut into blocks.  The shift maps the k-subsets of
+[1, g] one to one onto the ground's and keeps each label's degree, so sizes,
+family and spread carry over and are not checked again.
 ``almost_regular_partition`` itself, which ``build_coloring`` and the
 ``partition`` command call, never consults the memo.
 """
@@ -90,7 +92,7 @@ import operator
 import threading
 from array import array
 from collections import Counter, OrderedDict
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .core import Params, Record, binomial, family_detail, sizes_detail, spread_detail
 from .errors import ConstructionError, ParameterError, ResourceCapError
@@ -465,9 +467,9 @@ def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> Alm
 class _PlanMemo:
     """Local partitions by ``(g, k, sizes)``, least recently used evicted first.
 
-    An entry is a read-only ``memoryview`` of 8-byte local masks, written by
-    the engine run or circle cut whose ``_self_check`` passed; a write into it
-    raises ``TypeError``.  ``edges`` counts the masks held and never exceeds
+    An entry is a read-only ``memoryview`` of 8-byte local masks, the classes
+    of a plan solved on [1, g] as they come; a write into it raises
+    ``TypeError``.  ``edges`` counts the masks held and never exceeds
     ``bound``; an entry larger than the bound is not stored.  The lock makes
     each lookup and insertion atomic; the engine runs outside it, so two
     threads may both solve a plan and the second one's store is dropped.
@@ -501,31 +503,29 @@ class _PlanMemo:
 _MEMO = _PlanMemo(MEMO_EDGE_BOUND)
 
 
-def _circle_partition(plan: PartitionPlan) -> AlmostRegularPartition:
-    """The pairs of the plan's ground in circle order (see above), cut into classes of its sizes."""
-    g, shift, edges = plan.ground_size, plan.ground[0] - 1, []
-    m = (g - 1) | 1  # residue x mod m is local label x + 1; for even g, label g is the point at infinity
+def _circle_partition(g: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The pairs of [1, g] in circle order (see above), cut into classes of ``sizes``:
+    local labels only, and no run-time check, as a test proves every such cut."""
+    m, edges = (g - 1) | 1, []  # residue x mod m is label x + 1; for even g, label g is the point at infinity
     for r in range(m):
         edges += [1 << m | 1 << r] if m < g else []
         edges += [1 << (r - i) % m | 1 << (r + i) % m for i in range(1, (m + 1) // 2)]
-    classes = tuple(tuple(sorted(e << shift for e in edges[end - a:end])) for a, end in zip(plan.sizes, accumulate(plan.sizes)))
-    _self_check(plan, classes)
-    return AlmostRegularPartition(plan=plan, classes=classes)
+    return tuple(tuple(sorted(edges[end - a:end])) for a, end in zip(sizes, accumulate(sizes)))
 
 
 def _anchored(anchor: int, ground: tuple[int, int], k: int, l: int, cap: int | None) -> CoveredPartition:
     """The k-sets made of ``anchor`` and k - 1 labels of ``ground``, in blocks of l."""
     plan = _uniform_plan(ground, k - 1, l, cap)
-    key, shift = (plan.ground_size, plan.k, plan.sizes), ground[0] - 1
-    if (flat := _MEMO.get(key)) is None:
-        circle = plan.k == 2 and 2 * l <= plan.ground_size  # every class a matching, see above
-        part = _circle_partition(plan) if circle else almost_regular_partition(plan, cap=cap)
-        flat = memoryview(array("Q", [m >> shift for cls in part.classes for m in cls]).tobytes()).cast("Q")
-        _MEMO.put(key, flat)
-    bit = 1 << (anchor - 1)  # a hit and a miss alike: one shift, then one cut into blocks
+    g, sizes = plan.ground_size, plan.sizes
+    if (flat := _MEMO.get((g, k - 1, sizes))) is None:  # solve the plan on [1, g]; circle: see above
+        local = PartitionPlan((1, g), k - 1, sizes)
+        classes = _circle_partition(g, sizes) if k == 3 and 2 * l <= g else almost_regular_partition(local, cap=cap).classes
+        flat = memoryview(array("Q", chain.from_iterable(classes)).tobytes()).cast("Q")
+        _MEMO.put((g, k - 1, sizes), flat)
+    bit, shift = 1 << (anchor - 1), ground[0] - 1  # a hit and a miss alike: one shift, then one cut into blocks
     anchored = [bit | m << shift for m in flat]
-    blocks = tuple(tuple(anchored[end - a:end]) for a, end in zip(plan.sizes, accumulate(plan.sizes)))
-    guaranteed, floor = plan.sizes.count(l), min(plan.ground_size + 1, l * (k - 1) + 1)
+    blocks = tuple(tuple(anchored[end - a:end]) for a, end in zip(sizes, accumulate(sizes)))
+    guaranteed, floor = sizes.count(l), min(g + 1, l * (k - 1) + 1)
     return CoveredPartition(
         plan=plan, anchor=anchor, blocks=blocks, guaranteed_blocks=guaranteed, coverage_floor=floor
     )

@@ -26,6 +26,7 @@ from kneser_minors import (
     verify_partition,
 )
 from kneser_minors import baranyai
+from kneser_minors.core import spread_detail
 from kneser_minors.cli import main
 from kneser_minors.serialize import dumps_canonical, partition_to_dict
 from oracles import (
@@ -649,13 +650,19 @@ class TestClosingSteps:
 def test_circle_cut_classes_are_matchings():
     # Up to g / 2 pairs a class, every class of the circle cut, the remainder
     # too, is a matching, so its degree spread is at most one: below g / 2 by
-    # the order, at g / 2 (even g) as one whole round.  Every ground a plan
-    # admits, g <= 64, is checked.
+    # the order, at g / 2 (even g) as one whole round.  Every plan the cut can
+    # be given, g <= 64, is checked, and passes the engine's self-check (sizes,
+    # family and spread), which the cut does not run itself.
+    plans = 0
     for g in range(2, 65):
         for l in range(1, g // 2 + 1):
             plan = PartitionPlan((1, g), 2, uniform_sizes(binomial(g, 2), l))
-            for cls in baranyai._circle_partition(plan).classes:
+            classes = baranyai._circle_partition(g, plan.sizes)
+            baranyai._self_check(plan, classes)
+            for cls in classes:
                 assert union_mask(cls).bit_count() == 2 * len(cls), (g, l, cls)
+            plans += 1
+    assert plans == 1024
 
 
 @pytest.fixture
@@ -729,7 +736,8 @@ class TestPlanMemo:
         monkeypatch.setattr(baranyai, "_self_check", lambda plan, classes: checked.append(plan) or check(plan, classes))
         first = partition_C(Params(10, 4), 4)
         hits = [partition_A(1, Params(10, 4), 4), partition_A(2, Params(11, 4), 4)]
-        assert solved == checked == [first.plan] and list(memo.entries) == [memo_key(first)]  # no check on a hit
+        local = PartitionPlan((1, 9), 3, first.plan.sizes)  # misses solve the plan on [1, g]
+        assert solved == checked == [local] and list(memo.entries) == [memo_key(first)]  # no check on a hit
         for cov in hits:
             cold = almost_regular_partition(cov.plan)
             assert base_partition(cov) == cold
@@ -737,7 +745,7 @@ class TestPlanMemo:
             assert cov.blocks == tuple(tuple(anchor | m for m in cls) for cls in cold.classes)
         monkeypatch.setattr(baranyai, "_MEMO", baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND))
         again = partition_A(2, Params(11, 4), 4)
-        assert solved[-1] == again.plan and again == hits[-1]
+        assert solved[-1] == local and again == hits[-1]
 
     def test_a_circle_hit_equals_a_cold_miss(self, memo, misses, solved, monkeypatch):
         # A k = 3 family takes its pairs in circle order, with no engine run.
@@ -753,18 +761,44 @@ class TestPlanMemo:
             monkeypatch.setattr(baranyai, "_MEMO", fresh)
             cold = partition_A(i, p, 4)
             assert list(fresh.entries) == [memo_key(cov)] and cov == cold
-            anchor, circle = 1 << (cov.anchor - 1), baranyai._circle_partition(cov.plan)
-            assert cov.blocks == tuple(tuple(anchor | m for m in cls) for cls in circle.classes)
+            anchor, shift = 1 << (cov.anchor - 1), cov.plan.ground[0] - 1
+            circle = baranyai._circle_partition(cov.plan.ground_size, cov.plan.sizes)  # local labels
+            assert cov.blocks == tuple(tuple(anchor | m << shift for m in cls) for cls in circle)
         assert solved == []
 
     def test_blocks_above_half_the_ground_take_the_engine(self, memo, solved):
         # (7, 3) anchored at 2: 5 labels in blocks of 5 pairs.  The circle
         # cut's first class has degrees 1, 2, 2, 3, 2, so the engine splits it.
-        plan = PartitionPlan((3, 7), 2, (5, 5))
-        with pytest.raises(ConstructionError, match="degree spread"):
-            baranyai._circle_partition(plan)
+        plan = PartitionPlan((1, 5), 2, (5, 5))
+        detail = spread_detail(baranyai._circle_partition(5, plan.sizes), 1, 5)
+        assert detail.startswith("class 0 has degree spread 2: label 4 has degree 3"), detail
         cov = partition_A(2, Params(7, 3), 5)
-        assert solved == [plan] and base_partition(cov) == almost_regular_partition(plan)
+        assert solved == [plan] and base_partition(cov) == almost_regular_partition(cov.plan)
+
+    def test_misses_solve_the_local_plan_and_store_it_as_it_comes(self, memo, monkeypatch):
+        # Every plan a miss hands the engine is on [1, g], every cut is asked
+        # for g labels, and each entry is the solve's classes, concatenated.
+        solves, engine, cut = [], baranyai.almost_regular_partition, baranyai._circle_partition
+
+        def engine_run(plan, cap=None):
+            part = engine(plan, cap=cap)
+            solves.append(((plan.ground_size, plan.k, plan.sizes), plan.ground, part.classes))
+            return part
+
+        def circle_cut(g, sizes):
+            classes = cut(g, sizes)
+            solves.append(((g, 2, sizes), (1, g), classes))
+            return classes
+
+        monkeypatch.setattr(baranyai, "almost_regular_partition", engine_run)
+        monkeypatch.setattr(baranyai, "_circle_partition", circle_cut)
+        covs = [partition_A(i, Params(n, k), l) for n, k in ((11, 3), (12, 4)) for i in (1, 3) for l in (2, 5, 9)]
+        covs += [partition_C(Params(n, k), l) for n, k in ((11, 3), (12, 4)) for l in (3, 7)]
+        assert {key for key, _, _ in solves} == {memo_key(cov) for cov in covs} == set(memo.entries)
+        assert {k for (_, k, _), _, _ in solves} == {2, 3} and len(solves) == len(memo.entries)
+        for key, ground, classes in solves:
+            assert ground == (1, key[0])
+            assert memo.entries[key].tolist() == [m for cls in classes for m in cls]
 
     def test_every_k3_block_size_is_split(self, memo, solved):
         # Each anchor and block size partition_A and partition_C accept for

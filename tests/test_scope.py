@@ -7,8 +7,9 @@ without a build: the trace ``build_minor`` would record derives (so every
 reach chi, and the preflight inequalities hold in exact rationals.  The three
 k = 7 instances the default cap admits, which no sweep covers, are built and
 verified.  Every anchored family the k = 3 builds split takes its pairs in
-circle order, and each of their 281 distinct local plans passes the
-engine's self-check.
+circle order, and the cut's classes for each of their 281 distinct local
+plans pass the engine's self-check, which the test runs on them (the cut
+runs no check of its own).
 """
 
 from fractions import Fraction
@@ -19,6 +20,7 @@ from kneser_minors import (
     K3Params,
     MAX_LABELS,
     Params,
+    PartitionPlan,
     S4Params,
     binomial,
     build_coloring,
@@ -87,12 +89,15 @@ def test_k7_instances_inside_the_default_cap(n):
 def test_every_k3_anchored_plan_passes_the_circle_cut(monkeypatch):
     # Record the local plans the k = 3 builds hand to the circle cut, on a
     # fresh memo so each distinct plan is cut at least once; none reaches the
-    # engine.  The cut runs ``_self_check`` on each, which raises on a bad one.
+    # engine.  The cut runs no check, so the recorder runs ``_self_check`` on
+    # each cut, which raises on a bad one.
     plans, engine, cut = [], [], baranyai._circle_partition
 
-    def recording(plan):
-        plans.append(plan)
-        return cut(plan)
+    def recording(g, sizes):
+        plans.append(PartitionPlan((1, g), 2, sizes))
+        classes = cut(g, sizes)
+        baranyai._self_check(plans[-1], classes)
+        return classes
 
     monkeypatch.setattr(baranyai, "_MEMO", baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND))
     monkeypatch.setattr(baranyai, "_circle_partition", recording)

@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from kneser_minors import (
@@ -33,6 +33,7 @@ from kneser_minors import (
     verify_minor,
     verify_partition,
 )
+from kneser_minors import baranyai
 from kneser_minors.cli import main
 from kneser_minors.serialize import (
     coloring_from_dict,
@@ -391,6 +392,94 @@ class TestVerifyPartition:
                         break
         assert frozenset(["degree-spread"]) in seen
         assert set().union(*seen) == set(names)
+
+
+@st.composite
+def built_partitions(draw):
+    """Partitions built on at most 12 labels: engine runs on any ground,
+    circle cuts on [1, g], and the anchor-free classes of anchored families."""
+    kind = draw(st.sampled_from(["engine", "circle", "anchored"]))
+    if kind == "engine":
+        g = draw(st.integers(1, 9))
+        k, lo = draw(st.integers(1, g)), draw(st.integers(1, 13 - g))
+        total = math.comb(g, k)
+        cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=6))) if total > 1 else []
+        sizes = tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+        return almost_regular_partition(PartitionPlan((lo, lo + g - 1), k, sizes))
+    if kind == "circle":
+        g = draw(st.integers(2, 12))
+        sizes = uniform_sizes(math.comb(g, 2), draw(st.integers(1, g // 2)))
+        return AlmostRegularPartition(PartitionPlan((1, g), 2, sizes), baranyai._circle_partition(g, sizes))
+    n, k = draw(st.sampled_from([(n, k) for k in (3, 4) for n in range(2 * k + 1, 13)]))
+    i = draw(st.integers(1, n - k + 1) | st.none())  # None: the family anchored at label n
+    family = math.comb(n - 1 if i is None else n - i, k - 1)
+    l = draw(st.integers(1 if i else 2, family))
+    return base_partition(partition_C(Params(n, k), l) if i is None else partition_A(i, Params(n, k), l))
+
+
+EDITS = ("move", "drop", "duplicate", "replace", "corrupt", "swap", "merge", "split", "truncate")
+
+
+def mutate_classes(draw, plan, classes, kinds=EDITS):
+    """One edit of a list of classes: a member moved, dropped, duplicated,
+    replaced (from the family or not) or swapped, two classes merged, one
+    split, or a truncation."""
+    kind, held = draw(st.sampled_from(kinds)), any(classes)
+    if not held or (kind in ("move", "swap", "merge") and len(classes) < 2):
+        kind = "truncate"
+    # Class indices lean to the first and the last class, often a remainder.
+    index = st.sampled_from([0, len(classes) - 1]) | st.integers(0, max(0, len(classes) - 1))
+    ci = draw(index.filter(lambda c: classes[c])) if held else 0
+    mi = draw(st.integers(0, len(classes[ci]) - 1)) if held else 0
+    cj = draw(index.filter(lambda c: c != ci)) if len(classes) > 1 else ci
+    if kind == "move":
+        classes[cj].insert(draw(st.integers(0, len(classes[cj]))), classes[ci].pop(mi))
+    elif kind == "drop":
+        del classes[ci][mi]
+    elif kind == "duplicate":
+        classes[draw(st.sampled_from([ci, cj]))].append(classes[ci][mi])
+    elif kind == "replace":  # by a k-subset of the ground, maybe one held elsewhere
+        classes[ci][mi] = kset_mask(draw(st.frozensets(st.integers(*plan.ground), min_size=plan.k, max_size=plan.k)))
+    elif kind == "corrupt":  # by a set of labels near the ground, of any size, or any 64-bit mask
+        near = st.frozensets(st.integers(max(1, plan.ground[0] - 1), min(64, plan.ground[1] + 1)), min_size=1)
+        classes[ci][mi] = draw(near.map(kset_mask) | st.integers(1, 2**64 - 1))
+    elif kind == "swap" and classes[cj]:
+        mj = draw(st.integers(0, len(classes[cj]) - 1))
+        classes[ci][mi], classes[cj][mj] = classes[cj][mj], classes[ci][mi]
+    elif kind == "merge":
+        classes[min(ci, cj)] += classes.pop(max(ci, cj))
+    elif kind == "split":
+        cut = draw(st.integers(0, len(classes[ci])))
+        classes[ci:ci + 1] = [classes[ci][:cut], classes[ci][cut:]]
+    elif kind == "truncate" and draw(st.booleans()):
+        del classes[draw(st.integers(0, len(classes))):]  # trailing classes cut off
+    elif kind == "truncate" and classes:
+        del classes[ci][draw(st.integers(0, len(classes[ci]))):]  # one class cut short
+
+
+@settings(max_examples=250, deadline=None)
+@given(built_partitions(), st.data())
+def test_partition_verifier_agrees_with_the_definitions_on_mutants(part, data):
+    # The package verifier and the definition-level reference give the same
+    # verdict on a built partition and on up to three edits of it, and the
+    # first check the reference fails also fails in the package's report.
+    # Half the time the edits are swaps, which keep the sizes and the family,
+    # so the spread check alone may fail, often in one class only; a quarter
+    # of the time swaps and replacements, which keep the sizes.
+    plan, classes = part.plan, [list(cls) for cls in part.classes]
+    kinds = ("swap",) if data.draw(st.booleans()) else data.draw(st.sampled_from([EDITS, ("swap", "replace")]))
+    for _ in range(data.draw(st.integers(0, 3))):
+        mutate_classes(data.draw, plan, classes, kinds)
+    classes = tuple(map(tuple, classes))
+    want = verify_partition_by_definition(plan, classes)
+    report = verify_partition(AlmostRegularPartition(plan, classes))
+    checks = check_map(report)
+    assert list(want) == [c.name for c in report.checks]
+    assert report.passed is not any(want.values())
+    assert (want["structure"] is None) is checks["structure"].passed
+    first = next((name for name, why in want.items() if why is not None), None)
+    event(f"first failing check: {first}")
+    assert first is None or not checks[first].passed, (first, report.summary_lines())
 
 
 MINOR_8_3 = build_minor(Params(8, 3))
