@@ -63,7 +63,13 @@ def criterion(num, name):
 
 
 @pytest.fixture(scope="session")
-def full_sweep():
+def sweep_memo():
+    """The fresh plan memo the sweep is built on."""
+    return baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND)
+
+
+@pytest.fixture(scope="session")
+def full_sweep(sweep_memo):
     """Criterion 1 workhorse: every certificate plus the covered partitions
     that partition_A and partition_C returned to the builders."""
     coverage_log = []
@@ -80,6 +86,7 @@ def full_sweep():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minors, "partition_A", logged(minors.partition_A))
         mp.setattr(minors, "partition_C", logged(minors.partition_C))
+        mp.setattr(baranyai, "_MEMO", sweep_memo)
         for p in params_grid(GRID_KS, SWEEP_CAP):
             certificates[(p.n, p.k)] = build_minor(p, cap=SWEEP_CAP)
     return certificates, coverage_log
@@ -100,6 +107,20 @@ def test_criterion_1_full_sweep(full_sweep):
             assert all(len(b) == 1 or reduce(and_, b) for b in cert.blocks), (p.n, p.k)
             if p.s in (2, 3):
                 assert cert.order >= math.ceil(closed_form_lower_bound(p)), (p.n, p.k)
+
+
+def test_sweep_minors_match_their_traces(full_sweep):
+    # Each minor has the blocks its trace's closed-form counts add up to, and
+    # each stacked minor starts with the blocks of its (n - 1, k) minor.
+    certificates, _ = full_sweep
+    stacked = 0
+    for (n, k), cert in certificates.items():
+        assert cert.order == sum(entry.block_count for entry in cert.trace), (n, k)
+        if len(cert.trace) > 1:
+            below = certificates[n - 1, k]
+            assert cert.blocks[: below.order] == below.blocks, (n, k)
+            stacked += 1
+    assert stacked == 14
 
 
 def test_criterion_2_exact_numbers(full_sweep):
@@ -199,6 +220,15 @@ def test_sweep_partitions_equal_their_cold_misses(full_sweep, monkeypatch):
     assert (len(coverage_log), len(local)) == (835, 256)
 
 
+def test_the_memo_holds_every_sweep_plan(full_sweep, sweep_memo):
+    # Built on a fresh memo, the sweep's 256 distinct plans all stay in it:
+    # MEMO_EDGE_BOUND is large enough that none is evicted.
+    _, coverage_log = full_sweep
+    keys = {(cov.plan.ground_size, cov.plan.k, cov.plan.sizes) for cov in coverage_log}
+    assert len(keys) == 256 and set(sweep_memo.entries) == keys
+    assert sweep_memo.edges == sum(map(len, sweep_memo.entries.values())) <= baranyai.MEMO_EDGE_BOUND
+
+
 def test_criterion_6_coloring_suite():
     with criterion(6, "coloring suite"):
         for p in params_grid(GRID_KS, SWEEP_CAP):
@@ -220,8 +250,8 @@ def test_criterion_7_preflight_inequalities():
         s4_checked = k3_checked = 0
         for p in params_grid(GRID_KS, SWEEP_CAP):
             if p.k >= 4 and p.s >= 4:
-                q = S4Params.from_params(p)  # raises on any inequality breach
-                # re-assert the three inequalities with exact arithmetic
+                q = S4Params.from_params(p)
+                # the three inequalities, which the builder does not check, in exact arithmetic
                 assert Fraction(q.l) <= Fraction(q.l_prime + 2, 2)
                 assert Fraction(q.l_prime + 2, 2) <= Fraction(p.s + 3 + Fraction(p.s - 1, p.k - 1), 2)
                 cover = q.l * (p.k - 1) + 1

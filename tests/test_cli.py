@@ -6,10 +6,22 @@ import sys
 
 import pytest
 
-from kneser_minors import Params, build_coloring
+from kneser_minors import (
+    ParameterError,
+    Params,
+    PartitionPlan,
+    almost_regular_partition,
+    build_coloring,
+    build_minor,
+    serialize,
+    verify_minor,
+    verify_partition,
+)
+from kneser_minors import cli
 from kneser_minors.cli import main
+from kneser_minors.minors import K3_TABLE_REFERENCE
 from kneser_minors.serialize import coloring_to_dict, dumps_canonical
-from oracles import dumps_canonical_reference
+from oracles import dumps_canonical_reference, replaced
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +75,25 @@ class TestMinor:
         assert code == 4
         assert "cap" in err
 
+    def test_rejected_certificate_prints_its_report(self, capsys, monkeypatch):
+        # A verifier that sees a claimed order one above the block count.
+        def claims_one_more(cert):
+            return verify_minor(replaced(cert, claimed_order=cert.order + 1))
+
+        monkeypatch.setattr(cli, "verify_minor", claims_one_more)
+        code, out, _ = run_cli(capsys, "minor", "--n", "8", "--k", "3")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[:-1] == [
+            "PASS structure: 30 well-formed blocks",
+            "PASS disjoint-blocks: no vertex is shared",
+            "PASS block-connectivity: every block induces a connected subgraph",
+            "PASS cross-edges: every pair of blocks is joined",
+            "FAIL order-claim: 30 blocks, but certificate claims 31",
+            "PASS witnesses-chi: order 30 >= chi = 28",
+        ]
+        assert lines[-1] == "order=30 chi=28 FAIL"
+
 
 class TestVerifyCommand:
     def test_round_trip_pass(self, capsys, tmp_path):
@@ -96,6 +127,33 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--kind", "minor", "--in", str(target))
         assert (code, out) == (2, "")
         assert err == "error: minor: not the trace build_minor records for (8, 3)\n"
+
+    @pytest.mark.parametrize(
+        "kind,document,parse",
+        [
+            ("minor", lambda: serialize.minor_to_dict(build_minor(Params(8, 3))), serialize.minor_from_dict),
+            (
+                "coloring",
+                lambda: serialize.coloring_to_dict(build_coloring(Params(7, 3))),
+                serialize.coloring_from_dict,
+            ),
+            (
+                "partition",
+                lambda: serialize.partition_to_dict(almost_regular_partition(PartitionPlan((1, 4), 2, (2, 2, 2)))),
+                serialize.partition_from_dict,
+            ),
+        ],
+    )
+    def test_another_format_version_is_a_usage_error(self, capsys, tmp_path, kind, document, parse):
+        doc = document()
+        doc["version"] = 2
+        with pytest.raises(ParameterError) as caught:
+            parse(doc)
+        assert str(caught.value) == f"{kind}: unsupported version 2"
+        target = tmp_path / f"{kind}.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--kind", kind, "--in", str(target))
+        assert (code, out, err) == (2, "", f"error: {kind}: unsupported version 2\n")
 
     def test_wrong_kind_file(self, capsys, tmp_path):
         target = tmp_path / "cert.json"
@@ -295,6 +353,21 @@ class TestPartitionCommand:
         assert code == 2
         assert "cannot parse sizes" in err
 
+    def test_rejected_partition_prints_its_report(self, capsys, monkeypatch):
+        # A verifier that sees the last class dropped.
+        def last_class_dropped(part):
+            return verify_partition(replaced(part, classes=part.classes[:-1]))
+
+        monkeypatch.setattr(cli, "verify_partition", last_class_dropped)
+        code, out, _ = run_cli(capsys, "partition", "--n", "4", "--k", "2", "--block-size", "2")
+        assert code == 1
+        assert out.splitlines() == [
+            "PASS structure: 2 well-formed classes",
+            "FAIL sizes: class sizes (2, 2) != plan (2, 2, 2)",
+            "FAIL disjoint-union: 4 members, expected 6",
+            "PASS degree-spread: every class has degree spread <= 1",
+        ]
+
     def test_huge_family_is_refused_before_counting_it(self):
         # C(2000000, 1000000) has about 600000 digits; the 64-bit range check
         # must not compute it first.
@@ -343,6 +416,16 @@ class TestTableCommand:
 
     def test_range_check(self, capsys):
         assert run_cli(capsys, "table", "--n-min", "5", "--n-max", "20")[0] == 2
+
+    def test_mismatching_reference_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "K3_TABLE_REFERENCE", {**K3_TABLE_REFERENCE, 19: (6, 168, None, 162)})
+        code, out, _ = run_cli(capsys, "table")
+        lines = out.splitlines()
+        assert code == 1
+        assert [line for line in lines if "MISMATCH" in line] == [
+            " 19   5    168    160   162  MISMATCH: l != reference 6"
+        ]
+        assert lines[-1] == "1 row(s) disagree with the reference table"
 
 
 class TestGridCommand:

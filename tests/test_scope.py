@@ -2,14 +2,16 @@
 
 The acceptance suite builds and checks the 79 sweep instances.  Here every
 in-scope (n, k) -- 3 <= k and 2k + 1 <= n <= 64, 870 pairs -- is checked
-without a build: the trace ``build_minor`` would record derives (so every
-``S4Params``/``K3Params`` preflight holds), its closed-form block counts
-reach chi, and the preflight inequalities hold in exact rationals.  The three
+without a build: the trace ``build_minor`` would record derives, its
+closed-form block counts reach chi, and the preflight inequalities of
+``S4Params`` and ``K3Params`` hold in exact rationals.  The builder does not
+check these inequalities at run time; this file is their proof.  The three
 k = 7 instances the default cap admits, which no sweep covers, are built and
 verified.  Every anchored family the k = 3 builds split takes its pairs in
 circle order, and the cut's classes for each of their 281 distinct local
 plans pass the engine's self-check, which the test runs on them (the cut
-runs no check of its own).
+runs no check of its own); each of those builds has as many blocks as its
+trace's closed-form counts add up to.
 """
 
 from fractions import Fraction
@@ -31,7 +33,7 @@ from kneser_minors import (
     verify_minor,
 )
 from kneser_minors import baranyai
-from kneser_minors.minors import _execute, _recorded_trace
+from kneser_minors.minors import _recorded_trace
 from oracles import bound_check_s4
 
 SCOPE = [(n, k) for k in range(3, MAX_LABELS) for n in range(2 * k + 1, MAX_LABELS + 1)]
@@ -73,6 +75,12 @@ def test_preflight_inequalities_in_exact_rationals():
     assert (s4_checked, k3_checked) == (325, 53)
 
 
+def test_k3_block_size_is_about_a_quarter_of_n():
+    # n = 4s' + t' and 4l is n - t' or n - t' + 4, so 4l lies in [n - 1, n + 2].
+    for n in range(12, MAX_LABELS + 1):
+        assert n - 1 <= 4 * K3Params.from_n(n).l <= n + 2, n
+
+
 @pytest.mark.parametrize("n", [15, 16, 17])
 def test_k7_instances_inside_the_default_cap(n):
     p = Params(n, 7)
@@ -103,7 +111,8 @@ def test_every_k3_anchored_plan_passes_the_circle_cut(monkeypatch):
     monkeypatch.setattr(baranyai, "_circle_partition", recording)
     monkeypatch.setattr(baranyai, "almost_regular_partition", lambda plan, cap=None: engine.append(plan))
     for n in range(2 * 3 + 1, MAX_LABELS + 1):
-        _execute(_recorded_trace(n, 3), cap=10**6)
+        cert = build_minor(Params(n, 3), cap=10**6)
+        assert cert.order == sum(entry.block_count for entry in cert.trace), n
     local = {(plan.ground_size, max(plan.sizes)) for plan in plans}
     assert engine == [] and len(local) == 281
     assert {g % 2 for g, _ in local} == {0, 1} and max(local)[0] == 63

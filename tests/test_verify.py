@@ -420,10 +420,11 @@ def built_partitions(draw):
 EDITS = ("move", "drop", "duplicate", "replace", "corrupt", "swap", "merge", "split", "truncate")
 
 
-def mutate_classes(draw, plan, classes, kinds=EDITS):
-    """One edit of a list of classes: a member moved, dropped, duplicated,
-    replaced (from the family or not) or swapped, two classes merged, one
-    split, or a truncation."""
+def mutate_classes(draw, ground, k, classes, kinds=EDITS, lengths=()):
+    """One edit of a list of classes of k-subsets of the ground (lo, hi): a
+    member moved, dropped, duplicated, replaced (from the family or not) or
+    swapped, two classes merged, one split, or a truncation, whose class
+    count leans to ``lengths``."""
     kind, held = draw(st.sampled_from(kinds)), any(classes)
     if not held or (kind in ("move", "swap", "merge") and len(classes) < 2):
         kind = "truncate"
@@ -439,9 +440,9 @@ def mutate_classes(draw, plan, classes, kinds=EDITS):
     elif kind == "duplicate":
         classes[draw(st.sampled_from([ci, cj]))].append(classes[ci][mi])
     elif kind == "replace":  # by a k-subset of the ground, maybe one held elsewhere
-        classes[ci][mi] = kset_mask(draw(st.frozensets(st.integers(*plan.ground), min_size=plan.k, max_size=plan.k)))
+        classes[ci][mi] = kset_mask(draw(st.frozensets(st.integers(*ground), min_size=k, max_size=k)))
     elif kind == "corrupt":  # by a set of labels near the ground, of any size, or any 64-bit mask
-        near = st.frozensets(st.integers(max(1, plan.ground[0] - 1), min(64, plan.ground[1] + 1)), min_size=1)
+        near = st.frozensets(st.integers(max(1, ground[0] - 1), min(64, ground[1] + 1)), min_size=1)
         classes[ci][mi] = draw(near.map(kset_mask) | st.integers(1, 2**64 - 1))
     elif kind == "swap" and classes[cj]:
         mj = draw(st.integers(0, len(classes[cj]) - 1))
@@ -452,7 +453,8 @@ def mutate_classes(draw, plan, classes, kinds=EDITS):
         cut = draw(st.integers(0, len(classes[ci])))
         classes[ci:ci + 1] = [classes[ci][:cut], classes[ci][cut:]]
     elif kind == "truncate" and draw(st.booleans()):
-        del classes[draw(st.integers(0, len(classes))):]  # trailing classes cut off
+        kept = st.integers(0, len(classes))
+        del classes[draw(st.sampled_from(lengths) | kept if lengths else kept):]  # trailing classes cut off
     elif kind == "truncate" and classes:
         del classes[ci][draw(st.integers(0, len(classes[ci]))):]  # one class cut short
 
@@ -469,7 +471,7 @@ def test_partition_verifier_agrees_with_the_definitions_on_mutants(part, data):
     plan, classes = part.plan, [list(cls) for cls in part.classes]
     kinds = ("swap",) if data.draw(st.booleans()) else data.draw(st.sampled_from([EDITS, ("swap", "replace")]))
     for _ in range(data.draw(st.integers(0, 3))):
-        mutate_classes(data.draw, plan, classes, kinds)
+        mutate_classes(data.draw, plan.ground, plan.k, classes, kinds)
     classes = tuple(map(tuple, classes))
     want = verify_partition_by_definition(plan, classes)
     report = verify_partition(AlmostRegularPartition(plan, classes))
@@ -480,6 +482,58 @@ def test_partition_verifier_agrees_with_the_definitions_on_mutants(part, data):
     first = next((name for name, why in want.items() if why is not None), None)
     event(f"first failing check: {first}")
     assert first is None or not checks[first].passed, (first, report.summary_lines())
+
+
+# Built minors and colorings small enough for the references' exhaustive alpha,
+# and each reference check by the name of the package check it matches.
+SMALL = [(n, k) for k in (3, 4, 5) for n in range(2 * k + 1, 13) if math.comb(n, k) <= 500]
+REFERENCES = {
+    "minor": (verify_minor_by_definition, {
+        "vertices": "structure", "disjoint-blocks": "disjoint-blocks", "block-connectivity": "block-connectivity",
+        "cross-edges": "cross-edges", "order": "witnesses-chi",
+    }),
+    "coloring": (verify_coloring_by_definition, {
+        "vertices": "structure", "partition": "partition", "independent-classes": "independent-classes",
+        "class-count": "class-count",
+    }),
+}
+CERTIFICATE_EDITS = ("move", "drop", "duplicate", "replace", "merge", "split", "truncate")
+
+
+@functools.cache
+def small_certificate(kind, n, k):
+    return (build_minor if kind == "minor" else build_coloring)(Params(n, k))
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCES))
+@settings(max_examples=120, deadline=None)
+@given(nk=st.sampled_from(SMALL), data=st.data())
+def test_certificate_verifiers_agree_with_the_definitions_on_mutants(kind, nk, data):
+    # verify_minor and verify_coloring give the definition-level reference's
+    # verdict on a built certificate and on up to three edits of it, the
+    # reference's first failing check also fails in the package's report, and
+    # when the structure holds every check agrees.  A minor claims its order;
+    # a truncation leans to chi - 1 and chi blocks or classes.
+    (n, k), (reference, names) = nk, REFERENCES[kind]
+    cert, least = small_certificate(kind, n, k), chi(Params(n, k))
+    blocks = [list(block) for block in (cert.blocks if kind == "minor" else cert.classes)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        mutate_classes(data.draw, (1, n), k, blocks, CERTIFICATE_EDITS, (least - 1, least))
+    blocks = tuple(map(tuple, blocks))
+    want = reference(n, k, blocks)
+    if kind == "minor":
+        report = verify_minor(replaced(cert, blocks=blocks, claimed_order=len(blocks)))
+    else:
+        report = verify_coloring(replaced(cert, classes=blocks))
+    checks = check_map(report)
+    assert report.passed is not any(want.values())
+    first = next((name for name, why in want.items() if why is not None), None)
+    event(f"first failing check: {first}")
+    assert first is None or not checks[names[first]].passed, (first, report.summary_lines())
+    if checks["structure"].passed:
+        assert {names[name]: why is None for name, why in want.items()} == {
+            c.name: c.passed for c in report.checks if c.name != "order-claim"
+        }
 
 
 MINOR_8_3 = build_minor(Params(8, 3))
