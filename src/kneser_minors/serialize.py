@@ -24,11 +24,20 @@ hits RecursionError, and the checked call then raises the stdlib's ValueError).
 For these documents, which hold only integers and ASCII strings, that is close
 to the JSON Canonicalization Scheme (RFC 8785).  The readers accept any
 whitespace, so files written with an indent still read.
+
+The writers ``*_to_dict`` and ``dumps_canonical`` pause the cyclic collector,
+which otherwise rescans a certificate's fresh label lists while they are made
+and encoded.  Documents hold no cycles, so reference counting frees them; one
+kept alive has its collection deferred, not removed (no slower in-process).  A
+writer restores the state it found, also on a raise; another thread switching
+the collector during a write may have its setting overridden.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from functools import wraps
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -44,6 +53,21 @@ from .verify import VerificationReport
 FORMAT_VERSION = 1
 
 
+def _collector_paused(write):  # see the module docstring
+    @wraps(write)
+    def paused(value):  # one positional: no argument tuple is made before the pause
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            return write(value)
+        finally:
+            if was:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def dumps_canonical(document: Any) -> str:
     """Canonical text of a JSON value: sorted keys, no insignificant whitespace, final newline."""
     try:
@@ -138,6 +162,7 @@ def _trace_list(trace: tuple[TraceEntry, ...]) -> list[dict[str, Any]]:
     ]
 
 
+@_collector_paused
 def minor_to_dict(cert: MinorCertificate) -> dict[str, Any]:
     return {
         "version": FORMAT_VERSION,
@@ -163,6 +188,7 @@ def minor_from_dict(document: Any) -> MinorCertificate:
     return MinorCertificate(n=n, k=k, blocks=blocks, trace=trace, claimed_order=claimed)
 
 
+@_collector_paused
 def coloring_to_dict(cert: ColoringCertificate) -> dict[str, Any]:
     return {
         "version": FORMAT_VERSION,
@@ -182,6 +208,7 @@ def coloring_from_dict(document: Any) -> ColoringCertificate:
     )
 
 
+@_collector_paused
 def partition_to_dict(part: AlmostRegularPartition) -> dict[str, Any]:
     return {
         "version": FORMAT_VERSION,

@@ -72,7 +72,7 @@ def _structure_blocks(
     # (and alone reads blocks that are not tuples or lists, as it always did).
     members = list(chain.from_iterable(blocks)) if set(map(type, blocks)) <= {tuple, list} else []
     if (
-        all(blocks) and set(map(type, members)) == {int} and min(members) > 0
+        all(blocks) and set(map(type, members)) == {int}  # a member <= 0 fails one of the next two
         and not union_mask(members) & ~universe and set(map(int.bit_count, members)) == {k}
         and sum(map(len, map(set, blocks))) == len(members)
     ):
@@ -175,7 +175,10 @@ def _unjoined_blocks(n: int, blocks: Sequence[Sequence[int]]) -> str | None:
             table.append(table[b ^ low] | per_label[c + low.bit_length() - 1])
         tables.append(table)
     want = (1 << t) - 1
+    meets_all = n - min(map(int.bit_count, distinct))  # a larger cover meets every cover
     for d, cover in enumerate(distinct):
+        if cover.bit_count() > meets_all:
+            continue
         reach = 0
         for table in tables:
             reach |= table[cover & 255]

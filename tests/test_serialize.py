@@ -12,6 +12,7 @@ ParameterError with the same message.
 """
 
 import enum
+import gc
 import itertools
 import json
 import subprocess
@@ -379,3 +380,62 @@ def test_a_wide_certificate_builds_no_tables():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True\n", "")
+
+
+# The four writers pause the cyclic collector and then leave it as they found
+# it: on stays on, off stays off, also when the writer raises.
+@pytest.fixture
+def collector_state():
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "writer,value",
+    [
+        (minor_to_dict, build_minor(Params(8, 3))),
+        (coloring_to_dict, build_coloring(Params(8, 3))),
+        (partition_to_dict, almost_regular_partition(PartitionPlan((1, 7), 3, (12, 12, 11)))),
+        (dumps_canonical, {"blocks": [[[1, 2, 3]]]}),
+    ],
+    ids=["minor", "coloring", "partition", "dumps"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_writers_leave_the_collector_as_they_found_it(collector_state, writer, value, enabled):
+    (gc.enable if enabled else gc.disable)()
+    writer(value)
+    assert gc.isenabled() is enabled
+    with pytest.raises((AttributeError, TypeError)):  # no certificate, no JSON value
+        writer(object())
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize(
+    "writer,build",
+    [
+        (minor_to_dict, lambda: build_minor(Params(18, 6))),  # 17,639 label lists
+        (coloring_to_dict, lambda: build_coloring(Params(16, 5))),  # 4,368
+        (partition_to_dict, lambda: almost_regular_partition(PartitionPlan((1, 16), 4, (455,) * 4))),  # 1,820
+    ],
+    ids=["minor", "coloring", "partition"],
+)
+def test_a_document_written_and_dropped_runs_no_collection(collector_state, writer, build):
+    # Unpaused, the label lists would run young collections while they are
+    # made and encoded; paused, the document is freed by reference counting
+    # when it is dropped, before any collection looks at it.
+    value, starts = build(), []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        text = dumps_canonical(writer(value))
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+    assert text.startswith('{"')

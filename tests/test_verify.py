@@ -428,11 +428,19 @@ def mutate_classes(draw, ground, k, classes, kinds=EDITS, lengths=()):
     kind, held = draw(st.sampled_from(kinds)), any(classes)
     if not held or (kind in ("move", "swap", "merge") and len(classes) < 2):
         kind = "truncate"
-    # Class indices lean to the first and the last class, often a remainder.
-    index = st.sampled_from([0, len(classes) - 1]) | st.integers(0, max(0, len(classes) - 1))
-    ci = draw(index.filter(lambda c: classes[c])) if held else 0
+    # Class indices lean to the first and the last choice, often a remainder.
+    # Each is drawn as a position among its choices, with no filter to retry:
+    # ci among the non-empty classes, cj among the classes other than ci.
+    def lean(choices):
+        return draw(st.sampled_from([0, choices - 1]) | st.integers(0, choices - 1))
+
+    full = [c for c, cls in enumerate(classes) if cls]
+    ci = full[lean(len(full))] if held else 0
     mi = draw(st.integers(0, len(classes[ci]) - 1)) if held else 0
-    cj = draw(index.filter(lambda c: c != ci)) if len(classes) > 1 else ci
+    cj = ci
+    if len(classes) > 1:
+        cj = lean(len(classes) - 1)
+        cj += cj >= ci  # step over ci
     if kind == "move":
         classes[cj].insert(draw(st.integers(0, len(classes[cj]))), classes[ci].pop(mi))
     elif kind == "drop":
@@ -723,6 +731,21 @@ def test_cross_edges_name_blocks_not_distinct_covers():
     detail = "blocks 2 and 3 are joined by no edge"
     assert unjoined_blocks_pairwise(blocks) == unjoined_blocks_reference(8, blocks) == detail
     assert check_map(verify_minor(bare_minor(8, 3, blocks)))["cross-edges"] == CheckResult("cross-edges", False, detail)
+
+
+def test_cross_edges_skip_only_covers_that_meet_all_by_count():
+    # On [1, 8] with a least cover of 2 labels, a cover of 7 labels meets every
+    # cover, and one of 6 labels need not: {1..6} misses {7, 8}.  The first
+    # failing cover is named either way, so the details are the reference's.
+    pairs = [[1, 2], [3, 4], [5, 6]]
+    for family, want in (
+        ([pairs + [[6, 7]], [[1, 2]], [[3, 4]]], "blocks 1 and 2"),  # 7 labels first: skipped, still met
+        ([pairs, [[7, 8]]], "blocks 0 and 1"),  # 6 labels first: 6 + 2 = 8 is no overlap
+    ):
+        blocks = tuple(tuple(map(kset_mask, block)) for block in family)
+        detail = f"{want} are joined by no edge"
+        assert unjoined_blocks_pairwise(blocks) == unjoined_blocks_reference(8, blocks) == detail
+        assert check_map(verify_minor(bare_minor(8, 2, blocks)))["cross-edges"].detail == detail
 
 
 class TestSerialization:
