@@ -72,35 +72,32 @@ The engine's output depends only on ``(g, k, sizes)``: it works on local
 labels 1..g and shifts onto the plan's ground at the end.  The family
 anchored at label i in K(n, k) is the one anchored at i + 1 in K(n + 1, k),
 shifted by one label, so a sweep over n asks for the same local partition
-many times.  The anchored body therefore takes its partition from a plan
-memo keyed on ``(g, k, sizes)``: a read-only flat view of local masks, class
-after class (the boundaries are ``sizes``).  A miss solves the plan on [1, g]
-by the circle cut or an engine run, whose ``_self_check`` passed, and stores
-its classes as they come; at most ``MEMO_EDGE_BOUND`` edges are held, the
-least recently used entry evicted first.  After the cap check and the lookup,
-a hit and a miss run the same lines: the one shift onto the ground with the
-anchor bit OR'd in, and one cut into blocks.  The shift maps the k-subsets of
-[1, g] one to one onto the ground's and keeps each label's degree, so sizes,
-family and spread carry over and are not checked again.
-``almost_regular_partition`` itself, which ``build_coloring`` and the
-``partition`` command call, never consults the memo.
+many times.  The anchored body therefore takes its partition from
+``_local_plan``, a ``functools.lru_cache`` on ``(g, k, sizes)`` that holds
+512 plans, the least recently used evicted first: a read-only flat view of
+local masks, class after class (the boundaries are ``sizes``), solved on
+[1, g] by the circle cut or an engine run, whose ``_self_check`` passed.  The
+caller's cap is checked on the same edge count before the lookup, so it is
+not part of the key.  A hit and a miss then run the same lines: the one shift
+onto the ground with the anchor bit OR'd in, and one cut into blocks.  The
+shift maps the k-subsets of [1, g] one to one onto the ground's and keeps
+each label's degree, so sizes, family and spread carry over and are not
+checked again.  ``almost_regular_partition`` itself, which ``build_coloring``
+and the ``partition`` command call, never consults the memo.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
-import threading
 from array import array
-from collections import Counter, OrderedDict
+from collections import Counter
 from itertools import accumulate, chain
 
 from .core import Params, Record, binomial, family_detail, sizes_detail, spread_detail
 from .errors import ConstructionError, ParameterError, ResourceCapError
 
 DEFAULT_EDGE_CAP = 20000
-# Most edges the plan memo holds (8 bytes each): enough for every distinct
-# plan of the acceptance sweep at the default cap.
-MEMO_EDGE_BOUND = 1 << 18
 
 
 class PartitionPlan(Record):
@@ -464,45 +461,6 @@ def almost_regular_partition(plan: PartitionPlan, cap: int | None = None) -> Alm
     return AlmostRegularPartition(plan=plan, classes=result)
 
 
-class _PlanMemo:
-    """Local partitions by ``(g, k, sizes)``, least recently used evicted first.
-
-    An entry is a read-only ``memoryview`` of 8-byte local masks, the classes
-    of a plan solved on [1, g] as they come; a write into it raises
-    ``TypeError``.  ``edges`` counts the masks held and never exceeds
-    ``bound``; an entry larger than the bound is not stored.  The lock makes
-    each lookup and insertion atomic; the engine runs outside it, so two
-    threads may both solve a plan and the second one's store is dropped.
-    """
-
-    def __init__(self, bound: int) -> None:
-        self.bound = bound
-        self.entries: OrderedDict[tuple, memoryview] = OrderedDict()
-        self.edges = 0
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> memoryview | None:
-        with self._lock:
-            flat = self.entries.get(key)
-            if flat is not None:
-                self.entries.move_to_end(key)
-            return flat
-
-    def put(self, key: tuple, flat: memoryview) -> None:
-        if len(flat) > self.bound:
-            return
-        with self._lock:
-            if key in self.entries:
-                return
-            self.entries[key] = flat
-            self.edges += len(flat)
-            while self.edges > self.bound:
-                self.edges -= len(self.entries.popitem(last=False)[1])
-
-
-_MEMO = _PlanMemo(MEMO_EDGE_BOUND)
-
-
 def _circle_partition(g: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The pairs of [1, g] in circle order (see above), cut into classes of ``sizes``:
     local labels only, and no run-time check, as a test proves every such cut."""
@@ -513,17 +471,24 @@ def _circle_partition(g: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], 
     return tuple(tuple(sorted(edges[end - a:end])) for a, end in zip(sizes, accumulate(sizes)))
 
 
+@functools.lru_cache(maxsize=512)
+def _local_plan(g: int, k: int, sizes: tuple[int, ...]) -> memoryview:
+    """The classes of ``sizes`` over the k-sets of [1, g], local masks class after class
+    in one read-only view (a write raises ``TypeError``): the circle cut or an engine run."""
+    if k == 2 and 2 * max(sizes) <= g:
+        classes = _circle_partition(g, sizes)
+    else:  # the caller's cap was checked on these C(g, k) edges
+        plan = PartitionPlan((1, g), k, sizes)
+        classes = almost_regular_partition(plan, cap=plan.edge_count).classes
+    return memoryview(array("Q", chain.from_iterable(classes)).tobytes()).cast("Q")
+
+
 def _anchored(anchor: int, ground: tuple[int, int], k: int, l: int, cap: int | None) -> CoveredPartition:
     """The k-sets made of ``anchor`` and k - 1 labels of ``ground``, in blocks of l."""
     plan = _uniform_plan(ground, k - 1, l, cap)
     g, sizes = plan.ground_size, plan.sizes
-    if (flat := _MEMO.get((g, k - 1, sizes))) is None:  # solve the plan on [1, g]; circle: see above
-        local = PartitionPlan((1, g), k - 1, sizes)
-        classes = _circle_partition(g, sizes) if k == 3 and 2 * l <= g else almost_regular_partition(local, cap=cap).classes
-        flat = memoryview(array("Q", chain.from_iterable(classes)).tobytes()).cast("Q")
-        _MEMO.put((g, k - 1, sizes), flat)
-    bit, shift = 1 << (anchor - 1), ground[0] - 1  # a hit and a miss alike: one shift, then one cut into blocks
-    anchored = [bit | m << shift for m in flat]
+    bit, shift = 1 << (anchor - 1), ground[0] - 1  # one shift of the local plan, then one cut into blocks
+    anchored = [bit | m << shift for m in _local_plan(g, k - 1, sizes)]
     blocks = tuple(tuple(anchored[end - a:end]) for a, end in zip(sizes, accumulate(sizes)))
     guaranteed, floor = sizes.count(l), min(g + 1, l * (k - 1) + 1)
     return CoveredPartition(

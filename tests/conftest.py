@@ -8,6 +8,8 @@ module-scoped fixture built for that test (the acceptance sweep runs the
 engine in one; a function-scoped fixture would start only after it), and
 each module's collection, which imports it (``test_records`` builds a
 certificate at import).
+
+The ``plan_memo`` fixture gives a test the anchored bodies' plan memo cold.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import os
 import sys
 
 import pytest
+
+from kneser_minors import baranyai
 
 # The slowest test or fixture takes about 4 s here; the limit leaves room for
 # slower machines and stays far below the CI job's limit.
@@ -51,3 +55,12 @@ def pytest_runtest_protocol(item: pytest.Item, nextitem: pytest.Item | None):
 @pytest.hookimpl(hookwrapper=True)
 def pytest_make_collect_report(collector: pytest.Collector):
     yield from _limited(collector.config)
+
+
+@pytest.fixture
+def plan_memo():
+    """``baranyai._local_plan``, its cache cleared before and after the test, so
+    the test starts cold and no solve made under a patched solver outlives it."""
+    baranyai._local_plan.cache_clear()
+    yield baranyai._local_plan
+    baranyai._local_plan.cache_clear()

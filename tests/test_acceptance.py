@@ -7,6 +7,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
@@ -64,8 +65,9 @@ def criterion(num, name):
 
 @pytest.fixture(scope="session")
 def sweep_memo():
-    """The fresh plan memo the sweep is built on."""
-    return baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND)
+    """What the sweep asked of the plan memo, cold at its start: hits, misses
+    and plans held after it, and the runs of each solver behind the misses."""
+    return Counter()
 
 
 @pytest.fixture(scope="session")
@@ -75,20 +77,27 @@ def full_sweep(sweep_memo):
     coverage_log = []
     certificates = {}
 
-    def logged(original):
+    def logged(original, log):
         def call(*args, **kwargs):
-            cov = original(*args, **kwargs)
-            coverage_log.append(cov)
-            return cov
+            result = original(*args, **kwargs)
+            log.append(result)
+            return result
 
         return call
 
+    solves = {"engine": [], "circle": []}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(minors, "partition_A", logged(minors.partition_A))
-        mp.setattr(minors, "partition_C", logged(minors.partition_C))
-        mp.setattr(baranyai, "_MEMO", sweep_memo)
+        mp.setattr(minors, "partition_A", logged(minors.partition_A, coverage_log))
+        mp.setattr(minors, "partition_C", logged(minors.partition_C, coverage_log))
+        mp.setattr(baranyai, "almost_regular_partition", logged(baranyai.almost_regular_partition, solves["engine"]))
+        mp.setattr(baranyai, "_circle_partition", logged(baranyai._circle_partition, solves["circle"]))
+        baranyai._local_plan.cache_clear()
         for p in params_grid(GRID_KS, SWEEP_CAP):
             certificates[(p.n, p.k)] = build_minor(p, cap=SWEEP_CAP)
+        info = baranyai._local_plan.cache_info()
+        baranyai._local_plan.cache_clear()  # nothing solved under the wrappers stays cached
+    sweep_memo.update(hits=info.hits, misses=info.misses, held=info.currsize)
+    sweep_memo.update({name: len(log) for name, log in solves.items()})
     return certificates, coverage_log
 
 
@@ -202,9 +211,9 @@ def test_criterion_5_coverage_floors(full_sweep):
                 assert union_mask(block).bit_count() >= floor
 
 
-def test_sweep_partitions_equal_their_cold_misses(full_sweep, monkeypatch):
+def test_sweep_partitions_equal_their_cold_misses(full_sweep, plan_memo):
     # Every partition the sweep's builders got, memo hit or miss, equals the
-    # cold miss of its plan key, solved once per key with a fresh memo and
+    # cold miss of its plan key, solved once per key with a cleared memo and
     # shifted onto its own ground, and passes the partition reference.
     _, coverage_log = full_sweep
     local = {}
@@ -212,7 +221,7 @@ def test_sweep_partitions_equal_their_cold_misses(full_sweep, monkeypatch):
         plan, bit = cov.plan, 1 << (cov.anchor - 1)
         key = (plan.ground_size, plan.k, plan.sizes)
         if key not in local:
-            monkeypatch.setattr(baranyai, "_MEMO", baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND))
+            plan_memo.cache_clear()
             cold = baranyai._anchored(cov.anchor, plan.ground, plan.k + 1, plan.sizes[0], SWEEP_CAP)
             local[key] = tuple(tuple((m & ~bit) >> (plan.ground[0] - 1) for m in block) for block in cold.blocks)
         assert cov.blocks == tuple(tuple(bit | m << (plan.ground[0] - 1) for m in cls) for cls in local[key]), key
@@ -221,12 +230,13 @@ def test_sweep_partitions_equal_their_cold_misses(full_sweep, monkeypatch):
 
 
 def test_the_memo_holds_every_sweep_plan(full_sweep, sweep_memo):
-    # Built on a fresh memo, the sweep's 256 distinct plans all stay in it:
-    # MEMO_EDGE_BOUND is large enough that none is evicted.
+    # On a cold memo the sweep's 835 anchored calls miss once per distinct
+    # plan, 256 times (70 engine runs and 186 circle cuts), and hit 579 times;
+    # all 256 plans stay held, as the memo's 512 evicts none.
     _, coverage_log = full_sweep
     keys = {(cov.plan.ground_size, cov.plan.k, cov.plan.sizes) for cov in coverage_log}
-    assert len(keys) == 256 and set(sweep_memo.entries) == keys
-    assert sweep_memo.edges == sum(map(len, sweep_memo.entries.values())) <= baranyai.MEMO_EDGE_BOUND
+    assert len(coverage_log) == 835 and len(keys) == 256
+    assert sweep_memo == Counter(hits=579, misses=256, held=256, engine=70, circle=186)
 
 
 def test_criterion_6_coloring_suite():

@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 import threading
@@ -666,14 +667,6 @@ def test_circle_cut_classes_are_matchings():
 
 
 @pytest.fixture
-def memo(monkeypatch):
-    """A fresh plan memo with the module's bound, in place of the shared one."""
-    fresh = baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND)
-    monkeypatch.setattr(baranyai, "_MEMO", fresh)
-    return fresh
-
-
-@pytest.fixture
 def solved(monkeypatch):
     """The plans the engine is asked to solve, in order."""
     plans, engine = [], baranyai.almost_regular_partition
@@ -686,23 +679,14 @@ def solved(monkeypatch):
     return plans
 
 
-@pytest.fixture
-def misses(memo, monkeypatch):
-    """The keys looked up in the fresh memo and not found, in order."""
-    keys, get = [], memo.get
-
-    def counting(key):
-        flat = get(key)
-        if flat is None:
-            keys.append(key)
-        return flat
-
-    monkeypatch.setattr(memo, "get", counting)
-    return keys
-
-
 def memo_key(cov):
     return (cov.plan.ground_size, cov.plan.k, cov.plan.sizes)
+
+
+def counts(memo):
+    """The memo's hits, misses and plans held."""
+    info = memo.cache_info()
+    return info.hits, info.misses, info.currsize
 
 
 # Corruptions of a stored entry: local pairs of [1, g], class 0 first.
@@ -727,7 +711,7 @@ def spread_two(flat, g):
 
 
 class TestPlanMemo:
-    def test_hit_equals_a_cold_engine_run(self, memo, solved, monkeypatch):
+    def test_hit_equals_a_cold_engine_run(self, plan_memo, solved, monkeypatch):
         # A k = 4 family splits its triples with the engine.  The family of
         # (10, 4) anchored at 10, the one anchored at 1 and the one of (11, 4)
         # anchored at 2 share the local plan: the 84 triples of 9 labels in
@@ -737,36 +721,35 @@ class TestPlanMemo:
         first = partition_C(Params(10, 4), 4)
         hits = [partition_A(1, Params(10, 4), 4), partition_A(2, Params(11, 4), 4)]
         local = PartitionPlan((1, 9), 3, first.plan.sizes)  # misses solve the plan on [1, g]
-        assert solved == checked == [local] and list(memo.entries) == [memo_key(first)]  # no check on a hit
+        assert solved == checked == [local] and counts(plan_memo) == (2, 1, 1)  # no check on a hit
         for cov in hits:
             cold = almost_regular_partition(cov.plan)
             assert base_partition(cov) == cold
             anchor = 1 << (cov.anchor - 1)
             assert cov.blocks == tuple(tuple(anchor | m for m in cls) for cls in cold.classes)
-        monkeypatch.setattr(baranyai, "_MEMO", baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND))
+        plan_memo.cache_clear()
         again = partition_A(2, Params(11, 4), 4)
         assert solved[-1] == local and again == hits[-1]
 
-    def test_a_circle_hit_equals_a_cold_miss(self, memo, misses, solved, monkeypatch):
+    def test_a_circle_hit_equals_a_cold_miss(self, plan_memo, solved):
         # A k = 3 family takes its pairs in circle order, with no engine run.
         # The family of (13, 3) anchored at 13, the one anchored at 1 and the
         # one of (14, 3) anchored at 2 share the local plan: the 66 pairs of
         # 12 labels in blocks of 4, on grounds [1, 12], [2, 13] and [3, 14].
-        first = partition_C(Params(13, 3), 4)
+        partition_C(Params(13, 3), 4)
         calls = [(1, Params(13, 3)), (2, Params(14, 3))]
         hits = [partition_A(i, p, 4) for i, p in calls]
-        assert misses == [memo_key(first)] and list(memo.entries) == [memo_key(first)]
+        assert counts(plan_memo) == (2, 1, 1)
         for (i, p), cov in zip(calls, hits):
-            fresh = baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND)
-            monkeypatch.setattr(baranyai, "_MEMO", fresh)
+            plan_memo.cache_clear()
             cold = partition_A(i, p, 4)
-            assert list(fresh.entries) == [memo_key(cov)] and cov == cold
+            assert counts(plan_memo) == (0, 1, 1) and cov == cold
             anchor, shift = 1 << (cov.anchor - 1), cov.plan.ground[0] - 1
             circle = baranyai._circle_partition(cov.plan.ground_size, cov.plan.sizes)  # local labels
             assert cov.blocks == tuple(tuple(anchor | m << shift for m in cls) for cls in circle)
         assert solved == []
 
-    def test_blocks_above_half_the_ground_take_the_engine(self, memo, solved):
+    def test_blocks_above_half_the_ground_take_the_engine(self, plan_memo, solved):
         # (7, 3) anchored at 2: 5 labels in blocks of 5 pairs.  The circle
         # cut's first class has degrees 1, 2, 2, 3, 2, so the engine splits it.
         plan = PartitionPlan((1, 5), 2, (5, 5))
@@ -775,7 +758,7 @@ class TestPlanMemo:
         cov = partition_A(2, Params(7, 3), 5)
         assert solved == [plan] and base_partition(cov) == almost_regular_partition(cov.plan)
 
-    def test_misses_solve_the_local_plan_and_store_it_as_it_comes(self, memo, monkeypatch):
+    def test_misses_solve_the_local_plan_and_store_it_as_it_comes(self, plan_memo, monkeypatch):
         # Every plan a miss hands the engine is on [1, g], every cut is asked
         # for g labels, and each entry is the solve's classes, concatenated.
         solves, engine, cut = [], baranyai.almost_regular_partition, baranyai._circle_partition
@@ -794,13 +777,14 @@ class TestPlanMemo:
         monkeypatch.setattr(baranyai, "_circle_partition", circle_cut)
         covs = [partition_A(i, Params(n, k), l) for n, k in ((11, 3), (12, 4)) for i in (1, 3) for l in (2, 5, 9)]
         covs += [partition_C(Params(n, k), l) for n, k in ((11, 3), (12, 4)) for l in (3, 7)]
-        assert {key for key, _, _ in solves} == {memo_key(cov) for cov in covs} == set(memo.entries)
-        assert {k for (_, k, _), _, _ in solves} == {2, 3} and len(solves) == len(memo.entries)
+        assert {key for key, _, _ in solves} == {memo_key(cov) for cov in covs}
+        assert {k for (_, k, _), _, _ in solves} == {2, 3} and counts(plan_memo)[1:] == (len(solves),) * 2
         for key, ground, classes in solves:
             assert ground == (1, key[0])
-            assert memo.entries[key].tolist() == [m for cls in classes for m in cls]
+            assert plan_memo(*key).tolist() == [m for cls in classes for m in cls]
+        assert counts(plan_memo)[1] == len(solves)  # each read back was a hit
 
-    def test_every_k3_block_size_is_split(self, memo, solved):
+    def test_every_k3_block_size_is_split(self, plan_memo, solved):
         # Each anchor and block size partition_A and partition_C accept for
         # (9, 3) gives an almost-regular split; the engine runs just for 2l > g.
         p, asked = Params(9, 3), []
@@ -813,58 +797,47 @@ class TestPlanMemo:
         engine_keys = {(plan.ground_size, plan.k, plan.sizes) for plan in solved}
         assert engine_keys == {memo_key(cov) for cov, g, l in asked if 2 * l > g}
 
-    def test_cap_is_checked_on_a_hit(self, memo, misses):
-        partition_A(1, Params(12, 3), 4)  # 55 pairs, cached under the default cap
+    def test_cap_is_checked_on_a_hit(self, plan_memo):
+        # A cap below the family's 55 pairs is refused before the lookup, on a
+        # miss and on a hit alike, and the cap is not part of the key.
+        with pytest.raises(ResourceCapError):
+            partition_A(1, Params(12, 3), 4, cap=54)
+        assert counts(plan_memo) == (0, 0, 0)
+        partition_A(1, Params(12, 3), 4)  # cached under the default cap
         for i, n in ((1, 12), (2, 13)):
             with pytest.raises(ResourceCapError):
                 partition_A(i, Params(n, 3), 4, cap=54)
-        assert len(misses) == 1 and partition_A(2, Params(13, 3), 4, cap=55).guaranteed_blocks == 13
-        assert len(misses) == 1
+        assert counts(plan_memo) == (0, 1, 1)
+        assert partition_A(2, Params(13, 3), 4, cap=55).guaranteed_blocks == 13
+        assert counts(plan_memo) == (1, 1, 1)
 
     @pytest.mark.parametrize(
         "corrupt", [pair_twice, wrong_popcount, outside_ground, spread_two],
         ids=["pair-twice", "wrong-popcount", "outside-ground", "spread-two"],
     )
-    def test_entries_are_read_only(self, memo, corrupt):
+    def test_entries_are_read_only(self, plan_memo, corrupt):
         # A hit is not checked again, so no write may reach a stored entry:
         # each corruption fails at its first write and leaves the entry whole.
         key = memo_key(partition_A(1, Params(12, 3), 4))
-        entry = memo.entries[key]
+        entry = plan_memo(*key)
         before = entry.tobytes()
         with pytest.raises(TypeError):
             corrupt(entry, key[0])
         assert entry.tobytes() == before
         assert verify_partition(base_partition(partition_A(2, Params(13, 3), 4))).passed
 
-    def test_edges_held_stay_within_the_bound(self, monkeypatch):
-        memo = baranyai._PlanMemo(100)
-        monkeypatch.setattr(baranyai, "_MEMO", memo)
-        for n in range(8, 17):  # C(n - 1, 2) = 21 .. 105 pairs, 525 in all
-            cov = partition_A(1, Params(n, 3), 2)
-            assert memo.edges == sum(len(flat) for flat in memo.entries.values()) <= 100
-            # The newest plan is held unless it alone is above the bound.
-            newest = list(memo.entries)[-1]
-            assert (newest == memo_key(cov)) is (cov.plan.edge_count <= 100)
-        assert len(memo.entries) == 1 and memo.edges == 91
-
-    def test_least_recently_used_goes_first(self, monkeypatch):
-        memo = baranyai._PlanMemo(100)
-        monkeypatch.setattr(baranyai, "_MEMO", memo)
-        a, b, c = (memo_key(partition_A(1, Params(n, 3), 2)) for n in (8, 9, 10))  # 21 + 28 + 36
-        partition_A(2, Params(9, 3), 2)  # a hit on a
-        d = memo_key(partition_A(1, Params(11, 3), 2))  # 45 more: b, then c, go
-        assert list(memo.entries) == [a, d] and memo.edges == 66
-
-    def test_colorings_and_the_partition_command_bypass_it(self, memo, capsys):
+    def test_colorings_and_the_partition_command_bypass_it(self, plan_memo, capsys):
         build_coloring(Params(9, 3))
         assert main(["partition", "--n", "9", "--k", "3", "--block-size", "3"]) == 0
-        assert not memo.entries and memo.edges == 0
+        assert counts(plan_memo) == (0, 0, 0)
 
     def test_threads_share_it(self, monkeypatch):
+        # Six threads share a memo of two plans: six plans are asked for, so
+        # entries are evicted while other threads read them.
         cases = [(i, n) for n in range(8, 13) for i in (1, 2)]
         want = {(i, n): partition_A(i, Params(n, 3), 2) for i, n in cases}
-        memo = baranyai._PlanMemo(120)
-        monkeypatch.setattr(baranyai, "_MEMO", memo)
+        memo = functools.lru_cache(maxsize=2)(baranyai._local_plan.__wrapped__)
+        monkeypatch.setattr(baranyai, "_local_plan", memo)
         errors = []
 
         def work(seed):
@@ -874,9 +847,6 @@ class TestPlanMemo:
                     i, n = rng.choice(cases)
                     if partition_A(i, Params(n, 3), 2) != want[(i, n)]:
                         errors.append((i, n))
-                    with memo._lock:
-                        if not memo.edges == sum(len(f) for f in memo.entries.values()) <= memo.bound:
-                            errors.append(memo.edges)
             except Exception as exc:  # reported below, with the others
                 errors.append(exc)
 
@@ -892,3 +862,5 @@ class TestPlanMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
+        hits, missed, held = counts(memo)
+        assert hits + missed == 240 and missed > 6 and held == 2

@@ -94,9 +94,9 @@ def test_k7_instances_inside_the_default_cap(n):
     assert len(coloring.classes) == chi(p)
 
 
-def test_every_k3_anchored_plan_passes_the_circle_cut(monkeypatch):
+def test_every_k3_anchored_plan_passes_the_circle_cut(plan_memo, monkeypatch):
     # Record the local plans the k = 3 builds hand to the circle cut, on a
-    # fresh memo so each distinct plan is cut at least once; none reaches the
+    # cold memo so each distinct plan is cut at least once; none reaches the
     # engine.  The cut runs no check, so the recorder runs ``_self_check`` on
     # each cut, which raises on a bad one.
     plans, engine, cut = [], [], baranyai._circle_partition
@@ -107,7 +107,6 @@ def test_every_k3_anchored_plan_passes_the_circle_cut(monkeypatch):
         baranyai._self_check(plans[-1], classes)
         return classes
 
-    monkeypatch.setattr(baranyai, "_MEMO", baranyai._PlanMemo(baranyai.MEMO_EDGE_BOUND))
     monkeypatch.setattr(baranyai, "_circle_partition", recording)
     monkeypatch.setattr(baranyai, "almost_regular_partition", lambda plan, cap=None: engine.append(plan))
     for n in range(2 * 3 + 1, MAX_LABELS + 1):
