@@ -488,8 +488,8 @@ def _anchored(anchor: int, ground: tuple[int, int], k: int, l: int, cap: int | N
     plan = _uniform_plan(ground, k - 1, l, cap)
     g, sizes = plan.ground_size, plan.sizes
     bit, shift = 1 << (anchor - 1), ground[0] - 1  # one shift of the local plan, then one cut into blocks
-    anchored = [bit | m << shift for m in _local_plan(g, k - 1, sizes)]
-    blocks = tuple(tuple(anchored[end - a:end]) for a, end in zip(sizes, accumulate(sizes)))
+    anchored = tuple([bit | m << shift for m in _local_plan(g, k - 1, sizes)])
+    blocks = tuple(anchored[end - a:end] for a, end in zip(sizes, accumulate(sizes)))
     guaranteed, floor = sizes.count(l), min(g + 1, l * (k - 1) + 1)
     return CoveredPartition(
         plan=plan, anchor=anchor, blocks=blocks, guaranteed_blocks=guaranteed, coverage_floor=floor

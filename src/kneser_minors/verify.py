@@ -3,16 +3,20 @@
 Verifiers trust nothing but the certificate contents and the definitions:
 every edge is re-derived from label-set intersection, traces are never
 consulted, and each failed check names the offending block, class, pair or
-vertex.  The structure and shared-vertex checks first judge the whole
-certificate with set, map and bit operations (one set of all members, one
-set per block), and walk the members only to name a fault.  A block whose
-members all share a label (a nonzero AND, as in every anchored block
-``build_minor`` makes) is connected, since any two members meet; any other
-block gets the label-closure search.  Two blocks are joined exactly when
-their covered-label sets meet, so the cross-edge check works on the distinct
-covers in first-appearance order: it cuts one bit-vector of covers per label
-from the covers written as binary rows, reads a cover's reach from per-8-label
-OR tables (one OR per 8 labels), and names the first blocks of two covers.
+vertex.  The structure check first judges the whole certificate with set,
+map and bit operations, and walks the members only to name a fault.  Its one
+set of all members also settles the shared-vertex check; only when that set
+finds a repeat does it build one set per block, to tell a repeat inside a
+block (a fault) from a vertex in two blocks, which the shared-vertex check
+then walks the blocks to name.  One loop over each block takes the AND and
+the OR (its cover) of its members.  A block whose members all share a label
+(a nonzero AND, as in every anchored block ``build_minor`` makes) is
+connected, since any two members meet; any other block gets the
+label-closure search.  Two blocks are joined exactly when their covers meet,
+so the cross-edge check works on the distinct covers in first-appearance
+order: it cuts one bit-vector of covers per label from the covers written as
+binary rows, reads a cover's reach from per-8-label OR tables (one OR per 8
+labels), and names the first blocks of two covers.
 
 Each verifier is an ordered table of named checks, each name declared once,
 run by ``_run_checks``.  The structure check runs first; if it fails, every
@@ -61,35 +65,39 @@ class VerificationReport(Record):
 
 def _structure_blocks(
     n: int, k: int, blocks: Sequence[Sequence[int]], unit: str, lo: int = 1
-) -> tuple[bool, str]:
+) -> tuple[bool, str, bool]:
+    """(passed, detail, distinct): distinct is True only when one set of all
+    members showed them distinct, and False when that is not known."""
     if not (1 <= lo and 1 <= k <= n - lo + 1 and n <= MAX_LABELS):
-        return False, f"invalid parameters (n, k) = ({n}, {k})"
+        return False, f"invalid parameters (n, k) = ({n}, {k})", False
     plural = f"{unit}es" if unit.endswith("s") else f"{unit}s"
     if not blocks:
-        return False, f"certificate has no {plural}"
+        return False, f"certificate has no {plural}", False
     universe = (1 << n) - (1 << (lo - 1))
     # The whole certificate at once; the loop below only names the first fault
     # (and alone reads blocks that are not tuples or lists, as it always did).
+    # One set of all members; only when it finds a repeat, one set per block
+    # tells a repeat inside a block (a fault) from a member shared by two.
     members = list(chain.from_iterable(blocks)) if set(map(type, blocks)) <= {tuple, list} else []
     if (
         all(blocks) and set(map(type, members)) == {int}  # a member <= 0 fails one of the next two
         and not union_mask(members) & ~universe and set(map(int.bit_count, members)) == {k}
-        and sum(map(len, map(set, blocks))) == len(members)
+        and ((distinct := len(set(members)) == len(members)) or sum(map(len, map(set, blocks))) == len(members))
     ):
-        return True, f"{len(blocks)} well-formed {plural}"
+        return True, f"{len(blocks)} well-formed {plural}", distinct
     for bi, block in enumerate(blocks):
         if not block:
-            return False, f"{unit} {bi} is empty"
+            return False, f"{unit} {bi} is empty", False
         seen = set()
         for mi, mask in enumerate(block):
             if not isinstance(mask, int) or mask <= 0 or mask & ~universe:
-                return False, f"{unit} {bi} member {mi} has labels outside [{lo}, {n}]"
+                return False, f"{unit} {bi} member {mi} has labels outside [{lo}, {n}]", False
             if mask.bit_count() != k:
-                return False, f"{unit} {bi} member {mi} = {kset_text(mask)} is not a {k}-subset"
+                return False, f"{unit} {bi} member {mi} = {kset_text(mask)} is not a {k}-subset", False
             if mask in seen:
-                return False, f"{unit} {bi} repeats member {kset_text(mask)}"
+                return False, f"{unit} {bi} repeats member {kset_text(mask)}", False
             seen.add(mask)
-    return True, f"{len(blocks)} well-formed {plural}"
+    return True, f"{len(blocks)} well-formed {plural}", False
 
 
 def _unreachable_member(block: Sequence[int]) -> int | None:
@@ -111,10 +119,10 @@ def _unreachable_member(block: Sequence[int]) -> int | None:
     return next((j for j, mask in enumerate(block) if not mask & reach), None)
 
 
-def _run_checks(structure: tuple[bool, str], checks: Sequence[tuple[str, _Check]]) -> VerificationReport:
+def _run_checks(structure: tuple[bool, str, bool], checks: Sequence[tuple[str, _Check]]) -> VerificationReport:
     """The structure check's verdict, then each named check in order; if the
     structure check failed, every named check is reported skipped and none runs."""
-    head = CheckResult("structure", *structure)
+    head = CheckResult("structure", *structure[:2])
     if not head.passed:
         return VerificationReport(
             (head, *(CheckResult(name, False, "skipped: structural errors") for name, _ in checks))
@@ -127,8 +135,6 @@ def _verdict(detail: str | None, ok: str) -> tuple[bool, str]:
 
 
 def _shared_vertex(blocks: Sequence[Sequence[int]]) -> str | None:
-    if len(set(chain.from_iterable(blocks))) == sum(map(len, blocks)):
-        return None
     owner: dict[int, int] = {}
     for bi, block in enumerate(blocks):
         for mask in block:
@@ -138,25 +144,27 @@ def _shared_vertex(blocks: Sequence[Sequence[int]]) -> str | None:
     return None
 
 
-def _disconnected_block(blocks: Sequence[Sequence[int]]) -> str | None:
+def _disconnected_block(blocks: Sequence[Sequence[int]], covered: list[int]) -> str | None:
+    """The first disconnected block, or None; appends every block's cover (the
+    OR of its members) to ``covered``, past a fault too, for the cross-edge check."""
+    fault = None
     for bi, block in enumerate(blocks):
-        common = block[0]
+        common = cover = block[0]
         for mask in block:
             common &= mask
-        if common:  # members sharing a label are pairwise adjacent
-            continue
-        missing = _unreachable_member(block)
-        if missing is not None:
-            return (
+            cover |= mask
+        covered.append(cover)
+        # members sharing a label are pairwise adjacent
+        if not common and fault is None and (missing := _unreachable_member(block)) is not None:
+            fault = (
                 f"block {bi} is disconnected: member {kset_text(block[missing])} "
                 f"is unreachable from {kset_text(block[0])}"
             )
-    return None
+    return fault
 
 
-def _unjoined_blocks(n: int, blocks: Sequence[Sequence[int]]) -> str | None:
+def _unjoined_blocks(n: int, covered: Sequence[int]) -> str | None:
     # Blocks are joined iff their covers meet, so blocks of one cover are joined alike.
-    covered = list(map(union_mask, blocks))
     distinct = list(dict.fromkeys(covered))
     t = len(distinct)
     # Bit d of per_label[x] is set iff distinct cover d holds label x + 1.  Each
@@ -206,6 +214,8 @@ def verify_minor(cert: MinorCertificate) -> VerificationReport:
     """Check disjointness, per-block connectivity, all-pairs cross edges, the
     claimed order, and that the order reaches chi(n, k)."""
     blocks, t = cert.blocks, len(cert.blocks)
+    structure = _structure_blocks(cert.n, cert.k, blocks, "block")
+    covered: list[int] = []  # the connectivity check fills it, the cross-edge check reads it
 
     def order_claim() -> tuple[bool, str]:
         ok = t == cert.claimed_order
@@ -215,10 +225,10 @@ def verify_minor(cert: MinorCertificate) -> VerificationReport:
         chi = chi_of(cert.n, cert.k)
         return t >= chi, f"order {t} {'>=' if t >= chi else '<'} chi = {chi}"
 
-    return _run_checks(_structure_blocks(cert.n, cert.k, blocks, "block"), (
-        ("disjoint-blocks", lambda: _verdict(_shared_vertex(blocks), "no vertex is shared")),
-        ("block-connectivity", lambda: _verdict(_disconnected_block(blocks), "every block induces a connected subgraph")),
-        ("cross-edges", lambda: _verdict(_unjoined_blocks(cert.n, blocks), "every pair of blocks is joined")),
+    return _run_checks(structure, (
+        ("disjoint-blocks", lambda: _verdict(None if structure[2] else _shared_vertex(blocks), "no vertex is shared")),
+        ("block-connectivity", lambda: _verdict(_disconnected_block(blocks, covered), "every block induces a connected subgraph")),
+        ("cross-edges", lambda: _verdict(_unjoined_blocks(cert.n, covered), "every pair of blocks is joined")),
         ("order-claim", order_claim),
         ("witnesses-chi", witnesses_chi),
     ))

@@ -496,6 +496,19 @@ def test_env_cap_override(capsys, monkeypatch):
     assert run_cli(capsys, "minor", "--n", "9", "--k", "3")[0] == 2
 
 
+def test_a_cap_of_one_is_accepted(capsys, tmp_path, monkeypatch):
+    # 1 is the least cap allowed: verify reads it and refuses the file's 3
+    # members on the cap (exit 4), not as a usage error (exit 2).
+    target = tmp_path / "minor.json"
+    document = {"version": 1, "kind": "minor", "n": 7, "k": 3, "blocks": [[[1, 2, 3]], [[1, 4, 5], [2, 4, 6]]]}
+    target.write_text(json.dumps(document))
+    refused = (4, "", "resource cap: 3 hyperedges, above the cap of 1\n")
+    argv = ("verify", "--kind", "minor", "--in", str(target))
+    assert run_cli(capsys, *argv, "--cap", "1") == refused
+    monkeypatch.setenv("KMF_CAP", "1")
+    assert run_cli(capsys, *argv) == refused
+
+
 @pytest.mark.parametrize(
     "argv",
     [

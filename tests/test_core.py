@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from kneser_minors import (
     ColoringCertificate,
+    ConstructionError,
     OutOfScopeError,
     ParameterError,
     Params,
+    PartitionPlan,
     binomial,
     enumerate_family,
     family_A,
@@ -23,7 +26,8 @@ from kneser_minors import (
     union_mask,
     verify_coloring,
 )
-from kneser_minors.core import label_degrees, pairwise_disjoint, spread_detail
+from kneser_minors import baranyai
+from kneser_minors.core import family_detail, label_degrees, pairwise_disjoint, spread_detail
 from oracles import covered_labels, family_C, hockey_stick, spread_detail_reference
 
 
@@ -218,6 +222,20 @@ def test_a_class_of_spread_at_most_one_covers_its_floor():
                         assert union_mask(cls).bit_count() == min(g, l * k), (g, k, cls)
                         checked += 1
     assert checked == 11630
+
+
+@pytest.mark.parametrize("label", [2, 8])
+def test_a_member_one_label_off_the_ground_is_not_a_k_subset_of_it(label):
+    # The 3-subsets of [3, 7] in two classes of 5, with [3,4,5] moved to label
+    # lo - 1 or hi + 1: the count, the popcounts and the distinctness still hold,
+    # so only the range test names it, in the verifier's function and the engine's check.
+    family = enumerate_family(3, 7, 3)
+    bad = kset_mask([label, 4, 5])
+    classes = ((bad, *family[1:5]), tuple(family[5:]))
+    detail = f"member {kset_text(bad)} is not a 3-subset of [3, 7]"
+    assert family_detail(classes, 3, 7, 3) == detail
+    with pytest.raises(ConstructionError, match=re.escape(f"classes do not partition the full family: {detail}")):
+        baranyai._self_check(PartitionPlan((3, 7), 3, (5, 5)), classes)
 
 
 class TestEnumerateFamily:

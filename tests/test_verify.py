@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+from array import array
 
 import pytest
 from hypothesis import event, given, settings
@@ -746,6 +747,71 @@ def test_cross_edges_skip_only_covers_that_meet_all_by_count():
         detail = f"{want} are joined by no edge"
         assert unjoined_blocks_pairwise(blocks) == unjoined_blocks_reference(8, blocks) == detail
         assert check_map(verify_minor(bare_minor(8, 2, blocks)))["cross-edges"].detail == detail
+
+
+def minor_report(*checks):
+    names = ("structure", "disjoint-blocks", "block-connectivity", "cross-edges", "order-claim", "witnesses-chi")
+    return VerificationReport(tuple(CheckResult(name, *check) for name, check in zip(names, checks, strict=True)))
+
+
+def masks(*blocks, block=tuple):
+    return tuple(block(map(kset_mask, members)) for members in blocks)
+
+
+SKIPPED = (False, "skipped: structural errors")
+JOINED_7_3 = (
+    (True, "every block induces a connected subgraph"), (True, "every pair of blocks is joined"),
+    (True, "2 blocks"), (False, "order 2 < chi = 18"),
+)
+
+
+@pytest.mark.parametrize(
+    "blocks, want",
+    [
+        # A vertex shared by blocks 0 and 1 comes first, then a repeat inside
+        # block 1: the whole-certificate set fails, the per-block sets name the repeat.
+        (
+            masks([[1, 2, 3], [1, 4, 5]], [[1, 4, 5], [2, 4, 6], [2, 4, 6]]),
+            minor_report((False, "block 1 repeats member [2,4,6]"), *[SKIPPED] * 5),
+        ),
+        # Only shared across blocks: the structure holds and disjoint-blocks names the pair.
+        (
+            masks([[1, 2, 3], [1, 4, 5]], [[1, 4, 5], [4, 6, 7]]),
+            minor_report(
+                (True, "2 well-formed blocks"), (False, "vertex [1,4,5] appears in blocks 0 and 1"), *JOINED_7_3
+            ),
+        ),
+        # Blocks held in arrays pass the structure check by its per-member loop,
+        # so no set of all members was built: disjoint-blocks walks the blocks.
+        (
+            masks([[1, 2, 3], [1, 4, 5]], [[1, 4, 5], [4, 6, 7]], block=functools.partial(array, "Q")),
+            minor_report(
+                (True, "2 well-formed blocks"), (False, "vertex [1,4,5] appears in blocks 0 and 1"), *JOINED_7_3
+            ),
+        ),
+        (
+            masks([[1, 2, 3], [1, 4, 5]], [[2, 4, 6], [4, 6, 7]], block=functools.partial(array, "Q")),
+            minor_report((True, "2 well-formed blocks"), (True, "no vertex is shared"), *JOINED_7_3),
+        ),
+    ],
+    ids=["repeat-after-shared", "shared-only", "per-member-loop-shared", "per-member-loop-distinct"],
+)
+def test_disjoint_blocks_reads_the_structure_checks_member_set(blocks, want):
+    assert verify_minor(bare_minor(7, 3, blocks)) == want
+
+
+def test_cross_edges_read_every_cover_past_a_disconnected_block():
+    # Blocks 0 and 3 are disconnected, and blocks 1 and 2 between them have
+    # disjoint covers: the first disconnected block and the first unjoined pair are named.
+    blocks = masks([[1, 2, 3], [4, 5, 6]], [[1, 2, 7]], [[4, 5, 8]], [[3, 6, 7], [1, 4, 8]])
+    assert verify_minor(bare_minor(8, 3, blocks)) == minor_report(
+        (True, "4 well-formed blocks"),
+        (True, "no vertex is shared"),
+        (False, "block 0 is disconnected: member [4,5,6] is unreachable from [1,2,3]"),
+        (False, "blocks 1 and 2 are joined by no edge"),
+        (True, "4 blocks"),
+        (False, "order 4 < chi = 28"),
+    )
 
 
 class TestSerialization:
