@@ -232,7 +232,6 @@ def _max_flow(
                             od[w] = level + 1
                             tier.append(w)
                 front, level, side, other = tier, level + 1, other, side
-            queues = [[u for u in queues[0] if da[u] < top], [u for u in queues[1] if db[u] < top]]
         for s in (0, 1):
             res, arcs, head, own, rev, ex, d = sides[s]
             oex, od = sides[1 - s][5:]
@@ -342,8 +341,6 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
         load = [sum(flow[lo:hi]) for lo, hi in zip(cstart, cstart[1:])]  # copies each group absorbed
         if any(not m * (a // 2) <= x <= m * -(a // -2) for m, a, x in zip(mult, slots, load)):
             raise ConstructionError(f"label step {v}: could not meet per-class floor and ceiling loads")
-        if any(sum(map(flow.__getitem__, pairs)) != d for pairs, d in zip(tpairs, demand)):
-            raise ConstructionError(f"label step {v}: could not meet absorption demands")
     else:
         sres = [m * (a // unplaced) for m, a in zip(mult, slots)]
         flow, tres = [0] * len(cnt), demand[:]
@@ -359,7 +356,7 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
     # order because v's bit is above every placed bit, so every kept id is
     # below len(keep) and every grown id at or above it.
     keep = [t for t in range(len(masks)) if tot[t] > demand[t]]
-    grow = [t for t, m in enumerate(masks) if demand[t] and m.bit_count() + 1 < k]
+    grow = [t for t, m in enumerate(masks) if m.bit_count() + 1 < k]
     kid, gid = [0] * len(masks), [-1] * len(masks)
     for i, t in enumerate(keep):
         kid[t] = i

@@ -17,7 +17,7 @@ engine's self-check and the verifiers alike (the ``*_detail`` functions).
 ``family_detail`` and ``spread_detail`` judge the whole family with C-level
 set, map and bit operations first and walk the members only to name a fault;
 ``spread_detail`` passes at once when the class unions' popcounts sum to the
-members' (every class is then pairwise disjoint), else each such class at once.
+members' (every class is then pairwise disjoint), else counts every class's degrees.
 """
 
 from __future__ import annotations
@@ -36,15 +36,13 @@ _INT64_MAX = 2**63 - 1
 
 
 def binomial(a: int, b: int) -> int:
-    """Return C(a, b) exactly; 0 when b > a.
+    """Return C(a, b) exactly; 0 when b > a, as ``math.comb`` gives it.
 
     Results are checked against the signed 64-bit range so that counting can
     never overflow silently if ported to fixed-width arithmetic.
     """
     if a < 0 or b < 0:
         raise ParameterError(f"binomial needs non-negative arguments, got ({a}, {b})")
-    if b > a:
-        return 0
     # From min(b, a - b) = 34 on, C(a, b) >= C(68, 34) > 2**63 - 1: no need to compute it.
     if min(b, a - b) >= 34 or (value := math.comb(a, b)) > _INT64_MAX:
         raise OutOfScopeError(f"binomial({a}, {b}) exceeds the 64-bit range")
@@ -208,16 +206,14 @@ def family_detail(classes: Sequence[Sequence[int]], lo: int, hi: int, k: int) ->
 def spread_detail(classes: Sequence[Sequence[int]], lo: int, hi: int) -> str | None:
     """The first class whose degrees on labels lo..hi differ by more than one, or None.
 
-    Every member must lie inside [1, hi], as ``family_detail`` ensures.  A class
-    of pairwise-disjoint members has every degree 0 or 1, so it passes at once;
-    only the other classes count their degrees.
+    Every member must lie inside [1, hi], as ``family_detail`` ensures.  When the
+    class unions' popcounts sum to the members', every class is pairwise disjoint,
+    so every degree is 0 or 1 and all pass at once; else every class counts its degrees.
     """
     unions = map(reduce, repeat(or_), classes, repeat(0))  # each at most its members' popcount sum
     if sum(map(int.bit_count, unions)) == sum(map(int.bit_count, chain.from_iterable(classes))):
         return None
     for ci, cls in enumerate(classes):
-        if pairwise_disjoint(cls):
-            continue
         degrees = label_degrees(cls, hi)[lo - 1:]
         hi_deg, lo_deg = max(degrees), min(degrees)
         if hi_deg - lo_deg > 1:

@@ -132,7 +132,7 @@ def _require(document: Any, key: str, kind: type, where: str) -> Any:
     value = document[key]
     if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
         raise ParameterError(f"{where}: field {key!r} must be an integer")
-    if kind is not int and not isinstance(value, kind):
+    if not isinstance(value, kind):
         raise ParameterError(f"{where}: field {key!r} has the wrong type")
     return value
 

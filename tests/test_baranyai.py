@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 import sys
 import threading
 from itertools import accumulate
@@ -63,6 +64,11 @@ class TestPlan:
         assert uniform_sizes(10, 3) == (3, 3, 3, 1)
         assert uniform_sizes(6, 3) == (3, 3)
         assert uniform_sizes(2, 5) == (2,)
+
+    @pytest.mark.parametrize("total,block_size", [(0, 2), (-4, 2), (6, 0), (6, -2)])
+    def test_uniform_sizes_refuses_a_total_or_block_size_below_one(self, total, block_size):
+        with pytest.raises(ParameterError, match="^total and block_size must be positive$"):
+            uniform_sizes(total, block_size)
 
 
 class TestEngine:
@@ -639,13 +645,28 @@ class TestClosingSteps:
             (([0b011], [0, 1], [4], [0, 1], [0], [2]), 4, 2, "could not meet per-class floor and ceiling loads"),
             # Well-formed copies, but the class claims two free slots for one copy at the last step.
             (([0b0011], [0, 1], [2], [0, 1], [0], [1]), 5, 1, "could not meet per-class loads"),
+            # Well-formed copies, but the class claims no free slot for the loop pair's one absorbed copy.
+            (([0b011], [0, 1], [0], [0, 1], [0], [2]), 4, 2, "could not meet per-class floor and ceiling loads"),
+            # Two loop pairs each absorb a copy, above the ceiling of one of a class with two free slots.
+            (([0b011, 0b101], [0, 1], [2], [0, 2], [0, 1], [2, 2]), 4, 2,
+             "could not meet per-class floor and ceiling loads"),
         ],
         ids=["three-copies-in-three-groups", "three-copies-in-one-pair", "two-labels-at-the-last-step",
-             "slots-above-a-loop-pair", "slots-above-the-last-copy"],
+             "slots-above-a-loop-pair", "slots-above-the-last-copy", "no-slot-for-a-loop-pair",
+             "two-loop-pairs-for-two-slots"],
     )
     def test_a_malformed_closing_step_is_a_construction_error(self, state, v, unplaced, message):
         with pytest.raises(ConstructionError, match=f"^label step {v}: {message}"):
             baranyai._absorption_step(state, [[] for _ in range(state[1][-1])], 3, v, unplaced)
+
+
+def test_classes_off_the_plan_sizes_are_a_construction_error():
+    plan = PartitionPlan((1, 4), 2, (2, 2, 2))
+    classes = almost_regular_partition(plan).classes
+    drifted = (classes[0] + classes[1][:1], classes[1][1:], classes[2])
+    message = "class sizes drifted from the plan: class sizes (3, 1, 2) != plan (2, 2, 2)"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        baranyai._self_check(plan, drifted)
 
 
 def test_circle_cut_classes_are_matchings():

@@ -38,6 +38,9 @@ class TestChi:
             chi_of(n, k)
         assert type(info.value) is ParameterError and str(info.value) == message
 
+    def test_k_equal_to_n_is_one_class(self):
+        assert chi_of(5, 5) == chi_of(1, 1) == 1
+
 
 class TestColoring:
     def test_7_3(self):

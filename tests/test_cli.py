@@ -14,6 +14,7 @@ from kneser_minors import (
     build_coloring,
     build_minor,
     serialize,
+    verify_coloring,
     verify_minor,
     verify_partition,
 )
@@ -201,6 +202,34 @@ class TestVerifyCommand:
         assert "ground" in err
 
     @pytest.mark.parametrize(
+        "kind,edit,message",
+        [
+            # Without the bool check, [true, 2, 3] reads as [1, 2, 3], block 0's member, and the file verifies.
+            ("minor", lambda d: d["blocks"][0].__setitem__(0, [True, 2, 3]), "blocks[0][0]: label True is not an integer"),
+            ("minor", lambda d: d["blocks"][0].__setitem__(0, []), "blocks[0][0]: expected a nonempty label array"),
+            ("minor", lambda d: d.__setitem__("n", True), "minor: field 'n' must be an integer"),
+            ("minor", lambda d: d.__setitem__("n", "8"), "minor: field 'n' must be an integer"),
+            ("minor", lambda d: d.update(coloring_to_dict(build_coloring(Params(8, 3)))),
+             "expected a minor certificate, found kind = 'coloring'"),
+            # A true in place of a 1 reads as 1, so without the bool checks these files verify.
+            ("partition", lambda d: d.__setitem__("ground", [True, 4]), "partition: ground must be [lo, hi]"),
+            ("partition", lambda d: d["ground"].append(4), "partition: ground must be [lo, hi]"),
+            ("partition", lambda d: d["sizes"].__setitem__(0, True), "partition: sizes must be integers"),
+        ],
+        ids=["label-true", "empty-label-array", "n-true", "n-string", "coloring-as-minor", "ground-true", "ground-of-three",
+             "sizes-true"],
+    )
+    def test_a_malformed_field_is_a_usage_error(self, capsys, tmp_path, kind, edit, message):
+        if kind == "minor":
+            doc = serialize.minor_to_dict(build_minor(Params(8, 3)))
+        else:
+            doc = serialize.partition_to_dict(almost_regular_partition(PartitionPlan((1, 4), 2, (1, 2, 3))))
+        edit(doc)
+        target = tmp_path / f"{kind}.json"
+        target.write_text(json.dumps(doc))
+        assert run_cli(capsys, "verify", "--kind", kind, "--in", str(target)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "kind,doc",
         [
             ("coloring", {"version": 1, "kind": "coloring", "n": 64, "k": 32, "classes": [[list(range(1, 33))]]}),
@@ -353,6 +382,12 @@ class TestPartitionCommand:
         assert code == 2
         assert "cannot parse sizes" in err
 
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_a_block_size_below_one_is_a_usage_error(self, capsys, size):
+        assert run_cli(capsys, "partition", "--n", "4", "--k", "2", "--block-size", size) == (
+            2, "", "error: total and block_size must be positive\n"
+        )
+
     def test_rejected_partition_prints_its_report(self, capsys, monkeypatch):
         # A verifier that sees the last class dropped.
         def last_class_dropped(part):
@@ -417,6 +452,12 @@ class TestTableCommand:
     def test_range_check(self, capsys):
         assert run_cli(capsys, "table", "--n-min", "5", "--n-max", "20")[0] == 2
 
+    @pytest.mark.parametrize("n_min,n_max", [("20", "15"), ("12", "36")])
+    def test_a_reversed_or_too_wide_range_is_a_usage_error(self, capsys, n_min, n_max):
+        assert run_cli(capsys, "table", "--n-min", n_min, "--n-max", n_max) == (
+            2, "", f"error: table range [{n_min}, {n_max}] outside [12, 35]\n"
+        )
+
     def test_mismatching_reference_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "K3_TABLE_REFERENCE", {**K3_TABLE_REFERENCE, 19: (6, 168, None, 162)})
         code, out, _ = run_cli(capsys, "table")
@@ -445,6 +486,28 @@ class TestGridCommand:
 
     def test_bad_k_list(self, capsys):
         assert run_cli(capsys, "grid", "--k", "three", "--cap", "100")[0] == 2
+
+    @pytest.mark.parametrize("failing", ["minor", "coloring"])
+    def test_an_instance_fails_when_either_verifier_fails(self, capsys, monkeypatch, failing):
+        # The verifier of one kind sees the (8, 3) certificate with its last block or class dropped.
+        def dropped(verify, field):
+            def verify_dropped(cert):
+                if cert.n == 8:
+                    cert = replaced(cert, **{field: getattr(cert, field)[:-1]})
+                return verify(cert)
+            return verify_dropped
+
+        if failing == "minor":
+            monkeypatch.setattr(cli, "verify_minor", dropped(verify_minor, "blocks"))
+        else:
+            monkeypatch.setattr(cli, "verify_coloring", dropped(verify_coloring, "classes"))
+        code, out, _ = run_cli(capsys, "grid", "--k", "3", "--cap", "100")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[1] == f"k=3 n=8 order=30 chi=28 minor={'FAIL' if failing == 'minor' else 'PASS'} " + (
+            f"coloring={'FAIL' if failing == 'coloring' else 'PASS'}"
+        )
+        assert lines[-1] == "grid: 3 instance(s), 2 passed"
 
 
 class TestDeterminism:

@@ -27,7 +27,7 @@ from kneser_minors import (
     verify_coloring,
 )
 from kneser_minors import baranyai
-from kneser_minors.core import family_detail, label_degrees, pairwise_disjoint, spread_detail
+from kneser_minors.core import family_detail, label_degrees, label_list, pairwise_disjoint, spread_detail
 from oracles import covered_labels, family_C, hockey_stick, spread_detail_reference
 
 
@@ -52,6 +52,13 @@ class TestBinomial:
             binomial(-1, 2)
         with pytest.raises(ParameterError):
             binomial(4, -2)
+        with pytest.raises(ParameterError):
+            binomial(4, -1)
+
+    def test_the_64_bit_bound_is_inclusive(self):
+        assert binomial(2**63 - 1, 1) == 2**63 - 1
+        with pytest.raises(OutOfScopeError, match="64-bit range"):
+            binomial(2**63, 1)
 
     def test_overflow_guard(self):
         with pytest.raises(OutOfScopeError):
@@ -101,6 +108,9 @@ class TestKsets:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
         assert (proc.returncode, proc.stdout) == (0, "negative mask -1\n")
+
+    def test_the_empty_mask_has_no_labels(self):
+        assert (label_list(0), kset_labels(0), kset_text(0)) == ([], (), "[]")
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ParameterError):
@@ -238,6 +248,19 @@ def test_a_member_one_label_off_the_ground_is_not_a_k_subset_of_it(label):
         baranyai._self_check(PartitionPlan((3, 7), 3, (5, 5)), classes)
 
 
+def test_a_repeated_member_is_named():
+    family = enumerate_family(1, 4, 2)
+    classes = (tuple(family[:3]), (family[2], *family[3:5]))
+    assert family_detail(classes, 1, 4, 2) == f"member {kset_text(family[2])} appears twice"
+
+
+def test_a_member_inside_the_ground_with_too_few_labels_is_named():
+    # [3,4] lies inside [3, 7] but has two labels: only the popcount test names it.
+    family = enumerate_family(3, 7, 3)
+    classes = ((kset_mask([3, 4]), *family[1:5]), tuple(family[5:]))
+    assert family_detail(classes, 3, 7, 3) == "member [3,4] is not a 3-subset of [3, 7]"
+
+
 class TestEnumerateFamily:
     def test_single(self):
         assert enumerate_family(1, 3, 3) == [kset_mask([1, 2, 3])]
@@ -252,6 +275,9 @@ class TestEnumerateFamily:
         fam = enumerate_family(2, 7, 2)
         assert len(fam) == 15
         assert set(fam) == masks_by_hand(2, 7, 2)
+
+    def test_the_whole_label_range(self):
+        assert enumerate_family(1, 64, 64) == [2**64 - 1]
 
     def test_interval_too_small(self):
         with pytest.raises(ParameterError):
@@ -350,3 +376,37 @@ class TestHockeyStick:
 def test_params_grid_small_cap():
     grid = params_grid([3], 100)
     assert [(p.n, p.k) for p in grid] == [(7, 3), (8, 3), (9, 3)]
+
+
+def test_params_grid_cap_is_inclusive_and_an_empty_grid_is_no_error():
+    assert params_grid((3,), 35) == [Params(7, 3)]  # C(7, 3) = 35
+    assert params_grid((31,), 10) == []  # 2 * 31 + 1 = 63 labels fit; C(63, 31) does not
+
+
+def test_params_grid_stops_at_the_label_cap():
+    # C(64, 3) = 41664 is far below the cap, so the label cap ends the walk over n.
+    grid = params_grid((3,), 10**9)
+    assert grid[-1] == Params(64, 3) and len(grid) == 64 - 6
+
+
+def test_a_field_given_by_position_and_keyword_is_a_type_error():
+    with pytest.raises(TypeError, match=r"^Params\(\) takes each of \(n, k\) once$"):
+        Params(11, n=12)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: enumerate_family(0, 5, 2), "bad label interval [0, 5]"),
+        (lambda: enumerate_family(4, 3, 1), "bad label interval [4, 3]"),
+        (lambda: enumerate_family(1, 65, 2), "bad label interval [1, 65]"),
+        (lambda: enumerate_family(2, 6, 0), "interval [2, 6] has no 0-subsets"),
+        (lambda: enumerate_family(2, 6, 6), "interval [2, 6] has no 6-subsets"),
+        (lambda: family_A(0, Params(7, 3)), "i = 0 outside [1, 5] for (n, k) = (7, 3)"),
+        (lambda: family_A(6, Params(7, 3)), "i = 6 outside [1, 5] for (n, k) = (7, 3)"),
+    ],
+    ids=["lo-0", "lo-above-hi", "hi-65", "k-0", "k-above-width", "family-A-i-0", "family-A-i-above-n-k-1"],
+)
+def test_family_range_errors(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call()

@@ -366,3 +366,9 @@ class TestK3Table:
     def test_range_validation(self):
         with pytest.raises(ParameterError):
             k3_table_rows(10, 20)
+
+    def test_default_range_and_its_ends(self):
+        assert [row.n for row in k3_table_rows()] == list(range(12, 36))
+        for n_min, n_max in ((11, 12), (35, 36)):
+            with pytest.raises(ParameterError, match=r"^table range \["):
+                k3_table_rows(n_min, n_max)

@@ -210,6 +210,20 @@ def test_validation_errors_and_messages(build, error, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "plan,message",
+    [
+        (lambda: PartitionPlan((1, 5), 0, (1,)), "k = 0 invalid for ground of 5 labels"),
+        (lambda: PartitionPlan((5, 4), 1, (1,)), "bad ground interval [5, 4]"),
+        (lambda: PartitionPlan((1, 5), 2, ()), "class sizes must be positive"),
+    ],
+    ids=["k-0", "lo-above-hi", "no-sizes"],
+)
+def test_plan_messages(plan, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        plan()
+
+
 def run_fresh(code=None, argv=()):
     src = str(Path(kneser_minors.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

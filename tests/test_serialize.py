@@ -20,7 +20,7 @@ import sys
 from collections import OrderedDict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kneser_minors import (
@@ -321,6 +321,8 @@ def label_rows(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(label_rows())
+@example(([(0b111,)], -1, 3))  # n < 1 and k <= n < 1 build no tables
+@example(([(0b111,)], -2, -2))
 def test_label_lists_match_the_reference(case):
     assert written(_label_lists, *case) == written(label_lists_reference, *case)
 
@@ -357,6 +359,19 @@ def test_table_label_arrays_are_fresh_lists(monkeypatch):
         assert arrays[:i] + arrays[i + 1:] == before[:i] + before[i + 1:]
         labels.pop()
     assert out == label_lists_reference(rows, 8, 3)
+
+
+@pytest.mark.parametrize("n,k", [(100000, 99999), (10, 10**9)])
+def test_a_coloring_file_past_the_label_cap_writes_back_at_once(n, k):
+    # The table test sums over range(k + 1); k <= n <= 64 bounds that loop, so a
+    # coloring file read and written back takes no time, whatever its n and k.
+    code = (
+        "from kneser_minors.serialize import coloring_from_dict, coloring_to_dict\n"
+        f"doc = {{'version': 1, 'kind': 'coloring', 'n': {n}, 'k': {k}, 'classes': [[[1, 2, 3]]]}}\n"
+        "print(coloring_to_dict(coloring_from_dict(doc))['classes'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[[[1, 2, 3]]]\n", "")
 
 
 def test_a_wide_certificate_builds_no_tables():

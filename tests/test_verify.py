@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, given, settings
@@ -211,6 +212,11 @@ class TestVerifyMinor:
         assert not report.passed
         assert [c.name for c in report.checks if not c.passed] == ["witnesses-chi"]
         assert check_map(report)["witnesses-chi"].detail == "order 5 < chi = 28"
+
+    def test_order_equal_to_chi_passes(self):
+        cert = build_minor(Params(8, 3))
+        report = verify_minor(replaced(cert, blocks=cert.blocks[:28], claimed_order=28))
+        assert report.passed and check_map(report)["witnesses-chi"].detail == "order 28 >= chi = 28"
 
     def test_malformed_kset(self):
         cert = bare_minor(7, 3, ((kset_mask([1, 2]),),))
@@ -596,6 +602,31 @@ def test_structural_errors_skip_every_named_check(verify, valid, broken, detail)
     assert [(c.passed, c.detail) for c in failing.checks[1:]] == [(False, "skipped: structural errors")] * (
         len(passing.checks) - 1
     )
+
+
+@pytest.mark.parametrize(
+    "verify,broken,detail",
+    [
+        (verify_minor, replaced(MINOR_8_3, n=65), "invalid parameters (n, k) = (65, 3)"),
+        (verify_coloring, replaced(COLORING_7_3, k=8), "invalid parameters (n, k) = (7, 8)"),
+        # No plan holds a ground from label 0, so a stand-in plan carries it.
+        (
+            verify_partition,
+            AlmostRegularPartition(SimpleNamespace(ground=(0, 5), k=2, sizes=(5, 5)), PARTITION_1_5.classes),
+            "invalid parameters (n, k) = (5, 2)",
+        ),
+        (
+            verify_partition,
+            AlmostRegularPartition(SimpleNamespace(ground=(3, 8), k=7, sizes=(1,)), ((0b11111100,),)),
+            "invalid parameters (n, k) = (8, 7)",
+        ),
+    ],
+    ids=["minor-n-65", "coloring-k-above-n", "partition-lo-0", "partition-k-above-width"],
+)
+def test_parameters_out_of_range_fail_the_structure_check(verify, broken, detail):
+    head, *rest = verify(broken).checks
+    assert (head.name, head.passed, head.detail) == ("structure", False, detail)
+    assert rest and all(c.detail == "skipped: structural errors" for c in rest)
 
 
 PARTITION_3_8 = almost_regular_partition(PartitionPlan((3, 8), 3, uniform_sizes(20, 4)))
