@@ -5,7 +5,7 @@ Usage (from the repository root; needs pytest and hypothesis):
 
     python tools/mutate.py --list                  # every mutant, no runs
     python tools/mutate.py --out audit.jsonl       # run them all, two at a time
-    python tools/mutate.py --modules core,serialize --only core:45:8:del-stmt:0
+    python tools/mutate.py --only core:45:8:del-stmt:0,serialize:97:8:del-stmt:0  # these mutants only
     python tools/mutate.py --tests OTHER_TREE      # mutate this src/, run OTHER_TREE/tests
     python tools/mutate.py --only ID,... --select tests/test_cli.py::TestGridCommand  # these tests only
     python tools/mutate.py --selftest              # under a minute
@@ -26,11 +26,11 @@ Operators, one mutant per site and variant:
 
 A mutant is the module's text with one node's span replaced by the mutated
 node's ``ast.unparse``; the result must parse to exactly the mutated tree, or
-the whole module is written by ``ast.unparse`` instead.  Nodes inside
-f-strings are not mutated (they only change message text).
+``mutants`` raises.  Nodes inside f-strings are not mutated (they only change
+message text).
 
 Each worker owns one copy of ``src/`` and ``tests/`` in a temporary directory
-and runs at most one pytest at a time; at most two workers run.  A mutant is
+and runs at most one pytest at a time; two workers run (one on a single CPU).  A mutant is
 *killed* when pytest fails (exit status not 0) or runs past ``--timeout``
 seconds, and *survives* when the suite passes.  Runs use no bytecode cache,
 a fresh hypothesis database and ``--hypothesis-seed=0``, so a verdict does not
@@ -71,6 +71,7 @@ _FLIP = {
     ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In,
 }
 _JUMPS = (ast.Raise, ast.Return, ast.Continue, ast.Break)
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 def _parents(tree: ast.AST) -> dict[ast.AST, ast.AST]:
@@ -181,28 +182,36 @@ def mutants(path: Path, module: str) -> list[dict]:
                 _replace(_parents(mutant)[mnode], mnode, new)
             text = ast.unparse(new)
             spliced = _splice(source, node, text if isinstance(new, ast.stmt) else f"({text})")
+            key = f"{module}:{node.lineno}:{node.col_offset}:{operator}:{j}"
             try:
                 exact = ast.dump(ast.parse(spliced)) == ast.dump(mutant)
             except SyntaxError:
                 exact = False
+            if not exact:
+                raise ValueError(f"{key}: the spliced text does not parse to the mutated tree")
             line = source.splitlines()[node.lineno - 1].decode().strip()
-            key = f"{module}:{node.lineno}:{node.col_offset}:{operator}:{j}"
             seen[key] = seen.get(key, 0) + 1  # nested operators can start at one column: outer first
             out.append({
                 "id": key if seen[key] == 1 else f"{key}.{seen[key]}",
                 "module": module, "line": node.lineno, "operator": operator,
                 "description": description, "source_line": line,
-                "text": spliced.decode() if exact else ast.unparse(mutant) + "\n",
+                "text": spliced.decode(),
             })
     return out
 
 
-def all_mutants(src: Path, modules: list[str] | None) -> list[dict]:
-    files = sorted((src / PACKAGE).glob("*.py"))
-    names = [f.stem for f in files if modules is None or f.stem in modules]
-    if modules is not None and set(modules) - set(names):
-        raise SystemExit(f"no such module: {sorted(set(modules) - set(names))}")
-    return [m for name in names for m in mutants(src / PACKAGE / f"{name}.py", name)]
+def all_mutants(src: Path, only: list[str] | None) -> list[dict]:
+    """The mutants of every module, or those named in ``only`` (an id starts with its module)."""
+    names = sorted(f.stem for f in (src / PACKAGE).glob("*.py"))
+    if only is not None:
+        names = [name for name in names if any(i.startswith(f"{name}:") for i in only)]
+    chosen = [m for name in names for m in mutants(src / PACKAGE / f"{name}.py", name)]
+    if only is None:
+        return chosen
+    unknown = set(only) - {m["id"] for m in chosen}
+    if unknown:
+        raise SystemExit(f"no such mutant: {sorted(unknown)}")
+    return [m for m in chosen if m["id"] in set(only)]
 
 
 def _test_files(tests: Path, module: str | None) -> list[str]:
@@ -248,7 +257,7 @@ class Worker:
         shutil.rmtree(self.dir, ignore_errors=True)
 
 
-def audit(chosen: list[dict], src_root: Path, tests_root: Path, workers: int, timeout: float, out,
+def audit(chosen: list[dict], src_root: Path, tests_root: Path, timeout: float, out,
           select: list[str] | None = None) -> list[dict]:
     todo: queue.Queue = queue.Queue()
     for m in chosen:
@@ -277,7 +286,7 @@ def audit(chosen: list[dict], src_root: Path, tests_root: Path, workers: int, ti
         finally:
             worker.close()
 
-    threads = [threading.Thread(target=work) for _ in range(workers)]
+    threads = [threading.Thread(target=work) for _ in range(WORKERS)]
     try:
         for t in threads:
             t.start()
@@ -289,14 +298,13 @@ def audit(chosen: list[dict], src_root: Path, tests_root: Path, workers: int, ti
 
 
 def selftest() -> int:
-    """Every operator's mutants of ``core`` parse and differ; one mutant is killed by its test."""
+    """Every operator's mutants of ``core`` splice exactly and differ; one mutant is killed by its test."""
     source = (ROOT / "src" / PACKAGE / "core.py").read_text(encoding="utf-8")
     found = mutants(ROOT / "src" / PACKAGE / "core.py", "core")
     missing = set(OPERATORS) - {m["operator"] for m in found}
     assert not missing, f"operators with no mutant of core: {sorted(missing)}"
     for m in found:
         assert m["text"] != source, m["id"]
-        ast.parse(m["text"])
     assert len({m["text"] for m in found}) == len(found), "two mutants are the same text"
     # kset_mask without its bool check reads [true, 2, 3] as [1, 2, 3].
     target = next(m for m in found if m["operator"] == "drop-operand"
@@ -311,7 +319,7 @@ def selftest() -> int:
         shutil.rmtree(base, ignore_errors=True)
     assert clean["status"] == "survived", f"{test} fails on the unmutated tree: {clean}"
     assert mutated["status"] == "killed", f"{test} does not kill {target['id']}: {mutated}"
-    print(f"selftest: {len(found)} mutants of core over {len(OPERATORS)} operators parse and differ; "
+    print(f"selftest: {len(found)} mutants of core over {len(OPERATORS)} operators splice exactly and differ; "
           f"{target['id']} killed by {mutated['by']}")
     return 0
 
@@ -320,9 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT, help="tree whose src/ is mutated (default: this one)")
     parser.add_argument("--tests", type=Path, default=None, help="tree whose tests/ run (default: --src)")
-    parser.add_argument("--modules", type=lambda s: s.split(","), default=None, help="comma-separated module names")
     parser.add_argument("--only", type=lambda s: s.split(","), default=None, help="comma-separated mutant ids")
-    parser.add_argument("--workers", type=int, choices=(1, 2), default=2)
     parser.add_argument("--timeout", type=float, default=240.0, help="seconds per mutant before it counts as killed")
     parser.add_argument("--select", nargs="+", default=None, help="run these test files or ids, not all of tier-1")
     parser.add_argument("--out", type=Path, default=None, help="append one JSON line per mutant here")
@@ -331,12 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.selftest:
         return selftest()
-    chosen = all_mutants(args.src / "src", args.modules)
-    if args.only is not None:
-        unknown = set(args.only) - {m["id"] for m in chosen}
-        if unknown:
-            raise SystemExit(f"no such mutant: {sorted(unknown)}")
-        chosen = [m for m in chosen if m["id"] in set(args.only)]
+    chosen = all_mutants(args.src / "src", args.only)
     chosen.sort(key=lambda m: OPERATORS.index(m["operator"]))
     if args.list:
         for m in chosen:
@@ -344,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{len(chosen)} mutants", file=sys.stderr)
         return 0
     with open(args.out, "a", encoding="utf-8") if args.out else open(os.devnull, "w") as out:
-        results = audit(chosen, args.src, args.tests or args.src, args.workers, args.timeout, out, args.select)
+        results = audit(chosen, args.src, args.tests or args.src, args.timeout, out, args.select)
     survivors = sorted((r for r in results if r["status"] == "survived"), key=lambda r: r["id"])
     for r in survivors:
         print(f"SURVIVED {r['id']:45} {r['description']:30} {r['source_line']}")
