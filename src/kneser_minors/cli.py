@@ -103,21 +103,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     mismatches = 0
     print(f"{'n':>3} {'l':>3} {'f(n)':>6} {'g(n)':>6} {'chi':>5}  check")
     for row in rows:
-        ref = K3_TABLE_REFERENCE.get(row.n)
-        notes = []
-        if ref is not None:
-            ref_l, ref_order, ref_bound, ref_chi = ref
-            if row.l != ref_l:
-                notes.append(f"l != reference {ref_l}")
-            if ref_order is not None and row.order_exact != ref_order:
-                notes.append(f"f != reference {ref_order}")
-            if ref_bound is not None and row.order_bound_floor != ref_bound:
-                notes.append(f"g != reference {ref_bound}")
-            if row.chi != ref_chi:
-                notes.append(f"chi != reference {ref_chi}")
+        values = (row.l, row.order_exact, row.order_bound_floor, row.chi)
+        notes = [  # an order or bound the reference does not record is not compared
+            f"{name} != reference {ref}"
+            for name, value, ref in zip(("l", "f", "g", "chi"), values, K3_TABLE_REFERENCE.get(row.n, ()))
+            if ref is not None and value != ref
+        ]
         status = "ok" if not notes else "MISMATCH: " + "; ".join(notes)
-        if notes:
-            mismatches += 1
+        mismatches += bool(notes)
         print(
             f"{row.n:>3} {row.l:>3} {row.order_exact:>6} {row.order_bound_floor:>6} {row.chi:>5}  {status}"
         )

@@ -4,11 +4,12 @@ Verifiers trust nothing but the certificate contents and the definitions:
 every edge is re-derived from label-set intersection, traces are never
 consulted, and each failed check names the offending block, class, pair or
 vertex.  The structure check first judges the whole certificate with set,
-map and bit operations, and walks the members only to name a fault.  Its one
-set of all members also settles the shared-vertex check; only when that set
-finds a repeat does it build one set per block, to tell a repeat inside a
-block (a fault) from a vertex in two blocks, which the shared-vertex check
-then walks the blocks to name.  One loop over each block takes the AND and
+map and bit operations; its one set of all members also settles the
+shared-vertex check.  Only when that set finds a repeat, or the blocks are
+not tuples or lists, does one walk keep each member's latest block: it names
+the first fault in block order, a repeat inside a block among them, and the
+first member met in a second block, which the shared-vertex check reports
+with no walk of its own.  One loop over each block takes the AND and
 the OR (its cover) of its members.  A block whose members all share a label
 (a nonzero AND, as in every anchored block ``build_minor`` makes) is
 connected, since any two members meet; any other block gets the
@@ -65,39 +66,41 @@ class VerificationReport(Record):
 
 def _structure_blocks(
     n: int, k: int, blocks: Sequence[Sequence[int]], unit: str, lo: int = 1
-) -> tuple[bool, str, bool]:
-    """(passed, detail, distinct): distinct is True only when one set of all
-    members showed them distinct, and False when that is not known."""
+) -> tuple[bool, str, str | None]:
+    """(passed, detail, shared): on a pass, shared names the first member met
+    in a second block, and is None exactly when all members are distinct."""
     if not (1 <= lo and 1 <= k <= n - lo + 1 and n <= MAX_LABELS):
-        return False, f"invalid parameters (n, k) = ({n}, {k})", False
+        return False, f"invalid parameters (n, k) = ({n}, {k})", None
     plural = f"{unit}es" if unit.endswith("s") else f"{unit}s"
     if not blocks:
-        return False, f"certificate has no {plural}", False
+        return False, f"certificate has no {plural}", None
     universe = (1 << n) - (1 << (lo - 1))
-    # The whole certificate at once; the loop below only names the first fault
-    # (and alone reads blocks that are not tuples or lists, as it always did).
-    # One set of all members; only when it finds a repeat, one set per block
-    # tells a repeat inside a block (a fault) from a member shared by two.
+    # The whole certificate at once, with one set of all members; the walk
+    # below runs only to name a fault or a repeat (and alone reads blocks that
+    # are not tuples or lists).
     members = list(chain.from_iterable(blocks)) if set(map(type, blocks)) <= {tuple, list} else []
-    if (
+    whole = (
         all(blocks) and set(map(type, members)) == {int}  # a member <= 0 fails one of the next two
         and not union_mask(members) & ~universe and set(map(int.bit_count, members)) == {k}
-        and ((distinct := len(set(members)) == len(members)) or sum(map(len, map(set, blocks))) == len(members))
-    ):
-        return True, f"{len(blocks)} well-formed {plural}", distinct
+    )
+    if whole and len(set(members)) == len(members):
+        return True, f"{len(blocks)} well-formed {plural}", None
+    last: dict[int, int] = {}  # each member's latest block
+    shared = None
     for bi, block in enumerate(blocks):
         if not block:
-            return False, f"{unit} {bi} is empty", False
-        seen = set()
+            return False, f"{unit} {bi} is empty", None
         for mi, mask in enumerate(block):
-            if not isinstance(mask, int) or mask <= 0 or mask & ~universe:
-                return False, f"{unit} {bi} member {mi} has labels outside [{lo}, {n}]", False
-            if mask.bit_count() != k:
-                return False, f"{unit} {bi} member {mi} = {kset_text(mask)} is not a {k}-subset", False
-            if mask in seen:
-                return False, f"{unit} {bi} repeats member {kset_text(mask)}", False
-            seen.add(mask)
-    return True, f"{len(blocks)} well-formed {plural}", False
+            if not whole and (not isinstance(mask, int) or mask <= 0 or mask & ~universe):
+                return False, f"{unit} {bi} member {mi} has labels outside [{lo}, {n}]", None
+            if not whole and mask.bit_count() != k:
+                return False, f"{unit} {bi} member {mi} = {kset_text(mask)} is not a {k}-subset", None
+            if mask in last:
+                if last[mask] == bi:
+                    return False, f"{unit} {bi} repeats member {kset_text(mask)}", None
+                shared = shared or f"vertex {kset_text(mask)} appears in blocks {last[mask]} and {bi}"
+            last[mask] = bi
+    return True, f"{len(blocks)} well-formed {plural}", shared
 
 
 def _unreachable_member(block: Sequence[int]) -> int | None:
@@ -119,7 +122,7 @@ def _unreachable_member(block: Sequence[int]) -> int | None:
     return next((j for j, mask in enumerate(block) if not mask & reach), None)
 
 
-def _run_checks(structure: tuple[bool, str, bool], checks: Sequence[tuple[str, _Check]]) -> VerificationReport:
+def _run_checks(structure: tuple[bool, str, str | None], checks: Sequence[tuple[str, _Check]]) -> VerificationReport:
     """The structure check's verdict, then each named check in order; if the
     structure check failed, every named check is reported skipped and none runs."""
     head = CheckResult("structure", *structure[:2])
@@ -132,16 +135,6 @@ def _run_checks(structure: tuple[bool, str, bool], checks: Sequence[tuple[str, _
 
 def _verdict(detail: str | None, ok: str) -> tuple[bool, str]:
     return detail is None, detail or ok
-
-
-def _shared_vertex(blocks: Sequence[Sequence[int]]) -> str | None:
-    owner: dict[int, int] = {}
-    for bi, block in enumerate(blocks):
-        for mask in block:
-            if mask in owner:
-                return f"vertex {kset_text(mask)} appears in blocks {owner[mask]} and {bi}"
-            owner[mask] = bi
-    return None
 
 
 def _disconnected_block(blocks: Sequence[Sequence[int]], covered: list[int]) -> str | None:
@@ -226,7 +219,7 @@ def verify_minor(cert: MinorCertificate) -> VerificationReport:
         return t >= chi, f"order {t} {'>=' if t >= chi else '<'} chi = {chi}"
 
     return _run_checks(structure, (
-        ("disjoint-blocks", lambda: _verdict(None if structure[2] else _shared_vertex(blocks), "no vertex is shared")),
+        ("disjoint-blocks", lambda: _verdict(structure[2], "no vertex is shared")),
         ("block-connectivity", lambda: _verdict(_disconnected_block(blocks, covered), "every block induces a connected subgraph")),
         ("cross-edges", lambda: _verdict(_unjoined_blocks(cert.n, covered), "every pair of blocks is joined")),
         ("order-claim", order_claim),

@@ -3,10 +3,12 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 
+import hashlib
 import json
 import math
 import random
 import time
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -41,6 +43,7 @@ from oracles import (
     bound_check_s4,
     closed_form_lower_bound,
     exhaustive_partition_feasible,
+    replaced,
     verify_partition_by_definition,
 )
 
@@ -316,3 +319,56 @@ def test_criterion_8_determinism_and_tamper(tmp_path, capsys):
         failed = {c["name"]: c["detail"] for c in report["checks"] if not c["pass"]}
         assert "disjoint-blocks" in failed
         assert "appears in blocks" in failed["disjoint-blocks"]
+
+
+def tampered_families(classes, rng):
+    """Copies of ``classes`` with one seeded edit each: a member of class 1
+    replaced by one of class 0, a member repeated inside class 0, classes 0
+    and 1 merged, a member dropped, a member one label short, and the first
+    edit again with the classes held in ``array('Q')``."""
+    parts = [list(part) for part in classes]
+    out = []
+    for edit in ("shared", "repeat", "merged", "dropped", "popcount"):
+        copy = [part[:] for part in parts]
+        if edit == "shared":
+            copy[1][rng.randrange(len(copy[1]))] = rng.choice(copy[0])
+        elif edit == "repeat":
+            copy[0].append(rng.choice(copy[0]))
+        elif edit == "merged":
+            copy[0:2] = [copy[0] + copy[1]]
+        elif edit == "dropped":
+            part = rng.choice([part for part in copy if len(part) > 1])
+            del part[rng.randrange(len(part))]
+        else:
+            copy[0][0] &= copy[0][0] - 1  # its lowest label dropped
+        out.append(tuple(map(tuple, copy)))
+    out.append(tuple(array("Q", part) for part in out[0]))
+    return out
+
+
+def test_verifier_reports_are_pinned(full_sweep):
+    # One digest over the reports of the 79 sweep minors and one twin of each
+    # (a member of block b replaced by one of block a; the seed picks a, b and
+    # the two members), then of built colorings and partitions and their tampered copies.
+    certificates, _ = full_sweep
+    rng = random.Random("tamper-1")
+    reports = []
+    for p in params_grid(GRID_KS, SWEEP_CAP):
+        cert = certificates[(p.n, p.k)]
+        blocks = [list(block) for block in cert.blocks]
+        a, b = rng.sample(range(len(blocks)), 2)
+        blocks[b][rng.randrange(len(blocks[b]))] = blocks[a][rng.randrange(len(blocks[a]))]
+        reports += [verify_minor(cert), verify_minor(replaced(cert, blocks=tuple(map(tuple, blocks))))]
+    for n, k in ((7, 3), (9, 3), (10, 4), (12, 4), (11, 5)):
+        cert = build_coloring(Params(n, k))
+        reports.append(verify_coloring(cert))
+        reports += [verify_coloring(replaced(cert, classes=family)) for family in tampered_families(cert.classes, rng)]
+    for ground, k, size in (((1, 6), 2, 5), ((2, 8), 3, 7), ((1, 9), 3, 12), ((1, 10), 4, 21)):
+        part = almost_regular_partition(
+            PartitionPlan(ground, k, uniform_sizes(binomial(ground[1] - ground[0] + 1, k), size))
+        )
+        reports.append(verify_partition(part))
+        reports += [verify_partition(replaced(part, classes=family)) for family in tampered_families(part.classes, rng)]
+    text = "\n\n".join("\n".join(report.summary_lines()) for report in reports)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "6e4a992ae9ea3d189f263b7cf3afe6d25af20e487c6d7a3aa21a172abaf09856"

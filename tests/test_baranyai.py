@@ -476,6 +476,15 @@ class TestMaxFlow:
 
     @settings(max_examples=300, deadline=None)
     @given(flow_networks())
+    # Demands 6 < floors 7, so the excess starts at the types.  The greedy
+    # sweep fills groups 0 and 1 from type 0, so type 1's 2 go to group 0,
+    # which returns 1 to type 0 and relabels to 5, the count of all nodes: its
+    # last unit drains only by the path through every node (type 1, group 1,
+    # type 0, group 2).
+    @example((
+        [1, 3, 3], [2, 1, 0], [0, 2, 4, 5], [0, 0, 1, 1, 2], [0, 1, 0, 1, 0], [3, 2, 3, 1, 3],
+        [[0, 2, 4], [1, 3]], [4, 2],
+    ))
     def test_random_networks(self, network):
         self.check(network)
 

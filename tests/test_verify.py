@@ -797,38 +797,82 @@ JOINED_7_3 = (
 
 
 @pytest.mark.parametrize(
-    "blocks, want",
+    "verify, cert, want",
     [
         # A vertex shared by blocks 0 and 1 comes first, then a repeat inside
-        # block 1: the whole-certificate set fails, the per-block sets name the repeat.
+        # block 1: the whole-certificate set fails, the walk names the repeat.
         (
-            masks([[1, 2, 3], [1, 4, 5]], [[1, 4, 5], [2, 4, 6], [2, 4, 6]]),
+            verify_minor,
+            bare_minor(7, 3, masks([[1, 2, 3], [1, 4, 5]], [[1, 4, 5], [2, 4, 6], [2, 4, 6]])),
             minor_report((False, "block 1 repeats member [2,4,6]"), *[SKIPPED] * 5),
         ),
         # Only shared across blocks: the structure holds and disjoint-blocks names the pair.
         (
-            masks([[1, 2, 3], [1, 4, 5]], [[1, 4, 5], [4, 6, 7]]),
+            verify_minor,
+            bare_minor(7, 3, masks([[1, 2, 3], [1, 4, 5]], [[1, 4, 5], [4, 6, 7]])),
             minor_report(
                 (True, "2 well-formed blocks"), (False, "vertex [1,4,5] appears in blocks 0 and 1"), *JOINED_7_3
             ),
         ),
-        # Blocks held in arrays pass the structure check by its per-member loop,
-        # so no set of all members was built: disjoint-blocks walks the blocks.
+        # Blocks held in arrays skip the whole-certificate tests, so the walk
+        # checks each member and names the shared vertex for disjoint-blocks.
         (
-            masks([[1, 2, 3], [1, 4, 5]], [[1, 4, 5], [4, 6, 7]], block=functools.partial(array, "Q")),
+            verify_minor,
+            bare_minor(
+                7, 3, masks([[1, 2, 3], [1, 4, 5]], [[1, 4, 5], [4, 6, 7]], block=functools.partial(array, "Q"))
+            ),
             minor_report(
                 (True, "2 well-formed blocks"), (False, "vertex [1,4,5] appears in blocks 0 and 1"), *JOINED_7_3
             ),
         ),
         (
-            masks([[1, 2, 3], [1, 4, 5]], [[2, 4, 6], [4, 6, 7]], block=functools.partial(array, "Q")),
+            verify_minor,
+            bare_minor(
+                7, 3, masks([[1, 2, 3], [1, 4, 5]], [[2, 4, 6], [4, 6, 7]], block=functools.partial(array, "Q"))
+            ),
             minor_report((True, "2 well-formed blocks"), (True, "no vertex is shared"), *JOINED_7_3),
         ),
+        # A member of block 0 twice in block 1: met in a second block, then
+        # again in the block it was last seen in, which is a repeat.
+        (
+            verify_minor,
+            bare_minor(7, 3, masks([[1, 2, 3], [1, 4, 5]], [[1, 4, 5], [2, 4, 6], [1, 4, 5]])),
+            minor_report((False, "block 1 repeats member [1,4,5]"), *[SKIPPED] * 5),
+        ),
+        # Two shared members: the one first met in a second block is named,
+        # blocks 1 and 2 before blocks 0 and 3.
+        (
+            verify_minor,
+            bare_minor(7, 3, masks([[1, 2, 3]], [[3, 4, 5]], [[3, 4, 5], [5, 6, 7]], [[1, 6, 7], [1, 2, 3]])),
+            minor_report(
+                (True, "4 well-formed blocks"), (False, "vertex [3,4,5] appears in blocks 1 and 2"),
+                (True, "every block induces a connected subgraph"), (True, "every pair of blocks is joined"),
+                (True, "4 blocks"), (False, "order 4 < chi = 18"),
+            ),
+        ),
+        # A member repeated across classes of a coloring is no structural
+        # error: the structure holds and partition names the member.
+        (
+            verify_coloring,
+            replaced(COLORING_7_3, classes=(
+                COLORING_7_3.classes[0], COLORING_7_3.classes[0][:1] + COLORING_7_3.classes[1][1:],
+                *COLORING_7_3.classes[2:],
+            )),
+            VerificationReport((
+                CheckResult("structure", True, "18 well-formed classes"),
+                CheckResult("partition", False, "member [1,3,5] appears twice"),
+                CheckResult("independent-classes", True, "all classes are pairwise disjoint families"),
+                CheckResult("class-count", True, "18 classes"),
+            )),
+        ),
     ],
-    ids=["repeat-after-shared", "shared-only", "per-member-loop-shared", "per-member-loop-distinct"],
+    ids=[
+        "repeat-after-shared", "shared-only", "per-member-loop-shared", "per-member-loop-distinct",
+        "shared-then-repeated", "first-shared-in-block-order", "coloring-shared",
+    ],
 )
-def test_disjoint_blocks_reads_the_structure_checks_member_set(blocks, want):
-    assert verify_minor(bare_minor(7, 3, blocks)) == want
+def test_disjoint_blocks_reads_the_structure_checks_member_set(verify, cert, want):
+    assert verify(cert) == want
 
 
 def test_cross_edges_read_every_cover_past_a_disconnected_block():
