@@ -41,14 +41,14 @@ masks (the *types*) in mask order, and per group its first class, its free
 slots and its (type id, copy count) runs in mask order.  Each step derives
 the rest from them: one pass over the groups finds each run's group and
 capacity, one flat pass over the runs each type's copies in all and its runs
-in group order; the last step, with no flow to find, takes only the copies
-in all.  One loop over the groups deals the step's flow and writes each
-child's runs in place: its kept types, then its grown ones (a type's mask
-plus v), which is mask order with no sort because v's bit is above every
-placed bit.  A one-member group is its own child and reads its runs straight
-off the flow.  Copies that reach k labels are set aside as finished edges.
-The flow network is read straight off these arrays, and the solver is a loop
-with no call stack, so long residual paths cost no recursion depth.
+in group order.  One loop over the groups deals the step's flow and writes
+each child's runs in place: its kept types, then its grown ones (a type's
+mask plus v), which is mask order with no sort because v's bit is above
+every placed bit.  A one-member group is its own child and reads its runs
+straight off the flow.  Copies that reach k labels are set aside as finished
+edges, by that loop alone.  The flow network is read straight off these
+arrays, and the solver is a loop with no call stack, so long residual paths
+cost no recursion depth.
 
 ``partition_A`` (smallest label i fixed) and ``partition_C`` (label n
 fixed) share one anchored body: it partitions the (k-1)-subsets of the
@@ -313,30 +313,22 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
         ends[hi] += 1
         if m > 1:
             cap[lo:hi] = [m * c for c in cnt[lo:hi]]
-    # Each type's copies in all and, but at the last step, its pairs in group order.
-    tot = [0] * len(masks)
-    if unplaced == 1:
-        for t, c in zip(ptype, cap):
-            tot[t] += c
-    else:
-        pgroup, tpairs = list(accumulate(ends[:-1])), [[] for _ in masks]
-        for p, t in enumerate(ptype):
-            tot[t] += cap[p]
-            tpairs[t].append(p)
+    # Each type's copies in all and its pairs in group order.
+    pgroup, tot, tpairs = list(accumulate(ends[:-1])), [0] * len(masks), [[] for _ in masks]
+    for p, t in enumerate(ptype):
+        tot[t] += cap[p]
+        tpairs[t].append(p)
     bit = 1 << (v - 1)
     by_size = [binomial(unplaced - 1, k - size - 1) for size in range(k)]
     demand = [by_size[m.bit_count()] for m in masks]
     # A type of s labels has its C(unplaced, k - s) completions as copies iff tot (k - s) = demand unplaced.
     if unplaced <= 2 and any(c * (k - m.bit_count()) != d * unplaced for c, m, d in zip(tot, masks, demand)):
         raise ConstructionError(f"label step {v}: a type's copies in all differ from its completions")
-    if unplaced == 1:  # one copy of k - 1 labels per type, so one per pair: each takes v and finishes
+    if unplaced == 1:  # every copy takes v: one copy of k - 1 labels per type, so per pair, in groups of one
         if list(map(operator.sub, cstart[1:], cstart)) != slots:
             raise ConstructionError(f"label step {v}: could not meet per-class loads")
-        edges = [masks[t] | bit for t in ptype]
-        for j, lo, hi in zip(first, cstart, cstart[1:]):
-            done[j] += edges[lo:hi]
-        return [], [0, first[-1]], [0], [0, 0], [], []
-    if unplaced == 2:
+        flow, load = cnt, slots
+    elif unplaced == 2:
         flow = _euler_split(len(mult), pgroup, tpairs)
         load = [sum(flow[lo:hi]) for lo, hi in zip(cstart, cstart[1:])]  # copies each group absorbed
         if any(not m * (a // 2) <= x <= m * -(a // -2) for m, a, x in zip(mult, slots, load)):

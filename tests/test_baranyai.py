@@ -592,12 +592,21 @@ class TestClosingSteps:
         assert [sum(flow[p] for p in pairs) for pairs in tpairs] == demand
         assert sum(flow) == sum(added for added, *_ in floor_then_ceiling(max_flow_reference, network))
         # The step deals each member the floor or ceiling of its own load.
-        first, slots = state[1], state[2]
+        masks, first, slots = state[:3]
         done = [[] for _ in range(first[-1])]
-        _, nfirst, nslots, *_ = baranyai._absorption_step(state, done, k, v, unplaced)
+        nmasks, nfirst, nslots, _, ntype, ncnt = baranyai._absorption_step(state, done, k, v, unplaced)
         before = [a for a, lo, hi in zip(slots, first, first[1:]) for _ in range(lo, hi)]
         after = [a for a, lo, hi in zip(nslots, nfirst, nfirst[1:]) for _ in range(lo, hi)]
         assert all(a // unplaced <= a - b <= -(a // -unplaced) for a, b in zip(before, after))
+        # A group's units, pair by pair, go to member u mod m; a finished type's mask plus v is
+        # written once per unit of its pair, in pair order, to the member's class.
+        bit, want = 1 << (v - 1), []
+        for g, (lo, hi) in enumerate(zip(first, first[1:])):
+            units = [masks[ptype[p]] for p in range(cstart[g], cstart[g + 1]) for _ in range(flow[p])]
+            want += [[mask | bit for mask in units[i::hi - lo] if mask.bit_count() == k - 1] for i in range(hi - lo)]
+        assert done == want
+        if unplaced == 1:  # every copy finished: no type is left and no slot is free
+            assert (nmasks, ntype, ncnt) == ([], [], []) and not any(nslots)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda e: e[0] != e[1]), max_size=14))
