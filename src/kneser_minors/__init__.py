@@ -4,27 +4,13 @@ graphs, built constructively and verified independently."""
 from .baranyai import (
     AlmostRegularPartition,
     CoveredPartition,
-    DEFAULT_EDGE_CAP,
     PartitionPlan,
     almost_regular_partition,
     partition_A,
     partition_C,
-    uniform_sizes,
 )
 from .chromatic import ColoringCertificate, build_coloring, chi, chi_of
-from .core import (
-    MAX_LABELS,
-    Params,
-    binomial,
-    enumerate_family,
-    family_A,
-    intersects,
-    kset_labels,
-    kset_mask,
-    kset_text,
-    params_grid,
-    union_mask,
-)
+from .core import Params, binomial, kset_labels, kset_mask, kset_text, params_grid
 from .errors import (
     ConstructionError,
     KneserMinorError,
@@ -32,19 +18,7 @@ from .errors import (
     ParameterError,
     ResourceCapError,
 )
-from .minors import (
-    CaseTag,
-    K3Params,
-    K3TableRow,
-    K3_TABLE_REFERENCE,
-    MinorCertificate,
-    S4Params,
-    TraceEntry,
-    build_minor,
-    k3_table_rows,
-    replay_trace,
-    route_case,
-)
+from .minors import CaseTag, MinorCertificate, TraceEntry, build_minor, replay_trace
 from .verify import CheckResult, VerificationReport, verify_coloring, verify_minor, verify_partition
 
 __version__ = "0.1.0"
@@ -56,19 +30,13 @@ __all__ = [
     "ColoringCertificate",
     "ConstructionError",
     "CoveredPartition",
-    "DEFAULT_EDGE_CAP",
-    "K3Params",
-    "K3TableRow",
-    "K3_TABLE_REFERENCE",
     "KneserMinorError",
-    "MAX_LABELS",
     "MinorCertificate",
     "OutOfScopeError",
     "ParameterError",
     "Params",
     "PartitionPlan",
     "ResourceCapError",
-    "S4Params",
     "TraceEntry",
     "VerificationReport",
     "almost_regular_partition",
@@ -77,10 +45,6 @@ __all__ = [
     "build_minor",
     "chi",
     "chi_of",
-    "enumerate_family",
-    "family_A",
-    "intersects",
-    "k3_table_rows",
     "kset_labels",
     "kset_mask",
     "kset_text",
@@ -88,9 +52,6 @@ __all__ = [
     "partition_A",
     "partition_C",
     "replay_trace",
-    "route_case",
-    "uniform_sizes",
-    "union_mask",
     "verify_coloring",
     "verify_minor",
     "verify_partition",

@@ -140,16 +140,16 @@ class CoveredPartition(Record):
     """Partition of an anchored family with a coverage floor on leading blocks.
 
     ``blocks`` are the almost-regular classes of ``plan`` (anchor-free, on the
-    reduced ground), each member with the anchor label re-attached.  Only the
-    first ``guaranteed_blocks`` blocks, of l members and degree spread <= 1,
-    carry the floor; a trailing remainder block, with fewer members, need not.
+    reduced ground), each member with the anchor label re-attached.  Each of
+    the first ``guaranteed_blocks`` blocks, of l members and degree spread <= 1,
+    covers at least min(g + 1, l(k - 1) + 1) labels, for g = ``plan.ground_size``
+    and k - 1 = ``plan.k``; a trailing remainder block, with fewer members, need not.
     """
 
     plan: PartitionPlan
     anchor: int
     blocks: tuple[tuple[int, ...], ...]
     guaranteed_blocks: int
-    coverage_floor: int
 
 
 def uniform_sizes(total: int, block_size: int) -> tuple[int, ...]:
@@ -357,6 +357,8 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
 
     # A child's runs are its kept parts, then its grown parts.  A group of m > 1 deals unit u
     # to member u mod m; members between cut points (unit offsets mod m) take x[p - lo] of pair p.
+    # A finishing type (k - 1 labels) has demand C(unplaced - 1, 0) = 1, so each of its pairs carries
+    # flow <= 1: one finished edge, which the cuts at its offset s mod m and (s + 1) mod m give one member.
     nfirst, nslots, nstart, ntype, ncnt = [], [], [0], [], []
     for m, lo, hi, j, free, took in zip(mult, cstart, cstart[1:], first, slots, load):
         if m == 1:
@@ -372,7 +374,7 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
                         gtype.append(t)
                         gcnt.append(f)
                     else:
-                        done[j] += [masks[ptype[p]] | bit] * f
+                        done[j].append(masks[ptype[p]] | bit)
             ntype += gtype
             ncnt += gcnt
             nstart.append(len(ntype))
@@ -380,7 +382,7 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
         part = flow[lo:hi]
         offsets = list(accumulate(part, initial=0))
         cuts, (whole, rest) = sorted({s % m for s in offsets}), divmod(took, m)
-        for i, e in zip(cuts, cuts[1:] + [m]):
+        for i in cuts:
             each, x = whole + (i < rest), [f // m + ((i - s) % m < f % m) for f, s in zip(part, offsets)]
             nfirst.append(j + i)
             nslots.append(free - each)
@@ -393,8 +395,7 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
                     ntype.append(t)
                     ncnt.append(f)
                 elif f:
-                    for member in range(j + i, j + e):
-                        done[member] += [masks[ptype[p]] | bit] * f
+                    done[j + i].append(masks[ptype[p]] | bit)
             nstart.append(len(ntype))
     nfirst.append(first[-1])
     return [masks[t] for t in keep] + [masks[t] | bit for t in grow], nfirst, nslots, nstart, ntype, ncnt
@@ -479,10 +480,7 @@ def _anchored(anchor: int, ground: tuple[int, int], k: int, l: int, cap: int | N
     bit, shift = 1 << (anchor - 1), ground[0] - 1  # one shift of the local plan, then one cut into blocks
     anchored = tuple([bit | m << shift for m in _local_plan(g, k - 1, sizes)])
     blocks = tuple(anchored[end - a:end] for a, end in zip(sizes, accumulate(sizes)))
-    guaranteed, floor = sizes.count(l), min(g + 1, l * (k - 1) + 1)
-    return CoveredPartition(
-        plan=plan, anchor=anchor, blocks=blocks, guaranteed_blocks=guaranteed, coverage_floor=floor
-    )
+    return CoveredPartition(plan=plan, anchor=anchor, blocks=blocks, guaranteed_blocks=sizes.count(l))
 
 
 def partition_A(i: int, p: Params, l: int, cap: int | None = None) -> CoveredPartition:

@@ -81,50 +81,12 @@ class MinorCertificate(Record):
         return len(self.blocks)
 
 
-class S4Params(Record):
-    """Derived quantities for the s >= 4, k >= 4 regime.
-
-    l_prime = floor((n-1)/(k-1)); l is ceil((l'+1)/2), except floor at
-    (n, k) = (19, 4) which keeps l <= s - 1 there; n_prime = n - l(k-1).
-    ``tests/test_scope.py`` proves the preflight inequalities on all 870
-    in-scope instances, in exact rationals.
-    """
-
-    l_prime: int
-    l: int
-    n_prime: int
-
-    @classmethod
-    def from_params(cls, p: Params) -> "S4Params":
-        n, k = p.n, p.k
-        l_prime = (n - 1) // (k - 1)
-        if (n, k) == (19, 4):
-            l = (l_prime + 1) // 2
-        else:
-            l = (l_prime + 2) // 2
-        return cls(l_prime=l_prime, l=l, n_prime=n - l * (k - 1))
-
-
-class K3Params(Record):
-    """Derived quantities for the s >= 4, k = 3 regime: n = 4s' + t',
-    l = s' or s' + 1 by t', n' = n - 2l.  ``tests/test_scope.py`` proves
-    (n-1)/2 <= 2l <= n/2 + 1 on all 870 in-scope instances."""
-
-    s_prime: int
-    t_prime: int
-    l: int
-    n_prime: int
-
-    @classmethod
-    def from_n(cls, n: int) -> "K3Params":
-        s_prime, t_prime = divmod(n, 4)
-        l = s_prime if t_prime <= 1 else s_prime + 1
-        return cls(s_prime=s_prime, t_prime=t_prime, l=l, n_prime=n - 2 * l)
-
-
-def route_case(p: Params) -> CaseTag:
-    """Total, unique routing of in-scope (n, k) to a construction regime."""
-    return _layout(p)[0]
+def _k3_split(n: int) -> tuple[int, int]:
+    """(l, n') of the s >= 4, k = 3 regime: n = 4s' + t', l = s' or s' + 1 by t', n' = n - 2l.
+    ``tests/test_scope.py`` proves (n-1)/2 <= 2l <= n/2 + 1 on all 870 in-scope instances."""
+    s_prime, t_prime = divmod(n, 4)
+    l = s_prime if t_prime <= 1 else s_prime + 1
+    return l, n - 2 * l
 
 
 def _layout(p: Params) -> tuple[CaseTag, int | None, bool, range, bool]:
@@ -145,14 +107,16 @@ def _layout(p: Params) -> tuple[CaseTag, int | None, bool, range, bool]:
             return CaseTag.S3_CASE1, s, True, range(2, k + 1), False
         return CaseTag.S3_CASE2 if t == k - 2 else CaseTag.S3_CASE3, 4, False, range(0), True
     if k >= 4:
-        q = S4Params.from_params(p)
-        return CaseTag.S4_KGE4, q.l, False, range(1, q.n_prime + 1), False
+        # l = ceil((l' + 1) / 2) for l' = floor((n-1)/(k-1)), but the floor at (19, 4) keeps l <= s - 1 there.
+        l_prime = (p.n - 1) // (k - 1)
+        l = (l_prime + 1) // 2 if (p.n, k) == (19, 4) else (l_prime + 2) // 2
+        return CaseTag.S4_KGE4, l, False, range(1, p.n - l * (k - 1) + 1), False
     if p.n == 14:
         return CaseTag.SPECIAL_14_3, 4, False, range(0), True
     if p.n in _SHIFTED_K3:
         return CaseTag.S4_K3_SHIFT, None, False, range(0), True
-    q3 = K3Params.from_n(p.n)
-    return CaseTag.S4_K3, q3.l, False, range(1, q3.n_prime + 1), False
+    l, n_prime = _k3_split(p.n)
+    return CaseTag.S4_K3, l, False, range(1, n_prime + 1), False
 
 
 def _stage_entries(p: Params) -> tuple[TraceEntry, ...]:
@@ -237,12 +201,10 @@ def k3_table_rows(n_min: int = 12, n_max: int = 35) -> list[K3TableRow]:
     from fractions import Fraction
     rows = []
     for n in range(n_min, n_max + 1):
-        q3 = K3Params.from_n(n)
-        order = sum(binomial(n - i, 2) // q3.l for i in range(1, q3.n_prime + 1))
-        bound = Fraction(binomial(n, 3) - binomial(2 * q3.l, 3), q3.l) - (n - 2 * q3.l)
-        rows.append(
-            K3TableRow(n=n, l=q3.l, order_exact=order, order_bound=bound, chi=chi_of(n, 3))
-        )
+        l, n_prime = _k3_split(n)
+        order = sum(binomial(n - i, 2) // l for i in range(1, n_prime + 1))
+        bound = Fraction(binomial(n, 3) - binomial(2 * l, 3), l) - n_prime
+        rows.append(K3TableRow(n=n, l=l, order_exact=order, order_bound=bound, chi=chi_of(n, 3)))
     return rows
 
 

@@ -4,9 +4,10 @@ Each is independent of the code it checks: a backtracking feasibility
 search for almost-regular partitions, a branch-and-bound independence
 number and the hockey-stick identity used in the order accounting, all
 only usable on tiny instances, the closed-form order bounds of the s = 2
-and s = 3 builds and the s >= 4, k >= 4 product-bound report, both in
-exact rationals, the pairwise connectivity search the minor verifier used
-before it searched over labels, a pairwise block-join search and the
+and s = 3 builds, the s >= 4, k >= 4 product-bound report and the
+preflight inequalities of the s >= 4 builds, all in exact rationals, the
+pairwise connectivity search the minor verifier used before it searched
+over labels, a pairwise block-join search and the
 cross-edge check as it was before it read per-chunk tables, the degree-spread
 and structure checks as they were before they took whole-family verdicts
 first, the parser's block reader as it was before it read members inline,
@@ -30,22 +31,20 @@ from typing import Any, Sequence
 
 from kneser_minors import (
     AlmostRegularPartition,
+    CaseTag,
     ConstructionError,
     CoveredPartition,
     ParameterError,
     Params,
     PartitionPlan,
     ResourceCapError,
-    S4Params,
     binomial,
-    enumerate_family,
-    intersects,
     kset_labels,
     kset_text,
-    union_mask,
 )
+from kneser_minors import minors
 from kneser_minors.baranyai import _euler_split, _max_flow
-from kneser_minors.core import MAX_LABELS, label_degrees
+from kneser_minors.core import MAX_LABELS, enumerate_family, intersects, label_degrees, union_mask
 from kneser_minors.serialize import _mask_from_labels
 
 ORACLE_EDGE_CAP = 30
@@ -310,8 +309,8 @@ def bound_check_s4(p: Params) -> S4BoundReport:
     n, k, s = p.n, p.k, p.s
     if not (s >= 4 and k >= 4):
         raise ParameterError(f"bound check applies to s >= 4 and k >= 4, got ({n}, {k})")
-    q = S4Params.from_params(p)
-    cut = Fraction(binomial(q.l * (k - 1) + 1, k), binomial(n, k))
+    l = minors._layout(p)[1]  # the block size the builder uses
+    cut = Fraction(binomial(l * (k - 1) + 1, k), binomial(n, k))
     bound = Fraction(1)
     for j in range(k):
         bound *= Fraction(1, 2) + Fraction(2 * k - j - 1, 2 * (n - j))
@@ -323,14 +322,43 @@ def bound_check_s4(p: Params) -> S4BoundReport:
         n=n,
         k=k,
         s=s,
-        l=q.l,
+        l=l,
         cut_fraction=cut,
         cut_bound=bound,
         threshold=threshold,
         fraction_le_bound=cut <= bound,
         bound_le_threshold=bound <= threshold,
-        slack_ok=(1 - bound) * s >= q.l,
+        slack_ok=(1 - bound) * s >= l,
     )
+
+
+def check_preflight(p: Params) -> CaseTag | None:
+    """Assert the preflight inequalities of p's s >= 4 build in exact rationals; return its regime.
+
+    l and n' are read from ``minors._layout``, the values the builder uses: for
+    k >= 4 at p itself, and for k = 3 at the S4_K3 stage of p's recorded trace
+    (n = 14 and the shifted n are built inside [n - 1]).  For k >= 4, with
+    l' = floor((n-1)/(k-1)): l <= (l'+2)/2 <= (s + 3 + (s-1)/(k-1))/2, a full
+    block's floor l(k-1) + 1 lies in (n/2, (n-1)/2 + k], C(n - n', k - 1) / l > n',
+    and ``bound_check_s4`` passes.
+    For k = 3, at the stage's n: (n-1)/2 <= 2l <= n/2 + 1.  None when s < 4.
+    """
+    n, k, s = p.n, p.k, p.s
+    if s < 4:
+        return None
+    if k >= 4:
+        tag, l, _, anchors, _ = minors._layout(p)
+        n_prime, l_prime = len(anchors), (n - 1) // (k - 1)
+        assert Fraction(l) <= Fraction(l_prime + 2, 2), (n, k)
+        assert Fraction(l_prime + 2, 2) <= Fraction(s + 3 + Fraction(s - 1, k - 1), 2), (n, k)
+        assert Fraction(n, 2) < l * (k - 1) + 1 <= Fraction(n - 1, 2) + k, (n, k)
+        assert Fraction(binomial(n - n_prime, k - 1), l) > n_prime, (n, k)
+        assert bound_check_s4(p).ok, (n, k)
+        return tag
+    stage = next(entry for entry in minors._recorded_trace(n, k) if entry.case is CaseTag.S4_K3)
+    tag, l = minors._layout(Params(stage.n, k))[:2]
+    assert Fraction(stage.n - 1, 2) <= 2 * l <= Fraction(stage.n, 2) + 1, n
+    return tag
 
 
 def unreachable_member_pairwise(block: list[int]) -> int | None:

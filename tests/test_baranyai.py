@@ -19,16 +19,14 @@ from kneser_minors import (
     almost_regular_partition,
     binomial,
     build_coloring,
-    enumerate_family,
     kset_mask,
     partition_A,
     partition_C,
-    uniform_sizes,
-    union_mask,
     verify_partition,
 )
 from kneser_minors import baranyai
-from kneser_minors.core import spread_detail
+from kneser_minors.baranyai import uniform_sizes
+from kneser_minors.core import enumerate_family, spread_detail, union_mask
 from kneser_minors.cli import main
 from kneser_minors.serialize import dumps_canonical, partition_to_dict
 from oracles import (
@@ -40,6 +38,13 @@ from oracles import (
     remainder_block,
     verify_partition_by_definition,
 )
+
+
+def assert_coverage_floor(cov, l, floor):
+    """``floor`` is min(g + 1, l(k - 1) + 1), with g and k - 1 read from ``cov.plan``, and
+    every guaranteed block of ``cov`` covers at least that many labels."""
+    assert min(cov.plan.ground_size + 1, l * cov.plan.k + 1) == floor
+    assert all(union_mask(block).bit_count() >= floor for block in cov.blocks[: cov.guaranteed_blocks])
 
 
 def degree_profile(cls, lo, hi):
@@ -149,13 +154,13 @@ class TestPartitionA:
         cov = partition_A(5, Params(7, 3), 1)
         assert cov.guaranteed_blocks == 1
         assert cov.blocks == ((kset_mask([5, 6, 7]),),)
-        assert cov.coverage_floor == 3  # min(3, 3)
+        assert_coverage_floor(cov, 1, 3)  # min(3, 3)
 
     def test_seven_triples(self):
         cov = partition_A(2, Params(9, 3), 3)
         assert cov.guaranteed_blocks == 7
         assert remainder_block(cov) is None
-        assert cov.coverage_floor == 7  # min(8, 7)
+        assert_coverage_floor(cov, 3, 7)  # min(8, 7)
         for block in cov.blocks:
             assert len(block) == 3
             assert len(covered_labels(block)) >= 7
@@ -164,7 +169,7 @@ class TestPartitionA:
         cov = partition_A(1, Params(13, 3), 4)
         assert cov.guaranteed_blocks == 16  # floor(66 / 4)
         assert remainder_block(cov) is not None and len(remainder_block(cov)) == 2
-        assert cov.coverage_floor == 9  # min(13, 9)
+        assert_coverage_floor(cov, 4, 9)  # min(13, 9)
         for block in cov.blocks[:16]:
             # n - i > l(k-1), so members minus the anchor are pairwise
             # disjoint and coverage is exactly l(k-1) + 1
@@ -173,7 +178,7 @@ class TestPartitionA:
     def test_covers_whole_interval_when_blocks_are_large(self):
         # n - i <= l(k-1): every guaranteed block covers all of [i, n]
         cov = partition_A(1, Params(9, 3), 5)
-        assert cov.coverage_floor == 9
+        assert_coverage_floor(cov, 5, 9)
         for block in cov.blocks[: cov.guaranteed_blocks]:
             assert covered_labels(block) == set(range(1, 10))
 
@@ -199,7 +204,7 @@ class TestPartitionC:
         cov = partition_C(Params(14, 3), 4)
         assert cov.guaranteed_blocks == 19
         assert remainder_block(cov) is not None and len(remainder_block(cov)) == 2
-        assert cov.coverage_floor == 9  # min(14, 9)
+        assert_coverage_floor(cov, 4, 9)  # min(14, 9)
         anchor_bit = 1 << 13
         for block in cov.blocks[:19]:
             assert all(m & anchor_bit for m in block)
@@ -208,7 +213,7 @@ class TestPartitionC:
     def test_11_3(self):
         cov = partition_C(Params(11, 3), 3)
         assert cov.guaranteed_blocks == 15
-        assert cov.coverage_floor == 7
+        assert_coverage_floor(cov, 3, 7)
         for block in cov.blocks[:15]:
             assert len(covered_labels(block)) >= 7
 
@@ -217,7 +222,7 @@ class TestPartitionC:
         for k in (3, 4):
             p = Params(3 * k - 1, k)
             cov = partition_C(p, 3)
-            assert cov.coverage_floor == 3 * k - 2
+            assert_coverage_floor(cov, 3, 3 * k - 2)
             for block in cov.blocks[: cov.guaranteed_blocks]:
                 assert len(covered_labels(block)) >= 3 * k - 2
 
@@ -832,7 +837,7 @@ class TestPlanMemo:
         asked += [(partition_C(p, l), 8, l) for l in range(2, 29)]
         for cov, g, l in asked:
             assert verify_partition(base_partition(cov)).passed and cov.plan.ground_size == g
-            assert all(len(covered_labels(b)) >= cov.coverage_floor for b in cov.blocks[: cov.guaranteed_blocks])
+            assert_coverage_floor(cov, l, min(g + 1, 2 * l + 1))
         engine_keys = {(plan.ground_size, plan.k, plan.sizes) for plan in solved}
         assert engine_keys == {memo_key(cov) for cov, g, l in asked if 2 * l > g}
 

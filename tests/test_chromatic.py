@@ -10,11 +10,11 @@ from kneser_minors import (
     build_coloring,
     chi,
     chi_of,
-    intersects,
     params_grid,
     serialize,
     verify_coloring,
 )
+from kneser_minors.core import intersects
 from oracles import alpha_oracle
 
 

@@ -16,18 +16,17 @@ from kneser_minors import (
     Params,
     PartitionPlan,
     binomial,
-    enumerate_family,
-    family_A,
-    intersects,
     kset_labels,
     kset_mask,
     kset_text,
     params_grid,
-    union_mask,
     verify_coloring,
 )
 from kneser_minors import baranyai
-from kneser_minors.core import family_detail, label_degrees, label_list, pairwise_disjoint, spread_detail
+from kneser_minors.core import (
+    enumerate_family, family_A, family_detail, intersects, label_degrees, label_list, pairwise_disjoint,
+    spread_detail, union_mask,
+)
 from oracles import covered_labels, family_C, hockey_stick, spread_detail_reference
 
 

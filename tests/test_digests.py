@@ -16,7 +16,7 @@ import pytest
 import kneser_minors
 from kneser_minors import Params, build_coloring, build_minor, serialize
 from kneser_minors.cli import main
-from kneser_minors.minors import CaseTag, route_case
+from kneser_minors.minors import CaseTag
 
 
 def digest(text: str) -> str:
@@ -46,9 +46,9 @@ def test_every_case_tag_is_pinned():
 @pytest.mark.parametrize("n,k", sorted(MINOR_DIGESTS))
 def test_minor_bytes(n, k):
     tag, want = MINOR_DIGESTS[(n, k)]
-    p = Params(n, k)
-    assert route_case(p) is tag
-    assert digest(serialize.dumps_canonical(serialize.minor_to_dict(build_minor(p)))) == want
+    cert = build_minor(Params(n, k))
+    assert cert.trace[-1].case is tag
+    assert digest(serialize.dumps_canonical(serialize.minor_to_dict(cert))) == want
 
 
 def test_coloring_bytes():

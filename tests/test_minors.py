@@ -5,24 +5,24 @@ import pytest
 
 from kneser_minors import (
     CaseTag,
-    K3Params,
     OutOfScopeError,
     ParameterError,
     Params,
-    S4Params,
     TraceEntry,
     build_minor,
     chi,
-    intersects,
-    k3_table_rows,
     replay_trace,
-    route_case,
-    union_mask,
     verify_minor,
 )
-from kneser_minors.minors import K3_TABLE_REFERENCE
+from kneser_minors.core import intersects, union_mask
+from kneser_minors.minors import K3_TABLE_REFERENCE, _k3_split, _layout, _recorded_trace, k3_table_rows
 from kneser_minors.serialize import dumps_canonical, minor_to_dict
 from oracles import bound_check_s4, closed_form_lower_bound, covered_labels, replaced
+
+
+def routed(n, k):
+    """The case ``build_minor`` records last for (n, k), as a minor file carries it."""
+    return _recorded_trace(n, k)[-1].case
 
 
 class TestRouting:
@@ -50,13 +50,15 @@ class TestRouting:
         ],
     )
     def test_examples(self, n, k, tag):
-        assert route_case(Params(n, k)) is tag
+        assert routed(n, k) is tag
 
     def test_out_of_scope(self):
-        with pytest.raises(OutOfScopeError):
-            route_case(Params(9, 2))
-        with pytest.raises(OutOfScopeError):
-            route_case(Params(6, 3))
+        for n, k in ((9, 2), (6, 3)):
+            with pytest.raises(OutOfScopeError):
+                Params(n, k)
+            with pytest.raises(ParameterError, match=r"^no trace is recorded for") as info:
+                _recorded_trace(n, k)
+            assert isinstance(info.value.__cause__, OutOfScopeError)
 
     def test_certificate_cap(self):
         from kneser_minors import ResourceCapError
@@ -67,7 +69,7 @@ class TestRouting:
 
 class TestS2Builds:
     def test_7_3(self):
-        assert route_case(Params(7, 3)) is CaseTag.S2_CASE1
+        assert routed(7, 3) is CaseTag.S2_CASE1
         cert = build_minor(Params(7, 3))
         # |A_1| + floor(C(5,2)/2) + floor(C(4,2)/2) = 15 + 5 + 3
         assert cert.order == 23
@@ -75,7 +77,7 @@ class TestS2Builds:
         assert verify_minor(cert).passed
 
     def test_9_4(self):
-        assert route_case(Params(9, 4)) is CaseTag.S2_CASE1
+        assert routed(9, 4) is CaseTag.S2_CASE1
         cert = build_minor(Params(9, 4))
         want = math.comb(8, 3) + math.comb(7, 3) // 2 + math.comb(6, 3) // 2 + math.comb(5, 3) // 2
         assert want == 88
@@ -83,7 +85,7 @@ class TestS2Builds:
         assert verify_minor(cert).passed
 
     def test_8_3(self):
-        assert route_case(Params(8, 3)) is CaseTag.S2_CASE2
+        assert routed(8, 3) is CaseTag.S2_CASE2
         cert = build_minor(Params(8, 3))
         assert cert.order == 23 + math.comb(7, 2) // 3 == 30
         assert cert.order >= chi(Params(8, 3)) == 28
@@ -91,7 +93,7 @@ class TestS2Builds:
 
     def test_11_4(self):
         # Case-2 recursion goes through (10, 4), not (9, 4).
-        assert route_case(Params(11, 4)) is CaseTag.S2_CASE2
+        assert routed(11, 4) is CaseTag.S2_CASE2
         cert = build_minor(Params(11, 4))
         want = (
             math.comb(9, 3)
@@ -105,25 +107,25 @@ class TestS2Builds:
         assert verify_minor(cert).passed
 
     def test_wrong_case_rejected(self):
-        assert route_case(Params(8, 3)) is not CaseTag.S2_CASE1
-        assert route_case(Params(7, 3)) is not CaseTag.S2_CASE2
+        assert routed(8, 3) is not CaseTag.S2_CASE1
+        assert routed(7, 3) is not CaseTag.S2_CASE2
 
 
 class TestS3Builds:
     def test_9_3(self):
-        assert route_case(Params(9, 3)) is CaseTag.S3_CASE1
+        assert routed(9, 3) is CaseTag.S3_CASE1
         cert = build_minor(Params(9, 3))
         assert cert.order == math.comb(8, 2) + math.comb(7, 2) // 3 + math.comb(6, 2) // 3 == 40
         assert verify_minor(cert).passed
 
     def test_11_3_exact(self):
-        assert route_case(Params(11, 3)) is CaseTag.S3_CASE3
+        assert routed(11, 3) is CaseTag.S3_CASE3
         cert = build_minor(Params(11, 3))
         assert cert.order == 60
         assert verify_minor(cert).passed
 
     def test_15_4_exact(self):
-        assert route_case(Params(15, 4)) is CaseTag.S3_CASE3
+        assert routed(15, 4) is CaseTag.S3_CASE3
         cert = build_minor(Params(15, 4))
         assert cert.order == 505
         assert verify_minor(cert).passed
@@ -138,35 +140,35 @@ class TestS3Builds:
 
 class TestS4Builds:
     def test_17_4_parameters(self):
-        q = S4Params.from_params(Params(17, 4))
-        assert (q.l_prime, q.l, q.n_prime) == (5, 3, 8)
+        tag, l, _, anchors, _ = _layout(Params(17, 4))
+        assert (tag, l, anchors) == (CaseTag.S4_KGE4, 3, range(1, 9))  # l' = 5, n' = 8
         # derived check (b): 17/2 < 10 <= 8 + 4
-        assert 17 < 2 * (q.l * 3 + 1) <= 16 + 8
+        assert 17 < 2 * (l * 3 + 1) <= 16 + 8
 
     def test_19_4_special_rounding(self):
-        assert S4Params.from_params(Params(19, 4)).l == 3
+        assert _layout(Params(19, 4))[1] == 3
 
     def test_20_4(self):
         p = Params(20, 4)
-        assert route_case(p) is CaseTag.S4_KGE4
+        assert routed(20, 4) is CaseTag.S4_KGE4
         cert = build_minor(p)
         assert cert.order >= chi(p) == 969
         assert verify_minor(cert).passed
 
     def test_k3_params(self):
-        q = K3Params.from_n(19)
-        assert (q.s_prime, q.t_prime, q.l, q.n_prime) == (4, 3, 5, 9)
-        assert K3Params.from_n(13).l == 3
+        assert _k3_split(19) == (5, 9)  # 19 = 4 * 4 + 3
+        assert _k3_split(13)[0] == 3
+        assert _layout(Params(19, 3))[:4] == (CaseTag.S4_K3, 5, False, range(1, 10))
 
     def test_19_3_table_row(self):
-        assert route_case(Params(19, 3)) is CaseTag.S4_K3
+        assert routed(19, 3) is CaseTag.S4_K3
         cert = build_minor(Params(19, 3))
         assert cert.order == 168
         assert cert.order >= chi(Params(19, 3)) == 162
         assert verify_minor(cert).passed
 
     def test_23_3_table_row(self):
-        assert route_case(Params(23, 3)) is CaseTag.S4_K3
+        assert routed(23, 3) is CaseTag.S4_K3
         cert = build_minor(Params(23, 3))
         assert cert.order == 255
         assert cert.order >= chi(Params(23, 3)) == 253
@@ -182,13 +184,13 @@ class TestS4Builds:
         assert cert.trace[-1].case is CaseTag.S4_K3_SHIFT
 
     def test_wrong_case_rejected(self):
-        assert route_case(Params(12, 4)) is not CaseTag.S4_KGE4
-        assert route_case(Params(14, 3)) is not CaseTag.S4_K3
+        assert routed(12, 4) is not CaseTag.S4_KGE4
+        assert routed(14, 3) is not CaseTag.S4_K3
 
 
 class Test14_3:
     def test_exact_order(self):
-        assert route_case(Params(14, 3)) is CaseTag.SPECIAL_14_3
+        assert routed(14, 3) is CaseTag.SPECIAL_14_3
         cert = build_minor(Params(14, 3))
         assert cert.order == 88 + 19 == 107
         assert cert.order >= chi(Params(14, 3)) == 91

@@ -3,8 +3,9 @@
 Each is an immutable record: its fields in a fixed order, built by position
 or keyword, validated where it has invariants, equal (and hashed alike) only
 within its own type, and written by ``repr`` as ``Name(field=value, ...)``.
-The last tests check, in a fresh interpreter, that importing the CLI loads
-neither ``dataclasses`` nor ``fractions``.
+The package root binds exactly the names of its sorted ``__all__``, besides
+its submodules.  The last tests check, in a fresh interpreter, that importing
+the CLI loads neither ``dataclasses`` nor ``fractions``.
 """
 
 import copy
@@ -16,6 +17,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 import typing
 from pathlib import Path
 
@@ -27,24 +29,21 @@ from kneser_minors import (
     CheckResult,
     ColoringCertificate,
     CoveredPartition,
-    K3Params,
-    K3TableRow,
     MinorCertificate,
     OutOfScopeError,
     ParameterError,
     Params,
     PartitionPlan,
-    S4Params,
     TraceEntry,
     VerificationReport,
     almost_regular_partition,
     build_coloring,
     build_minor,
-    k3_table_rows,
     partition_A,
     verify_minor,
 )
 from kneser_minors.core import Record
+from kneser_minors.minors import K3TableRow, k3_table_rows
 
 MINOR = build_minor(Params(8, 3))
 REPORT = verify_minor(MINOR)
@@ -54,15 +53,10 @@ RECORDS = {
     "Params": (Params(7, 3), ("n", "k")),
     "PartitionPlan": (PartitionPlan((1, 5), 2, (5, 5)), ("ground", "k", "sizes")),
     "AlmostRegularPartition": (almost_regular_partition(PartitionPlan((1, 5), 2, (5, 5))), ("plan", "classes")),
-    "CoveredPartition": (
-        partition_A(1, Params(7, 3), 3),
-        ("plan", "anchor", "blocks", "guaranteed_blocks", "coverage_floor"),
-    ),
+    "CoveredPartition": (partition_A(1, Params(7, 3), 3), ("plan", "anchor", "blocks", "guaranteed_blocks")),
     "ColoringCertificate": (build_coloring(Params(7, 3)), ("n", "k", "classes")),
     "TraceEntry": (MINOR.trace[0], ("case", "n", "k", "block_size", "block_count")),
     "MinorCertificate": (MINOR, ("n", "k", "blocks", "trace", "claimed_order")),
-    "S4Params": (S4Params.from_params(Params(16, 4)), ("l_prime", "l", "n_prime")),
-    "K3Params": (K3Params.from_n(12), ("s_prime", "t_prime", "l", "n_prime")),
     "K3TableRow": (k3_table_rows(12, 12)[0], ("n", "l", "order_exact", "order_bound", "chi")),
     "CheckResult": (REPORT.checks[0], ("name", "passed", "detail")),
     "VerificationReport": (REPORT, ("checks",)),
@@ -140,8 +134,14 @@ def test_repr_names_every_field_in_order(record):
         (Params(7, 3), "Params(n=7, k=3)"),
         (PartitionPlan((1, 5), 2, (5, 5)), "PartitionPlan(ground=(1, 5), k=2, sizes=(5, 5))"),
         (MINOR.trace[0], "TraceEntry(case=<CaseTag.S2_CASE1: 'S2_CASE1'>, n=7, k=3, block_size=2, block_count=23)"),
-        (S4Params.from_params(Params(16, 4)), "S4Params(l_prime=5, l=3, n_prime=7)"),
-        (K3Params.from_n(12), "K3Params(s_prime=3, t_prime=0, l=3, n_prime=6)"),
+        (
+            almost_regular_partition(PartitionPlan((1, 3), 2, (2, 1))),
+            "AlmostRegularPartition(plan=PartitionPlan(ground=(1, 3), k=2, sizes=(2, 1)), classes=((3, 5), (6,)))",
+        ),
+        (
+            VerificationReport((CheckResult("structure", False, "injected"),)),
+            "VerificationReport(checks=(CheckResult(name='structure', passed=False, detail='injected'),))",
+        ),
         (k3_table_rows(12, 12)[0], "K3TableRow(n=12, l=3, order_exact=66, order_bound=Fraction(182, 3), chi=55)"),
         (REPORT.checks[0], "CheckResult(name='structure', passed=True, detail='30 well-formed blocks')"),
     ],
@@ -192,6 +192,17 @@ def test_type_hints_resolve_on_every_record_type():
     row = RECORDS["K3TableRow"][0]
     assert isinstance(row.order_bound, typing.get_type_hints(K3TableRow)["order_bound"])
 
+
+
+def test_the_package_root_binds_exactly_its_all():
+    names = kneser_minors.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(kneser_minors, name) for name in names)
+    bound = {
+        name for name, value in vars(kneser_minors).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == set(names)
 
 @pytest.mark.parametrize(
     "build,error,message",

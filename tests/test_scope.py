@@ -3,28 +3,26 @@
 The acceptance suite builds and checks the 79 sweep instances.  Here every
 in-scope (n, k) -- 3 <= k and 2k + 1 <= n <= 64, 870 pairs -- is checked
 without a build: the trace ``build_minor`` would record derives, its
-closed-form block counts reach chi, and the preflight inequalities of
-``S4Params`` and ``K3Params`` hold in exact rationals.  The builder does not
-check these inequalities at run time; this file is their proof.  The three
-k = 7 instances the default cap admits, which no sweep covers, are built and
-verified.  Every anchored family the k = 3 builds split takes its pairs in
-circle order, and the cut's classes for each of their 281 distinct local
-plans pass the engine's self-check, which the test runs on them (the cut
-runs no check of its own); each of those builds has as many blocks as its
-trace's closed-form counts add up to.
+closed-form block counts reach chi, and the preflight inequalities of the
+s >= 4 builds hold in exact rationals for the block size l and anchor count
+n' that ``minors._layout`` gives the builder (``oracles.check_preflight``).
+The builder does not check these inequalities at run time; this file is
+their proof.  The three k = 7 instances the default cap admits, which no
+sweep covers, are built and verified.  Every anchored family the k = 3
+builds split takes its pairs in circle order, and the cut's classes for
+each of their 281 distinct local plans pass the engine's self-check, which
+the test runs on them (the cut runs no check of its own); each of those
+builds has as many blocks as its trace's closed-form counts add up to.
 """
 
-from fractions import Fraction
+from collections import Counter
 
 import pytest
 
 from kneser_minors import (
-    K3Params,
-    MAX_LABELS,
+    CaseTag,
     Params,
     PartitionPlan,
-    S4Params,
-    binomial,
     build_coloring,
     build_minor,
     chi,
@@ -33,11 +31,11 @@ from kneser_minors import (
     verify_minor,
 )
 from kneser_minors import baranyai
-from kneser_minors.minors import _recorded_trace
-from oracles import bound_check_s4
+from kneser_minors.core import MAX_LABELS
+from kneser_minors.minors import _k3_split, _recorded_trace
+from oracles import check_preflight
 
 SCOPE = [(n, k) for k in range(3, MAX_LABELS) for n in range(2 * k + 1, MAX_LABELS + 1)]
-SHIFTED = {18, 22, 26}
 
 
 def test_scope_has_870_instances():
@@ -55,30 +53,14 @@ def test_every_recorded_trace_reaches_chi():
 
 
 def test_preflight_inequalities_in_exact_rationals():
-    s4_checked = k3_checked = 0
-    for n, k in SCOPE:
-        p = Params(n, k)
-        if k >= 4 and p.s >= 4:
-            q = S4Params.from_params(p)
-            assert Fraction(q.l) <= Fraction(q.l_prime + 2, 2), (n, k)
-            assert Fraction(q.l_prime + 2, 2) <= Fraction(p.s + 3 + Fraction(p.s - 1, k - 1), 2), (n, k)
-            cover = q.l * (k - 1) + 1
-            assert Fraction(n, 2) < cover <= Fraction(n - 1, 2) + k, (n, k)
-            assert Fraction(binomial(n - q.n_prime, k - 1), q.l) > q.n_prime, (n, k)
-            assert bound_check_s4(p).ok, (n, k)
-            s4_checked += 1
-        if k == 3 and p.s >= 4:
-            effective = 13 if n == 14 else n - 1 if n in SHIFTED else n
-            q3 = K3Params.from_n(effective)
-            assert Fraction(effective - 1, 2) <= 2 * q3.l <= Fraction(effective, 2) + 1, n
-            k3_checked += 1
-    assert (s4_checked, k3_checked) == (325, 53)
+    regimes = Counter(check_preflight(Params(n, k)) for n, k in SCOPE)
+    assert (regimes[CaseTag.S4_KGE4], regimes[CaseTag.S4_K3]) == (325, 53)
 
 
 def test_k3_block_size_is_about_a_quarter_of_n():
     # n = 4s' + t' and 4l is n - t' or n - t' + 4, so 4l lies in [n - 1, n + 2].
     for n in range(12, MAX_LABELS + 1):
-        assert n - 1 <= 4 * K3Params.from_n(n).l <= n + 2, n
+        assert n - 1 <= 4 * _k3_split(n)[0] <= n + 2, n
 
 
 @pytest.mark.parametrize("n", [15, 16, 17])

@@ -29,14 +29,14 @@ from kneser_minors import (
     kset_text,
     partition_A,
     partition_C,
-    uniform_sizes,
-    union_mask,
     verify_coloring,
     verify_minor,
     verify_partition,
 )
 from kneser_minors import baranyai
+from kneser_minors.baranyai import uniform_sizes
 from kneser_minors.cli import main
+from kneser_minors.core import union_mask
 from kneser_minors.serialize import (
     coloring_from_dict,
     coloring_to_dict,
