@@ -19,10 +19,11 @@ where the class arc carries floor/ceil bounds of the class's fractional
 load, the (j, S) arc is capped by the copy count, and the sink arc demands
 exactly the number of completions through S that contain v.  Degrees of
 already-placed labels are untouched by the step, so per-class degree spread
-<= 1 holds at the end.  Each step solves two flows, first up to the floor
-loads and then up to the ceilings, by FIFO push-relabel with a fixed node
-and arc order (see ``_max_flow``); together with colex ordering of types
-this makes the whole construction reproducible byte-for-byte.
+<= 1 holds at the end.  Each step solves two flows on one residual array,
+first up to the floor loads and then up to the ceilings, by FIFO
+push-relabel with a fixed node and arc order (see ``_max_flow``); together
+with colex ordering of types this makes the whole construction reproducible
+byte-for-byte.
 
 The last two steps need no search, as a type of s labels then has
 C(unplaced, k - s) copies: at one label left every copy takes it; at two,
@@ -161,24 +162,27 @@ def uniform_sizes(total: int, block_size: int) -> tuple[int, ...]:
 
 
 def _max_flow(
-    sres: list[int], cstart: list[int], pclass: list[int], ptype: list[int],
-    cnt: list[int], flow: list[int], tpairs: list[list[int]], tres: list[int],
+    sres: list[int], garcs: list[range], pclass: list[int], ptype: list[int],
+    room: list[int], flow: list[int], tpairs: list[list[int]], tres: list[int],
 ) -> int:
     """FIFO push-relabel on source -> group -> type -> sink; returns the flow it adds.
 
     Residuals live in the caller's arrays: ``sres[j]`` on source -> group j,
-    ``cnt[p] - flow[p]`` on pair p (group ``pclass[p]`` -> type ``ptype[p]``)
-    and ``flow[p]`` on its reverse, ``tres[t]`` on type t -> sink.  The side
+    ``room[p]`` on pair p (group ``pclass[p]`` -> type ``ptype[p]``) and
+    ``flow[p]`` on its reverse, ``tres[t]`` on type t -> sink; the pairs at
+    group j are ``garcs[j]``, those at type t ``tpairs[t]``.  The side
     whose terminal arcs hold less in all must saturate them, so the excess
     starts there, on side A: at the groups in the floor solve, whose loads
     sum to at most the demands, and at the types, over the reversed network,
     in the ceiling solve, whose ceilings cover what demand is left.  The
-    other side, B, drains into its terminal arcs.  A push A -> B adds to
-    ``flow[p]`` in both orientations, so ``room[p] = cnt[p] - flow[p]`` is
-    the residual of each A -> B arc and ``flow[p]`` that of each B -> A arc.
-    No excess goes back through a terminal arc it started on, so the ceiling
-    solve never lowers a floor load; on an infeasible network the excess is
-    stranded and the total comes back short.
+    other side, B, drains into its terminal arcs.  A push A -> B moves units
+    from ``room[p]`` to ``flow[p]`` in both orientations, so ``room[p]`` is
+    the residual of each A -> B arc and ``flow[p]`` that of each B -> A arc,
+    and ``room[p] + flow[p]`` stays the pair's capacity: the floor and the
+    ceiling solve of a step share ``room`` and the arc lists.  No excess goes
+    back through a terminal arc it started on, so the ceiling solve never
+    lowers a floor load; on an infeasible network the excess is stranded and
+    the total comes back short.
 
     One greedy sweep sends what direct A -> B -> terminal paths carry; the
     rest of A's terminal residuals becomes A's excess, so A's terminal
@@ -193,11 +197,11 @@ def _max_flow(
     The queue starts in node order, arcs are scanned in array order and no
     set or dict is read, so the flow is a fixed function of the network.
     """
-    a, b = (sres, [range(x, y) for x, y in zip(cstart, cstart[1:])], ptype), (tres, tpairs, pclass)
+    a, b = (sres, garcs, ptype), (tres, tpairs, pclass)
     if sum(sres) > sum(tres):
         a, b = b, a
     (ares, aarcs, ahead), (bres, barcs, bhead) = a, b
-    room, total, na, nb = list(map(operator.sub, cnt, flow)), 0, len(ares), len(bres)
+    total, na, nb = 0, len(ares), len(bres)
     top = na + nb + 1  # the label of a node with no residual path to the terminal
     exa, exb, da, db = [0] * na, [0] * nb, [top] * na, [top] * nb
     # Per side: terminal residuals, arcs per node, head per pair, own and reverse residuals, excess, labels.
@@ -206,7 +210,9 @@ def _max_flow(
         if r:
             for p in aarcs[u]:
                 w = ahead[p]
-                x = min(r, room[p], bres[w])
+                x = r if r < room[p] else room[p]
+                if x > bres[w]:
+                    x = bres[w]
                 if x > 0:
                     flow[p] += x
                     room[p] -= x
@@ -217,7 +223,7 @@ def _max_flow(
             total += ares[u] - r
             exa[u], ares[u] = r, 0
     queues = [[u for u in range(na) if exa[u]], []]
-    interval = work = (top + len(cnt)) // 2
+    interval = work = (top + len(room)) // 2
     while queues[0] or queues[1]:
         if work >= interval:
             da[:], db[:], work = [top] * na, [top] * nb, 0
@@ -333,14 +339,14 @@ def _absorption_step(state: tuple, done: list[list[int]], k: int, v: int, unplac
         load = [sum(flow[lo:hi]) for lo, hi in zip(cstart, cstart[1:])]  # copies each group absorbed
         if any(not m * (a // 2) <= x <= m * -(a // -2) for m, a, x in zip(mult, slots, load)):
             raise ConstructionError(f"label step {v}: could not meet per-class floor and ceiling loads")
-    else:
-        sres = [m * (a // unplaced) for m, a in zip(mult, slots)]
-        flow, tres = [0] * len(cnt), demand[:]
+    else:  # both solves take their flow off room, cap - flow on each pair, in place
+        sres, room = [m * (a // unplaced) for m, a in zip(mult, slots)], cap[:]
+        flow, tres, garcs = [0] * len(cnt), demand[:], [range(lo, hi) for lo, hi in zip(cstart, cstart[1:])]
         floor_total = sum(sres)
-        if _max_flow(sres, cstart, pgroup, ptype, cap, flow, tpairs, tres) != floor_total:
+        if _max_flow(sres, garcs, pgroup, ptype, room, flow, tpairs, tres) != floor_total:
             raise ConstructionError(f"label step {v}: could not meet per-class floor loads")
         sres = [r + m * (a % unplaced > 0) for r, m, a in zip(sres, mult, slots)]  # now up to ceiling loads
-        if floor_total + _max_flow(sres, cstart, pgroup, ptype, cap, flow, tpairs, tres) != sum(demand):
+        if floor_total + _max_flow(sres, garcs, pgroup, ptype, room, flow, tpairs, tres) != sum(demand):
             raise ConstructionError(f"label step {v}: could not meet absorption demands")
         load = [m * -(a // -unplaced) - r for m, a, r in zip(mult, slots, sres)]  # copies each group absorbed
 

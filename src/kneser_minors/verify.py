@@ -5,9 +5,10 @@ every edge is re-derived from label-set intersection, traces are never
 consulted, and each failed check names the offending block, class, pair or
 vertex.  The structure check first judges the whole certificate with set,
 map and bit operations; its one set of all members also settles the
-shared-vertex check.  Only when that set finds a repeat, or the blocks are
-not tuples or lists, does one walk keep each member's latest block: it names
-the first fault in block order, a repeat inside a block among them, and the
+shared-vertex check, and the family check of classes but for the member
+count.  Only when that set finds a repeat, or the blocks are not tuples or
+lists, does one walk keep each member's latest block: it names the first
+fault in block order, a repeat inside a block among them, and the
 first member met in a second block, which the shared-vertex check reports
 with no walk of its own.  One loop over each block takes the AND and
 the OR (its cover) of its members.  A block whose members all share a label
@@ -38,7 +39,8 @@ from typing import Callable, Sequence
 from .baranyai import AlmostRegularPartition
 from .chromatic import ColoringCertificate, chi_of
 from .core import (
-    MAX_LABELS, Record, family_detail, intersects, kset_text, pairwise_disjoint, sizes_detail, spread_detail, union_mask,
+    MAX_LABELS, Record, binomial, family_detail, intersects, kset_text, pairwise_disjoint, sizes_detail, spread_detail,
+    union_mask,
 )
 from .minors import MinorCertificate
 
@@ -190,6 +192,17 @@ def _unjoined_blocks(n: int, covered: Sequence[int]) -> str | None:
     return None
 
 
+def _family_detail(
+    structure: tuple[bool, str, str | None], classes: Sequence[Sequence[int]], lo: int, hi: int, k: int
+) -> str | None:
+    """``family_detail`` after a passed structure check, which leaves only the count
+    to check when it shares no member: the members are then distinct k-subsets of [lo, hi]."""
+    if structure[2] is not None:
+        return family_detail(classes, lo, hi, k)
+    got, want = sum(map(len, classes)), binomial(hi - lo + 1, k)
+    return None if got == want else f"{got} members, expected {want}"
+
+
 def _intersecting_members(classes: Sequence[Sequence[int]]) -> str | None:
     for ci, cls in enumerate(classes):
         if not pairwise_disjoint(cls):
@@ -231,14 +244,15 @@ def verify_coloring(cert: ColoringCertificate) -> VerificationReport:
     """Check that the classes partition all k-subsets, are independent sets,
     and number exactly chi(n, k)."""
     classes = cert.classes
+    structure = _structure_blocks(cert.n, cert.k, classes, "class")
 
     def class_count() -> tuple[bool, str]:
         want = chi_of(cert.n, cert.k)
         ok = len(classes) == want
         return ok, f"{len(classes)} classes" + ("" if ok else f", expected chi = {want}")
 
-    return _run_checks(_structure_blocks(cert.n, cert.k, classes, "class"), (
-        ("partition", lambda: _verdict(family_detail(classes, 1, cert.n, cert.k), "classes partition the full family")),
+    return _run_checks(structure, (
+        ("partition", lambda: _verdict(_family_detail(structure, classes, 1, cert.n, cert.k), "classes partition the full family")),
         ("independent-classes", lambda: _verdict(_intersecting_members(classes), "all classes are pairwise disjoint families")),
         ("class-count", class_count),
     ))
@@ -249,8 +263,9 @@ def verify_partition(part: AlmostRegularPartition) -> VerificationReport:
     union over the ground family, and per-class degree spread <= 1."""
     plan, classes = part.plan, part.classes
     lo, hi = plan.ground
-    return _run_checks(_structure_blocks(hi, plan.k, classes, "class", lo), (
+    structure = _structure_blocks(hi, plan.k, classes, "class", lo)
+    return _run_checks(structure, (
         ("sizes", lambda: _verdict(sizes_detail(classes, plan.sizes), "class sizes match the plan")),
-        ("disjoint-union", lambda: _verdict(family_detail(classes, lo, hi, plan.k), "classes partition the ground family")),
+        ("disjoint-union", lambda: _verdict(_family_detail(structure, classes, lo, hi, plan.k), "classes partition the ground family")),
         ("degree-spread", lambda: _verdict(spread_detail(classes, lo, hi), "every class has degree spread <= 1")),
     ))

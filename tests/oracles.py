@@ -678,13 +678,13 @@ def _absorption_step_reference(state: tuple, done: list[list[int]], k: int, v: i
     if unplaced <= 2:
         flow = cnt[:] if unplaced == 1 else _euler_split(len(slots), pclass, tpairs)
     else:
-        sres = [a // unplaced for a in slots]
+        sres, room, garcs = [a // unplaced for a in slots], cnt[:], [range(lo, hi) for lo, hi in zip(cstart, cstart[1:])]
         flow, tres = [0] * len(cnt), demand[:]
         floor_total = sum(sres)
-        if _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != floor_total:
+        if _max_flow(sres, garcs, pclass, ptype, room, flow, tpairs, tres) != floor_total:
             raise ConstructionError(f"label step {v}: could not meet per-class floor loads")
         sres = [r + (a % unplaced > 0) for r, a in zip(sres, slots)]
-        if floor_total + _max_flow(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres) != sum(demand):
+        if floor_total + _max_flow(sres, garcs, pclass, ptype, room, flow, tpairs, tres) != sum(demand):
             raise ConstructionError(f"label step {v}: could not meet absorption demands")
     bit = 1 << (v - 1)
     keep = [t for t in range(len(masks)) if tot[t] > demand[t]]

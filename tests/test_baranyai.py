@@ -428,9 +428,11 @@ def recorded_networks(plan):
     """The networks of every label step the engine solves on ``plan``."""
     calls = []
 
-    def recording(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres):
-        calls.append((sres[:], cstart, pclass, ptype, cnt, tres[:]))
-        return solve(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres)
+    def recording(sres, garcs, pclass, ptype, room, flow, tpairs, tres):
+        # A copy of the residual: the solve takes its flow off room in place.
+        cstart = [0, *(arcs.stop for arcs in garcs)]
+        calls.append((sres[:], cstart, pclass, ptype, room[:], tres[:]))
+        return solve(sres, garcs, pclass, ptype, room, flow, tpairs, tres)
 
     solve = baranyai._max_flow
     with pytest.MonkeyPatch.context() as patch:
@@ -444,20 +446,31 @@ def recorded_networks(plan):
 
 def floor_then_ceiling(solve, network):
     """Each solve's added flow and the arrays after it, as ``_absorption_step``
-    runs them: up to the floor loads, then, if those are met, up to the ceilings."""
+    runs them: up to the floor loads, then, if those are met, up to the ceilings
+    on the residual the floor solve left."""
     floor, rise, cstart, pclass, ptype, cnt, tpairs, demand = network
-    sres, flow, tres = floor[:], [0] * len(cnt), demand[:]
+    sres, room, flow, tres = floor[:], cnt[:], [0] * len(cnt), demand[:]
+    garcs = [range(lo, hi) for lo, hi in zip(cstart, cstart[1:])]
 
     def run():
         before = sres[:], tres[:]
-        added = solve(sres, cstart, pclass, ptype, cnt, flow, tpairs, tres)
-        return added, before, (sres[:], flow[:], tres[:])
+        added = solve(sres, garcs, pclass, ptype, room, flow, tpairs, tres)
+        return added, before, (sres[:], room[:], flow[:], tres[:])
 
     runs = [run()]
     if runs[0][0] == sum(floor):
         sres[:] = [r + x for r, x in zip(sres, rise)]
         runs.append(run())
     return runs
+
+
+def reference_on_room(sres, garcs, pclass, ptype, room, flow, tpairs, tres):
+    """``max_flow_reference`` on ``_max_flow``'s arguments: pair p's capacity is
+    ``room[p] + flow[p]``, and ``room`` is left as capacity minus the new flow."""
+    cnt = [r + f for r, f in zip(room, flow)]
+    added = max_flow_reference(sres, [0, *(arcs.stop for arcs in garcs)], pclass, ptype, cnt, flow, tpairs, tres)
+    room[:] = [c - f for c, f in zip(cnt, flow)]
+    return added
 
 
 class TestMaxFlow:
@@ -467,10 +480,11 @@ class TestMaxFlow:
         floor, rise, cstart, pclass, ptype, cnt, tpairs, demand = network
         runs = floor_then_ceiling(baranyai._max_flow, network)
         assert runs == floor_then_ceiling(baranyai._max_flow, network)
-        assert [added for added, *_ in runs] == [added for added, *_ in floor_then_ceiling(max_flow_reference, network)]
+        assert [added for added, *_ in runs] == [added for added, *_ in floor_then_ceiling(reference_on_room, network)]
         loads = [0] * len(floor)  # flow on each source arc
-        for added, (sres0, tres0), (sres, flow, tres) in runs:
+        for added, (sres0, tres0), (sres, room, flow, tres) in runs:
             assert all(0 <= f <= c for f, c in zip(flow, cnt))
+            assert [r + f for r, f in zip(room, flow)] == cnt  # the residual the ceiling solve starts from
             assert all(0 <= r <= r0 for r, r0 in zip(sres, sres0)) and all(0 <= r <= r0 for r, r0 in zip(tres, tres0))
             if added == min(sum(sres0), sum(tres0)):  # no excess stranded, so a flow
                 loads = [load + r0 - r for load, r0, r in zip(loads, sres0, sres)]
@@ -595,7 +609,7 @@ class TestClosingSteps:
         loads = [sum(flow[lo:hi]) for lo, hi in zip(cstart, cstart[1:])]
         assert all(lo <= x <= lo + r for x, lo, r in zip(loads, floor, rise))
         assert [sum(flow[p] for p in pairs) for pairs in tpairs] == demand
-        assert sum(flow) == sum(added for added, *_ in floor_then_ceiling(max_flow_reference, network))
+        assert sum(flow) == sum(added for added, *_ in floor_then_ceiling(reference_on_room, network))
         # The step deals each member the floor or ceiling of its own load.
         masks, first, slots = state[:3]
         done = [[] for _ in range(first[-1])]

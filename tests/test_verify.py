@@ -252,6 +252,16 @@ class TestVerifyColoring:
         checks = check_map(verify_coloring(replaced(cert, classes=pruned)))
         assert not checks["partition"].passed
 
+    def test_distinct_members_are_only_counted(self, monkeypatch):
+        # The structure check found every member distinct, so the partition check
+        # counts them and never builds the set of all members a second time.
+        monkeypatch.setattr("kneser_minors.verify.family_detail", None)
+        cert = build_coloring(Params(7, 3))
+        assert verify_coloring(cert).passed
+        pruned = (cert.classes[0][:1],) + cert.classes[1:]
+        checks = check_map(verify_coloring(replaced(cert, classes=pruned)))
+        assert checks["partition"].detail == "34 members, expected 35"
+
     def test_wrong_class_count(self):
         cert = build_coloring(Params(7, 3))
         merged = (cert.classes[0] + cert.classes[1],) + cert.classes[2:]
